@@ -23,7 +23,7 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 
 def rr_accuracy(eps: float) -> float:
@@ -88,7 +88,8 @@ class GuessSummary:
 def binomial_sf(n: int, q: float, v: int) -> float:
     """Exact binomial survival probability Pr[Binomial(n, q) >= v].
 
-    Computed via the regularized incomplete beta function, which is
+    Computed as the regularized incomplete beta function I_q(v, n - v + 1),
+    the same kernel ``scipy.stats.binom.sf`` evaluates, which is
     numerically stable deep into the tails (relative accuracy better than
     1e-12 for n up to 1e6).
 
@@ -108,7 +109,7 @@ def binomial_sf(n: int, q: float, v: int) -> float:
         return 1.0
     if v > n:
         return 0.0
-    return float(stats.binom.sf(v - 1, n, q))
+    return float(special.betainc(v, n - v + 1, q))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -152,7 +153,8 @@ class DominatingDistribution:
             raise ValueError(f"n must be nonnegative, got {n}")
         if not 0 <= q <= 1:
             raise ValueError(f"q must be in [0, 1], got {q}")
-        table = stats.binom.sf(np.arange(n + 1) - 1, n, q)
+        w = np.arange(1, n + 1)
+        table = np.concatenate(([1.0], special.betainc(w, n - w + 1, q)))
         return cls(support_max=n, survival_table=table)
 
     @classmethod
@@ -286,6 +288,10 @@ def p_value_general_p(m: int, k_plus: int, k_minus: int, v: int,
     Bernoulli accuracies depend on the inclusion probability.  Collapses to
     :func:`p_value_audit` when p = 1/2.
     """
+    # imported here: scipy.stats costs about 0.5 s and 23 MB of import, and
+    # no audit path needs it
+    from scipy import stats
+
     if k_plus < 0 or k_minus < 0 or k_plus + k_minus > m:
         raise ValueError(
             f"need 0 <= k_plus + k_minus <= m, got {k_plus}+{k_minus} vs m={m}")
@@ -355,11 +361,6 @@ def adaptive_bound(m: int, r_observed: int, params: PrivacyParams,
     g = int(below[0]) if below.size else r_observed + 1
     p = min(1.0, gamma + 2.0 * m * params.delta / tau)
     return float(g) + tau, p
-
-
-def _binomial_survival_real(dist: DominatingDistribution, x: float) -> float:
-    # Pr[W >= x] for integer-supported W and real x.
-    return dist.survival(math.ceil(x))
 
 
 def generalization_bound(n: int, params: PrivacyParams,

@@ -18,7 +18,7 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import special
 
 from .estimator import rr_accuracy
 
@@ -136,7 +136,7 @@ def randomized_response(s: np.ndarray, eps: float,
     s = np.asarray(s)
     q = rr_accuracy(eps)
     keep = rng.random(s.shape[0]) < q
-    return np.where(keep, s, -s)
+    return s * (2 * keep - 1)
 
 
 def gaussian_report(s: np.ndarray, cfg: GaussianReportConfig,
@@ -171,17 +171,17 @@ def gaussian_dp_delta(rho: float, eps: float) -> float:
 
     delta(eps) = Phibar((eps - rho) / sqrt(2 rho))
                  - e^eps * Phibar((eps + rho) / sqrt(2 rho)),
-    where Phibar is the standard normal survival function.  The e^eps
-    factor is applied in log space to avoid overflow; the result is clamped
-    to [0, 1] and strictly decreasing in eps.
+    where Phibar(x) = ndtr(-x) is the standard normal survival function.
+    The e^eps factor is applied in log space to avoid overflow; the result
+    is clamped to [0, 1] and strictly decreasing in eps.
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     scale = math.sqrt(2.0 * rho)
-    hi = stats.norm.sf((eps - rho) / scale)
-    lo = math.exp(eps + stats.norm.logsf((eps + rho) / scale))
+    hi = special.ndtr(-((eps - rho) / scale))
+    lo = math.exp(eps + special.log_ndtr(-((eps + rho) / scale)))
     return min(1.0, max(0.0, hi - lo))
 
 
@@ -199,8 +199,57 @@ def gaussian_dp_eps(rho: float, delta: float) -> float:
     hi = 1.0
     while gaussian_dp_delta(rho, hi) > delta:
         hi *= 2.0
-    return float(optimize.brentq(
-        lambda e: gaussian_dp_delta(rho, e) - delta, 0.0, hi, xtol=1e-9))
+    return _brentq(lambda e: gaussian_dp_delta(rho, e) - delta, 0.0, hi,
+                   xtol=1e-9)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of f on the sign-changing bracket [xa, xb] by Brent's method.
+
+    Step for step the algorithm of ``scipy.optimize.brentq`` with its
+    default rtol and maxiter, so it returns the same root without importing
+    scipy.optimize (about 23 MB and 0.2 s of import).
+    """
+    rtol, maxiter = 4 * np.finfo(float).eps, 100
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(xa) and f(xb) must have opposite signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        tol = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < tol:
+            return float(xcur)
+        if abs(spre) > tol and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - tol):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > tol else (tol if sbis > 0 else -tol)
+        fcur = f(xcur)
+    raise RuntimeError(f"no convergence in {maxiter} iterations")
 
 
 def dpsgd_rdp_eps(ell: int, q: float, sigma: float) -> float:
@@ -249,11 +298,11 @@ def expected_correct_gaussian(m: int, r: int, sigma: float) -> tuple[float, int]
     target = r / (2.0 * m)
 
     def mixture_tail(c):
-        return 0.5 * (stats.norm.sf((c - 1.0) / sigma)
-                      + stats.norm.sf((c + 1.0) / sigma))
+        return 0.5 * (special.ndtr(-((c - 1.0) / sigma))
+                      + special.ndtr(-((c + 1.0) / sigma)))
 
     lo = 0.0  # mixture_tail(0) = 1/2 >= target since r <= m
-    hi = 1.0 + sigma * stats.norm.isf(target)
+    hi = 1.0 + sigma * -special.ndtri(target)
     if hi <= lo:
         hi = lo + 1.0
     for _ in range(200):
@@ -267,7 +316,7 @@ def expected_correct_gaussian(m: int, r: int, sigma: float) -> tuple[float, int]
         else:
             hi = mid
     c = 0.5 * (lo + hi)
-    plus = stats.norm.sf((c - 1.0) / sigma)
-    minus = stats.norm.sf((c + 1.0) / sigma)
+    plus = special.ndtr(-((c - 1.0) / sigma))
+    minus = special.ndtr(-((c + 1.0) / sigma))
     accuracy = plus / (plus + minus)
     return float(c), int(math.ceil(r * accuracy))

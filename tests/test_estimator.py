@@ -123,6 +123,31 @@ def test_binomial_sf_large_n_logspace_oracle():
             sf_logspace(n, q, v), rel=1e-7)
 
 
+BINOM_ORACLE_N = [0, 1, 100, 16384]
+BINOM_ORACLE_Q = [0.0, 0.5, float(special.expit(3.0)), 1.0]
+
+
+@pytest.mark.parametrize("n", BINOM_ORACLE_N)
+@pytest.mark.parametrize("q", BINOM_ORACLE_Q)
+def test_binomial_tails_equal_scipy_stats_exactly(n, q):
+    # the incomplete-beta form is the kernel binom.sf evaluates, so the
+    # whole table, deep tails included, must match bit for bit
+    w = np.arange(n + 2)
+    expected = stats.binom.sf(w - 1, n, q)
+    table = DominatingDistribution.from_binomial(n, q).survival_table
+    assert np.array_equal(table, expected[:n + 1])
+    for v in [-1, 0, 1, n // 2, n - 1, n, n + 1]:
+        assert binomial_sf(n, q, v) == stats.binom.sf(v - 1, n, q)
+
+
+def test_binomial_tails_equal_scipy_stats_deep_tails():
+    for n, q in [(16384, 0.01), (16384, 0.99), (1000, 1e-6), (16384, 0.5)]:
+        expected = stats.binom.sf(np.arange(n + 1) - 1, n, q)
+        assert expected[expected > 0].min() < 1e-70  # reaches deep tails
+        table = DominatingDistribution.from_binomial(n, q).survival_table
+        assert np.array_equal(table, expected)
+
+
 def test_binomial_sf_rejects_bad_parameters():
     with pytest.raises(ValueError):
         binomial_sf(10, 1.5, 3)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from dpaudit.estimator import rr_accuracy
 from dpaudit.mechanisms import (
@@ -70,6 +70,15 @@ def test_rr_correct_count_is_binomial():
     cdf = stats.binom.cdf(grid, m, q)
     band = math.sqrt(math.log(2.0 / 0.01) / (2.0 * trials))
     assert np.max(np.abs(ecdf - cdf)) <= band
+
+
+def test_rr_equals_where_form_on_same_stream():
+    s = fixed_selection(10_000)
+    q = rr_accuracy(1.0)
+    expected_keep = np.random.default_rng(5).random(s.shape[0]) < q
+    t = randomized_response(s, 1.0, np.random.default_rng(5))
+    assert t.dtype == s.dtype
+    assert np.array_equal(t, np.where(expected_keep, s, -s))
 
 
 def test_rr_config_validates():
@@ -206,6 +215,29 @@ def test_gaussian_dp_eps_round_trip():
             assert back == pytest.approx(eps, abs=1e-6)
 
 
+def test_gaussian_dp_delta_equals_scipy_stats_norm_form():
+    for rho in [1e-3, 0.1, 0.5, 2.0, 40.0]:
+        scale = math.sqrt(2.0 * rho)
+        for eps in [0.0, 0.3, 1.0, 4.38, 20.0]:
+            expected = (stats.norm.sf((eps - rho) / scale)
+                        - math.exp(eps + stats.norm.logsf((eps + rho) / scale)))
+            assert gaussian_dp_delta(rho, eps) == min(1.0, max(0.0, expected))
+
+
+def test_gaussian_dp_eps_matches_brentq_reference():
+    for rho in np.geomspace(1e-3, 50.0, 25):
+        for delta in [1e-12, 1e-8, 1e-5, 1e-3, 0.05, 0.3]:
+            if gaussian_dp_delta(rho, 0.0) <= delta:
+                continue
+            hi = 1.0
+            while gaussian_dp_delta(rho, hi) > delta:
+                hi *= 2.0
+            expected = optimize.brentq(
+                lambda e: gaussian_dp_delta(rho, e) - delta, 0.0, hi,
+                xtol=1e-9)
+            assert abs(gaussian_dp_eps(rho, delta) - expected) <= 1e-9
+
+
 def test_gaussian_dp_eps_saturated_delta_returns_zero():
     assert gaussian_dp_eps(0.5, 0.9) == 0.0
 
@@ -288,6 +320,41 @@ def test_expected_correct_gaussian_accuracy_improves_with_fewer_guesses():
 
     accs = [conditional_accuracy(r) for r in [20_000, 5000, 1510, 400, 50]]
     assert np.all(np.diff(accs) > 0)
+
+
+def expected_correct_gaussian_norm_form(m, r, sigma):
+    """The scipy.stats.norm form of expected_correct_gaussian."""
+    target = r / (2.0 * m)
+
+    def mixture_tail(c):
+        return 0.5 * (stats.norm.sf((c - 1.0) / sigma)
+                      + stats.norm.sf((c + 1.0) / sigma))
+
+    lo, hi = 0.0, 1.0 + sigma * stats.norm.isf(target)
+    if hi <= lo:
+        hi = lo + 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        t = mixture_tail(mid)
+        if abs(t - target) <= 1e-12:
+            lo = hi = mid
+            break
+        if t >= target:
+            lo = mid
+        else:
+            hi = mid
+    c = 0.5 * (lo + hi)
+    plus = stats.norm.sf((c - 1.0) / sigma)
+    minus = stats.norm.sf((c + 1.0) / sigma)
+    return float(c), int(math.ceil(r * plus / (plus + minus)))
+
+
+@pytest.mark.parametrize("m,r,sigma", [
+    (100, 100, 1.0), (1000, 7, 0.3), (100_000, 1510, 2.0),
+    (100_000, 65536, 3.0), (100_000, 2, 1.5), (10_000, 500, 1e-6)])
+def test_expected_correct_gaussian_equals_scipy_stats_norm_form(m, r, sigma):
+    assert expected_correct_gaussian(m, r, sigma) == \
+        expected_correct_gaussian_norm_form(m, r, sigma)
 
 
 def test_expected_correct_gaussian_validates():
