@@ -36,38 +36,6 @@ from .estimator import (GuessSummary, PrivacyParams, eps_lower_bound,
 
 ENV_OUTDIR = "DPAUDIT_OUTDIR"
 
-EXPERIMENT_KINDS = {
-    "pure-rr": ("eps", "guesses", "confidence"),
-    "gaussian-idealized": ("sigma", "m", "guesses", "deltas", "confidences"),
-    "delta-sweep": ("sigma", "m", "guesses", "deltas", "confidences"),
-    "pathological-check": ("m", "r", "eps", "delta", "beta", "trials"),
-    "dpsgd-audit": ("mode", "m", "dim", "iterations", "clip",
-                    "noise_multiplier", "sample_prob", "learning_rate",
-                    "delta"),
-    "pvalue": ("m", "r", "v", "eps", "delta"),
-    "epslb": ("m", "r", "v", "delta", "confidence"),
-}
-
-
-@dataclasses.dataclass
-class ExperimentSpec:
-    """A validated experiment request: kind, parameters, seed, output path."""
-
-    kind: str
-    params: dict[str, Any]
-    seed: int = 0
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
-        missing = [k for k in EXPERIMENT_KINDS[self.kind]
-                   if k not in self.params]
-        if missing:
-            raise ValueError(
-                f"{self.kind} experiment missing parameter(s): "
-                f"{', '.join(missing)}")
-
 
 @dataclasses.dataclass
 class ResultRow:
@@ -107,12 +75,12 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
-def _append_row(row: ResultRow, out: str | None) -> None:
+def _append_row(out: str | None, **fields: Any) -> None:
     out = _resolve_out(out)
     if out is None:
         return
     with open(out, "a", encoding="utf-8") as fh:
-        fh.write(row.to_json() + "\n")
+        fh.write(ResultRow(**fields).to_json() + "\n")
 
 
 def _emit_csv(fieldnames: Sequence[str], rows: Sequence[dict],
@@ -128,12 +96,8 @@ def _emit_csv(fieldnames: Sequence[str], rows: Sequence[dict],
             sink.close()
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _num_list(text: str, kind: type = float) -> list:
+    return [kind(x) for x in text.split(",") if x.strip()]
 
 
 def _doubling_grid(lo: int, hi: int) -> list[int]:
@@ -149,13 +113,12 @@ def cmd_pvalue(args) -> int:
     summary = GuessSummary(m=args.m, k_plus=args.r, k_minus=0, v=args.v)
     p = p_value_audit(summary, PrivacyParams(args.eps, args.delta))
     print(f"{p:.6g}")
-    row = ResultRow(
-        command="pvalue",
+    _append_row(
+        args.out, command="pvalue",
         inputs={"m": args.m, "r": args.r, "v": args.v, "eps": args.eps,
                 "delta": args.delta},
         outputs={"p_value": p}, confidence=None,
         runtime_ms=(time.perf_counter() - t0) * 1e3, seed=None)
-    _append_row(row, args.out)
     return 0
 
 
@@ -164,21 +127,17 @@ def cmd_epslb(args) -> int:
     lb = eps_lower_bound(args.m, args.r, args.v, args.delta,
                          1.0 - args.conf)
     print(f"{lb:.6g}")
-    row = ResultRow(
-        command="epslb",
+    _append_row(
+        args.out, command="epslb",
         inputs={"m": args.m, "r": args.r, "v": args.v, "delta": args.delta,
                 "conf": args.conf},
         outputs={"eps_lb": lb}, confidence=args.conf,
         runtime_ms=(time.perf_counter() - t0) * 1e3, seed=None)
-    _append_row(row, args.out)
     return 0
 
 
 def cmd_experiment_pure(args) -> int:
-    guesses = _int_list(args.guesses)
-    ExperimentSpec(kind="pure-rr",
-                   params={"eps": args.eps, "guesses": guesses,
-                           "confidence": args.conf})
+    guesses = _num_list(args.guesses, int)
     q = rr_accuracy(args.eps)
     rows = []
     for r in guesses:
@@ -190,13 +149,9 @@ def cmd_experiment_pure(args) -> int:
 
 
 def cmd_experiment_gaussian(args) -> int:
-    guesses = _int_list(args.r_grid)
-    deltas = _float_list(args.delta_grid)
-    confs = _float_list(args.conf_grid)
-    ExperimentSpec(kind="gaussian-idealized",
-                   params={"sigma": args.sigma, "m": args.m,
-                           "guesses": guesses, "deltas": deltas,
-                           "confidences": confs})
+    guesses = _num_list(args.r_grid, int)
+    deltas = _num_list(args.delta_grid)
+    confs = _num_list(args.conf_grid)
     cfg = mechanisms.GaussianReportConfig(sigma=args.sigma,
                                           sensitivity=args.sensitivity)
     uppers = {d: mechanisms.gaussian_dp_eps(cfg.rho, d) for d in deltas}
@@ -218,11 +173,6 @@ def cmd_experiment_gaussian(args) -> int:
 def cmd_pathological_check(args) -> int:
     cfg = mechanisms.PathologicalConfig(m=args.m, r=args.r, eps=args.eps,
                                         delta=args.delta, beta=args.beta)
-    spec = ExperimentSpec(
-        kind="pathological-check", seed=args.seed,
-        params={"m": args.m, "r": args.r, "eps": args.eps,
-                "delta": args.delta, "beta": args.beta,
-                "trials": args.trials})
     t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     w_samples = np.empty(args.trials, dtype=int)
@@ -246,11 +196,14 @@ def cmd_pathological_check(args) -> int:
         _emit_csv(["v", "mc_tail", "bound", "z"], rows, args.out)
     print(f"trials={args.trials} max_z={worst_z:.3f} "
           f"violations_beyond_3sigma={violations}")
-    _append_row(ResultRow(
-        command="pathological-check", inputs=spec.params,
+    _append_row(
+        args.report, command="pathological-check",
+        inputs={"m": args.m, "r": args.r, "eps": args.eps,
+                "delta": args.delta, "beta": args.beta,
+                "trials": args.trials},
         outputs={"max_z": worst_z, "violations": violations},
         confidence=None, runtime_ms=(time.perf_counter() - t0) * 1e3,
-        seed=args.seed), args.report)
+        seed=args.seed)
     return 0
 
 
@@ -272,7 +225,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
 _DPSGD_KEYS = {
     "mode": str, "loss": str, "m": int, "dim": int, "iterations": int,
     "clip": float, "noise_multiplier": float, "sample_prob": float,
-    "learning_rate": float, "delta": float, "confidence": _float_list,
+    "learning_rate": float, "delta": float, "confidence": _num_list,
     "k_plus": int, "k_minus": int, "seed": int, "data_examples": int,
     "label_noise": float, "out": str, "trace_out": str,
 }
@@ -281,6 +234,9 @@ _DPSGD_DEFAULTS = {
     "loss": "canary-only", "confidence": [0.95], "seed": 0,
     "data_examples": 0, "label_noise": 0.0,
 }
+
+_DPSGD_REQUIRED = ("mode", "m", "dim", "iterations", "clip",
+                   "noise_multiplier", "sample_prob", "learning_rate", "delta")
 
 
 def parse_dpsgd_config(path: str) -> dict[str, Any]:
@@ -294,13 +250,18 @@ def parse_dpsgd_config(path: str) -> dict[str, Any]:
             config[key] = _DPSGD_KEYS[key](value)
         except ValueError as exc:
             raise ValueError(f"bad value for config key {key!r}: {exc}")
-    spec = ExperimentSpec(kind="dpsgd-audit", params=config,
-                          seed=config.get("seed", 0),
-                          out=config.get("out"))
+    missing = [k for k in _DPSGD_REQUIRED if k not in config]
+    if missing:
+        raise ValueError(f"dpsgd-audit experiment missing parameter(s): "
+                         f"{', '.join(missing)}")
     if config["mode"] not in ("whitebox", "blackbox"):
         raise ValueError(f"config key 'mode' must be whitebox or blackbox, "
                          f"got {config['mode']!r}")
-    return spec.params
+    confidences = config["confidence"]
+    if not confidences or not all(0 < c < 1 for c in confidences):
+        raise ValueError(f"config key 'confidence' must be a nonempty list of "
+                         f"values in (0, 1), got {confidences!r}")
+    return config
 
 
 def run_dpsgd_audit(config: dict[str, Any]) -> pipeline.AuditReport:
@@ -384,10 +345,11 @@ def cmd_dpsgd_audit(args) -> int:
     runtime_ms = (time.perf_counter() - t0) * 1e3
     payload = report.to_dict()
     print(json.dumps(payload, sort_keys=True))
-    _append_row(ResultRow(
-        command="dpsgd-audit", inputs=dict(config), outputs=payload,
+    _append_row(
+        config.get("out") or args.out, command="dpsgd-audit",
+        inputs=dict(config), outputs=payload,
         confidence=config["confidence"][0], runtime_ms=runtime_ms,
-        seed=config["seed"]), config.get("out") or args.out)
+        seed=config["seed"])
     return 0
 
 
@@ -399,25 +361,22 @@ def cmd_simulate(args) -> int:
         adapter = pipeline.adapter_gaussian_report(
             mechanisms.GaussianReportConfig(sigma=args.sigma),
             delta=args.delta)
-    elif args.mechanism == "pathological":
+    else:  # "pathological"; argparse restricts the choices
         adapter = pipeline.adapter_pathological(
             mechanisms.PathologicalConfig(
                 m=args.m, r=args.r, eps=args.eps,
                 delta=args.mech_delta, beta=args.beta))
-    else:
-        raise ValueError(f"unknown mechanism {args.mechanism!r}")
     report = pipeline.audit_run(adapter, args.m, args.k_plus, args.k_minus,
                                 args.delta, [args.conf], args.seed)
     payload = report.to_dict()
     print(json.dumps(payload, sort_keys=True))
-    _append_row(ResultRow(
-        command="simulate",
+    _append_row(
+        args.out, command="simulate",
         inputs={"mechanism": args.mechanism, "m": args.m,
                 "k_plus": args.k_plus, "k_minus": args.k_minus,
                 "delta": args.delta, "conf": args.conf},
         outputs=payload, confidence=args.conf,
-        runtime_ms=(time.perf_counter() - t0) * 1e3, seed=args.seed),
-        args.out)
+        runtime_ms=(time.perf_counter() - t0) * 1e3, seed=args.seed)
     return 0
 
 

@@ -190,6 +190,11 @@ def mislabeled_canaries(model: LossModel, m: int,
     return ExampleCanarySet(features=X, labels=-truth)
 
 
+def _clip_magnitudes(mags: np.ndarray, c: float) -> np.ndarray:
+    """Clip one-hot gradient magnitudes elementwise to absolute value c."""
+    return mags * np.minimum(1.0, np.where(mags != 0, c / np.abs(mags), 1.0))
+
+
 def _clip_rows(grads: np.ndarray, c: float) -> np.ndarray:
     norms = np.linalg.norm(grads, axis=1)
     # non-finite gradients flow through and are caught by the iterate check
@@ -201,8 +206,8 @@ def _clip_rows(grads: np.ndarray, c: float) -> np.ndarray:
 def dpsgd_train(data: LossModel,
                 canaries: Sequence[DiracCanary] | ExampleCanarySet | None,
                 selection: np.ndarray | None, cfg: TrainerConfig,
-                rng: np.random.Generator, w0: np.ndarray | None = None,
-                debug_clip_check: bool = False) -> ModelTrace:
+                rng: np.random.Generator, w0: np.ndarray | None = None
+                ) -> ModelTrace:
     """Train with per-example clipping and Gaussian noise; return all iterates.
 
     Data examples are always in the training set; canary i participates iff
@@ -215,11 +220,10 @@ def dpsgd_train(data: LossModel,
     if data.n_examples and data.features.shape[1] != d:
         raise ValueError(
             f"data dimension {data.features.shape[1]} != cfg.dim {d}")
-    dirac_idx = dirac_mag = example_set = None
+    dirac_idx = None
     if canaries is None:
         n_canaries = 0
     elif isinstance(canaries, ExampleCanarySet):
-        example_set = canaries
         n_canaries = len(canaries)
     else:
         dirac_idx = np.array([c.index for c in canaries], dtype=int)
@@ -227,23 +231,27 @@ def dpsgd_train(data: LossModel,
         if dirac_idx.size and (dirac_idx.min() < 0 or dirac_idx.max() >= d):
             raise ValueError("canary index out of range")
         n_canaries = dirac_idx.size
+    n_inc = 0
     if n_canaries:
         selection = np.asarray(selection)
         if selection.shape != (n_canaries,):
             raise ValueError(
                 f"selection length {selection.shape} != {n_canaries} canaries")
         included = selection == 1
+        n_inc = int(included.sum())
         if dirac_idx is not None:
-            dirac_idx, dirac_mag = dirac_idx[included], dirac_mag[included]
-            n_inc = dirac_idx.size
+            dirac_idx = dirac_idx[included]
+            dirac_mag = _clip_magnitudes(dirac_mag[included], cfg.clip)
         else:
-            inc_X = example_set.features[included]
-            inc_y = example_set.labels[included]
-            n_inc = inc_X.shape[0]
-    else:
-        n_inc = 0
+            inc_X = canaries.features[included]
+            inc_y = canaries.labels[included]
 
     q, c, lr = cfg.sample_prob, cfg.clip, cfg.learning_rate
+
+    def add_clipped_rows(gsum, w, X, Y):
+        if X.shape[0]:
+            gsum += _clip_rows(data.example_grads(w, X, Y), c).sum(axis=0)
+
     w = np.zeros(d) if w0 is None else np.array(w0, dtype=float)
     iterates = np.empty((cfg.ell + 1, d))
     iterates[0] = w
@@ -251,27 +259,13 @@ def dpsgd_train(data: LossModel,
         gsum = np.zeros(d)
         if data.n_examples:
             mask = slice(None) if q == 1 else rng.random(data.n_examples) < q
-            X, Y = data.features[mask], data.labels[mask]
-            if X.shape[0]:
-                clipped = _clip_rows(data.example_grads(w, X, Y), c)
-                if debug_clip_check:
-                    assert np.all(np.linalg.norm(clipped, axis=1) <= c * (1 + 1e-9))
-                gsum += clipped.sum(axis=0)
+            add_clipped_rows(gsum, w, data.features[mask], data.labels[mask])
         if n_inc:
             mask = slice(None) if q == 1 else rng.random(n_inc) < q
             if dirac_idx is not None:
-                mags = dirac_mag[mask]
-                clipped = mags * np.minimum(1.0, np.where(
-                    mags != 0, c / np.abs(mags), 1.0))
-                np.add.at(gsum, dirac_idx[mask], clipped)
+                np.add.at(gsum, dirac_idx[mask], dirac_mag[mask])
             else:
-                X, Y = inc_X[mask], inc_y[mask]
-                if X.shape[0]:
-                    clipped = _clip_rows(data.example_grads(w, X, Y), c)
-                    if debug_clip_check:
-                        assert np.all(
-                            np.linalg.norm(clipped, axis=1) <= c * (1 + 1e-9))
-                    gsum += clipped.sum(axis=0)
+                add_clipped_rows(gsum, w, inc_X[mask], inc_y[mask])
         noise = rng.normal(0.0, cfg.noise_multiplier * c, d)
         w = w - lr * (noise + gsum)
         if not np.all(np.isfinite(w)):
@@ -311,8 +305,7 @@ def whitebox_scores(canaries: Sequence[DiracCanary], trace: ModelTrace,
     """Vectorized white-box scores for a set of Dirac canaries."""
     idx = np.array([c.index for c in canaries], dtype=int)
     mags = np.array([c.magnitude for c in canaries], dtype=float)
-    clipped = mags * np.minimum(1.0, np.where(
-        mags != 0, cfg.clip / np.abs(mags), 1.0))
+    clipped = _clip_magnitudes(mags, cfg.clip)
     diffs = trace.iterates[:-1, :][:, idx] - trace.iterates[1:, :][:, idx]
     return clipped * diffs.sum(axis=0)
 
@@ -415,12 +408,26 @@ def save_trace(trace: ModelTrace, cfg: TrainerConfig, path) -> None:
 
 
 def load_trace(path) -> tuple[ModelTrace, dict]:
-    """Read a trace written by :func:`save_trace`; returns (trace, header)."""
+    """Read a trace written by :func:`save_trace`; returns (trace, header).
+
+    A malformed header raises ValueError naming the field at fault.
+    """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
-        flat = np.frombuffer(fh.read(), dtype=header["dtype"])
-    shape = (header["iterations"] + 1, header["dim"])
-    if flat.size != shape[0] * shape[1]:
+        payload = fh.read()
+    for key in ("dim", "iterations", "config_hash", "dtype"):
+        if not isinstance(header, dict) or key not in header:
+            raise ValueError(f"trace header missing field {key!r}")
+    if header["dtype"] != "<f8":
         raise ValueError(
-            f"trace payload has {flat.size} values, expected {shape}")
+            f"trace header field 'dtype' must be '<f8', got {header['dtype']!r}")
+    for key in ("dim", "iterations"):
+        if type(header[key]) is not int or header[key] < 1:
+            raise ValueError(f"trace header field {key!r} must be a positive "
+                             f"int, got {header[key]!r}")
+    shape = (header["iterations"] + 1, header["dim"])
+    if len(payload) != 8 * shape[0] * shape[1]:
+        raise ValueError(
+            f"trace payload has {len(payload)} bytes, expected {shape} float64s")
+    flat = np.frombuffer(payload, dtype="<f8")
     return ModelTrace(iterates=flat.reshape(shape).copy()), header

@@ -201,12 +201,14 @@ def dual_alpha(dist: DominatingDistribution, v: int, m: int) -> float:
     return float(max(0.0, np.max((tails - beta) / i)))
 
 
+def _tail_p_value(dist: DominatingDistribution, v: int, m: int,
+                  delta: float) -> float:
+    return min(1.0, dist.survival(v) + dual_alpha(dist, v, m) * 2.0 * m * delta)
+
+
 def _p_value(m: int, r: int, v: int, eps: float, delta: float) -> float:
-    q = rr_accuracy(eps)
-    dist = DominatingDistribution.from_binomial(r, q)
-    beta = dist.survival(v)
-    alpha = dual_alpha(dist, v, m)
-    return min(1.0, beta + alpha * 2.0 * m * delta)
+    dist = DominatingDistribution.from_binomial(r, rr_accuracy(eps))
+    return _tail_p_value(dist, v, m, delta)
 
 
 def p_value_audit(summary: GuessSummary, params: PrivacyParams) -> float:
@@ -301,9 +303,7 @@ def p_value_general_p(m: int, k_plus: int, k_minus: int, v: int,
     pmf_plus = stats.binom.pmf(np.arange(k_plus + 1), k_plus, gp.q_plus(eps))
     pmf_minus = stats.binom.pmf(np.arange(k_minus + 1), k_minus, gp.q_minus(eps))
     dist = DominatingDistribution.from_pmf(np.convolve(pmf_plus, pmf_minus))
-    beta = dist.survival(v)
-    alpha = dual_alpha(dist, v, m)
-    return min(1.0, beta + alpha * 2.0 * m * params.delta)
+    return _tail_p_value(dist, v, m, params.delta)
 
 
 def hoeffding_p_value(m: int, r1: float, r2: float, v: float,

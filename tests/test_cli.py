@@ -292,6 +292,24 @@ def test_dpsgd_audit_missing_key_named(tmp_path, capsys):
     assert "dim" in err
 
 
+def test_dpsgd_audit_empty_confidence_usage_exit(tmp_path, capsys):
+    cfg_file = tmp_path / "audit.cfg"
+    write_config(cfg_file, confidence="")
+    code, out, err = run_cli(capsys, "dpsgd-audit", "--config", str(cfg_file))
+    assert code == 1
+    assert out == ""
+    assert "'confidence'" in err
+
+
+def test_dpsgd_audit_confidence_out_of_range_usage_exit(tmp_path, capsys):
+    cfg_file = tmp_path / "audit.cfg"
+    write_config(cfg_file, confidence="0.95,1.5")
+    code, out, err = run_cli(capsys, "dpsgd-audit", "--config", str(cfg_file))
+    assert code == 1
+    assert out == ""
+    assert "'confidence'" in err
+
+
 def test_dpsgd_audit_missing_file_runtime_exit(capsys):
     code, _, err = run_cli(capsys, "dpsgd-audit", "--config",
                            "/nonexistent/audit.cfg")

@@ -1,5 +1,6 @@
 """Trainer, canaries, scoring, accounting, and trace persistence."""
 
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from dpaudit.dpsgd import (
     LossModel,
     ModelTrace,
     TrainerConfig,
+    _clip_rows,
     blackbox_score,
     blackbox_scores,
     config_hash,
@@ -68,33 +70,39 @@ def test_clip_invariant_enforced():
     rng = np.random.default_rng(2)
     # teacher-scale labels make raw linear gradients much larger than clip
     model = LossModel.synthetic("linear", n=40, d=5, rng=rng)
-    cfg = TrainerConfig(ell=10, clip=0.05, noise_multiplier=1.0,
-                        sample_prob=0.7, learning_rate=0.1, dim=5)
-    dpsgd_train(model, None, None, cfg, np.random.default_rng(3),
-                debug_clip_check=True)
-    # direct check that raw gradients were indeed above the threshold
     raw = model.example_grads(np.zeros(5), model.features, model.labels)
     assert np.linalg.norm(raw, axis=1).max() > 0.05
+    clipped = _clip_rows(raw, 0.05)
+    assert np.all(np.linalg.norm(clipped, axis=1) <= 0.05 * (1 + 1e-9))
+    # the trainer applies that clip: noiseless full-batch training equals
+    # the independent clipped gradient descent oracle
+    cfg = TrainerConfig(ell=10, clip=0.05, noise_multiplier=0.0,
+                        sample_prob=1.0, learning_rate=0.1, dim=5)
+    trace = dpsgd_train(model, None, None, cfg, np.random.default_rng(3))
+    oracle = plain_clipped_gd(model, np.zeros(5), 10, 0.05, 0.1)
+    np.testing.assert_allclose(trace.iterates, oracle, atol=1e-10)
 
 
 def test_canary_only_updates_unroll_exactly():
-    # sigma = 0, q = 1: each step moves by lr * clip on included coordinates
+    # sigma = 0, q = 1: each step moves by lr * min(magnitude, clip) on
+    # included coordinates; the second case has magnitudes above the clip
     d, m = 12, 8
-    rng = np.random.default_rng(4)
-    canaries = dirac_canaries(m, d, 0.7, rng)
-    s = sample_selection(m, rng)
-    cfg = TrainerConfig(ell=5, clip=0.7, noise_multiplier=0.0,
-                        sample_prob=1.0, learning_rate=0.3, dim=d)
-    trace = dpsgd_train(LossModel.canary_only(d), canaries, s, cfg,
-                        np.random.default_rng(5))
-    expected_step = np.zeros(d)
-    for canary, si in zip(canaries, s):
-        if si == 1:
-            expected_step[canary.index] += 0.3 * 0.7
-    for t in range(5):
-        np.testing.assert_allclose(
-            trace.iterates[t] - trace.iterates[t + 1], expected_step,
-            atol=1e-12)
+    for magnitude, clip in [(0.7, 0.7), (2.0, 1.0)]:
+        rng = np.random.default_rng(4)
+        canaries = dirac_canaries(m, d, magnitude, rng)
+        s = sample_selection(m, rng)
+        cfg = TrainerConfig(ell=5, clip=clip, noise_multiplier=0.0,
+                            sample_prob=1.0, learning_rate=0.3, dim=d)
+        trace = dpsgd_train(LossModel.canary_only(d), canaries, s, cfg,
+                            np.random.default_rng(5))
+        expected_step = np.zeros(d)
+        for canary, si in zip(canaries, s):
+            if si == 1:
+                expected_step[canary.index] += 0.3 * min(magnitude, clip)
+        for t in range(5):
+            np.testing.assert_allclose(
+                trace.iterates[t] - trace.iterates[t + 1], expected_step,
+                atol=1e-12)
 
 
 def test_poisson_sampling_thins_gradient():
@@ -383,4 +391,38 @@ def test_load_trace_rejects_truncated(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(ValueError):
+        load_trace(path)
+
+
+def _write_trace(path, payload=np.zeros(9).tobytes(), drop=None, **fields):
+    """A 3-by-3 trace file whose header fields can be dropped or replaced."""
+    header = {"dim": 3, "iterations": 2, "config_hash": "0" * 16,
+              "dtype": "<f8", **fields}
+    header.pop(drop, None)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    return path
+
+
+@pytest.mark.parametrize("field", ["dim", "iterations", "config_hash", "dtype"])
+def test_load_trace_requires_every_header_field(tmp_path, field):
+    path = _write_trace(tmp_path / "trace.bin", drop=field)
+    with pytest.raises(ValueError, match=field):
+        load_trace(path)
+
+
+def test_load_trace_rejects_other_dtype(tmp_path):
+    # a float32 payload of the size the header promises is not reinterpreted
+    path = _write_trace(tmp_path / "trace.bin", dtype="<f4",
+                        payload=np.zeros(9, dtype="<f4").tobytes())
+    with pytest.raises(ValueError, match="dtype"):
+        load_trace(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", 0), ("dim", 3.0), ("iterations", -1), ("iterations", "2"),
+    ("iterations", True),
+])
+def test_load_trace_rejects_bad_shape_fields(tmp_path, field, value):
+    path = _write_trace(tmp_path / "trace.bin", **{field: value})
+    with pytest.raises(ValueError, match=field):
         load_trace(path)
