@@ -261,6 +261,9 @@ def parse_dpsgd_config(path: str) -> dict[str, Any]:
     if not confidences or not all(0 < c < 1 for c in confidences):
         raise ValueError(f"config key 'confidence' must be a nonempty list of "
                          f"values in (0, 1), got {confidences!r}")
+    if "k_plus" not in config and "k_minus" not in config and config["m"] < 2:
+        raise ValueError(f"config key 'm' must be >= 2 to sweep guess budgets "
+                         f"(or set k_plus/k_minus), got {config['m']}")
     return config
 
 
@@ -307,6 +310,7 @@ def run_dpsgd_audit(config: dict[str, Any]) -> pipeline.AuditReport:
 
     confidences = config["confidence"]
     sweep_caveat = False
+    known_lb = {}  # confidence -> bound already computed by the sweep
     if "k_plus" in config or "k_minus" in config:
         k_plus = config.get("k_plus", 0)
         k_minus = config.get("k_minus", 0)
@@ -318,9 +322,11 @@ def run_dpsgd_audit(config: dict[str, Any]) -> pipeline.AuditReport:
         grid = [(r // 2, r - r // 2) for r in _doubling_grid(2, m)]
         sweep = pipeline.k_sweep(y, s, grid, delta, confidences[0])
         k_plus, k_minus, v = sweep.best.k_plus, sweep.best.k_minus, sweep.best.v
+        known_lb[confidences[0]] = sweep.best.eps_lb
         sweep_caveat = True
     summary = GuessSummary(m=m, k_plus=k_plus, k_minus=k_minus, v=v)
-    eps_lb = {conf: eps_lower_bound(m, summary.r, v, delta, 1.0 - conf)
+    eps_lb = {conf: known_lb[conf] if conf in known_lb else
+              eps_lower_bound(m, summary.r, v, delta, 1.0 - conf)
               for conf in confidences}
     p_values = {e: p_value_audit(summary, PrivacyParams(e, delta))
                 for e in pipeline.DEFAULT_EPS_GRID}

@@ -168,15 +168,20 @@ class LossModel:
             return 0.5 * (X @ w - Y) ** 2
         raise ValueError("canary-only mode has no evaluable loss")
 
+    def example_coefs(self, w: np.ndarray, X: np.ndarray,
+                      Y: np.ndarray) -> np.ndarray:
+        """Scalars a_i such that the gradient of example i is a_i * X[i]."""
+        if self.kind == "logistic":
+            return -Y * special.expit(-Y * (X @ w))
+        if self.kind == "linear":
+            return X @ w - Y
+        raise ValueError("canary-only mode has no data gradients")
+
     def example_grads(self, w: np.ndarray, X: np.ndarray,
                       Y: np.ndarray) -> np.ndarray:
         if X.shape[0] == 0:
             return np.zeros((0, w.size))
-        if self.kind == "logistic":
-            return (-Y * special.expit(-Y * (X @ w)))[:, None] * X
-        if self.kind == "linear":
-            return (X @ w - Y)[:, None] * X
-        raise ValueError("canary-only mode has no data gradients")
+        return self.example_coefs(w, X, Y)[:, None] * X
 
 
 def mislabeled_canaries(model: LossModel, m: int,
@@ -242,30 +247,49 @@ def dpsgd_train(data: LossModel,
         if dirac_idx is not None:
             dirac_idx = dirac_idx[included]
             dirac_mag = _clip_magnitudes(dirac_mag[included], cfg.clip)
-        else:
-            inc_X = canaries.features[included]
-            inc_y = canaries.labels[included]
-
     q, c, lr = cfg.sample_prob, cfg.clip, cfg.learning_rate
 
-    def add_clipped_rows(gsum, w, X, Y):
-        if X.shape[0]:
-            gsum += _clip_rows(data.example_grads(w, X, Y), c).sum(axis=0)
+    # Row blocks with clipped per-example gradients: the data rows, then the
+    # included example canaries.  Row i's gradient is a_i * x_i, so its
+    # clipped form is b_i * x_i with b_i = a_i * min(1, c / (|a_i| ||x_i||)),
+    # and a block's clipped sum over its sampled rows is the mat-vec b @ X
+    # with b_i = 0 on rows not sampled this step.
+    blocks = [(data.features, data.labels)]
+    if dirac_idx is None and n_inc:
+        blocks.append((canaries.features[included], canaries.labels[included]))
+    blocks = [(X, Y, np.linalg.norm(X, axis=1)) for X, Y in blocks if len(X)]
+
+    def clipped_row_sum(w, X, Y, row_norms, sampled):
+        a = data.example_coefs(w, X, Y)
+        # non-finite gradients flow through and are caught by the iterate check
+        with np.errstate(divide="ignore", invalid="ignore"):
+            norms = np.abs(a) * row_norms
+            b = a * np.minimum(1.0, np.where(norms > 0, c / norms, 1.0))
+        if sampled is not None:
+            b[~sampled] = 0.0
+        return b @ X
+
+    # Full batch with no rows: the Dirac sum is the same every step.
+    fixed_sum = None
+    if q == 1 and not blocks:
+        fixed_sum = np.zeros(d)
+        if dirac_idx is not None:
+            np.add.at(fixed_sum, dirac_idx, dirac_mag)
 
     w = np.zeros(d) if w0 is None else np.array(w0, dtype=float)
     iterates = np.empty((cfg.ell + 1, d))
     iterates[0] = w
     for step in range(1, cfg.ell + 1):
-        gsum = np.zeros(d)
-        if data.n_examples:
-            mask = slice(None) if q == 1 else rng.random(data.n_examples) < q
-            add_clipped_rows(gsum, w, data.features[mask], data.labels[mask])
-        if n_inc:
-            mask = slice(None) if q == 1 else rng.random(n_inc) < q
+        if fixed_sum is not None:
+            gsum = fixed_sum
+        else:  # sampling coins: data rows, then the included canaries
+            gsum = np.zeros(d)
+            for X, Y, row_norms in blocks:
+                sampled = None if q == 1 else rng.random(len(X)) < q
+                gsum += clipped_row_sum(w, X, Y, row_norms, sampled)
             if dirac_idx is not None:
-                np.add.at(gsum, dirac_idx[mask], dirac_mag[mask])
-            else:
-                add_clipped_rows(gsum, w, inc_X[mask], inc_y[mask])
+                on = slice(None) if q == 1 else rng.random(n_inc) < q
+                np.add.at(gsum, dirac_idx[on], dirac_mag[on])
         noise = rng.normal(0.0, cfg.noise_multiplier * c, d)
         w = w - lr * (noise + gsum)
         if not np.all(np.isfinite(w)):
@@ -306,8 +330,8 @@ def whitebox_scores(canaries: Sequence[DiracCanary], trace: ModelTrace,
     idx = np.array([c.index for c in canaries], dtype=int)
     mags = np.array([c.magnitude for c in canaries], dtype=float)
     clipped = _clip_magnitudes(mags, cfg.clip)
-    diffs = trace.iterates[:-1, :][:, idx] - trace.iterates[1:, :][:, idx]
-    return clipped * diffs.sum(axis=0)
+    cols = trace.iterates[:, idx]
+    return clipped * (cols[:-1] - cols[1:]).sum(axis=0)
 
 
 def blackbox_score(example, w0: np.ndarray, w_final: np.ndarray,

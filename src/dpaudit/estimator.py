@@ -127,18 +127,23 @@ class DominatingDistribution:
         table = np.asarray(self.survival_table, dtype=float)
         if table.shape != (self.support_max + 1,):
             raise ValueError("survival table must cover w = 0..support_max")
-        if np.any(table < -1e-12) or np.any(table > 1 + 1e-12):
+        # ndarray methods and ufuncs: this runs once per p-value evaluation
+        if (table < -1e-12).any() or (table > 1 + 1e-12).any():
             raise ValueError("survival values must lie in [0, 1]")
-        if np.any(np.diff(table) > 1e-12):
+        if (table[1:] - table[:-1] > 1e-12).any():
             raise ValueError("survival must be nonincreasing")
         if abs(table[0] - 1.0) > 1e-9:
             raise ValueError("survival at 0 must be 1 for nonnegative support")
-        table = np.clip(table, 0.0, 1.0)
+        table = np.minimum(np.maximum(table, 0.0), 1.0)
         table[0] = 1.0
         object.__setattr__(self, "survival_table", table)
 
     def survival(self, w):
         """Pr[W* >= w] for scalar or array integer w, with tail extension."""
+        if isinstance(w, (int, np.integer)):
+            if w <= 0:
+                return 1.0
+            return float(self.survival_table[w]) if w <= self.support_max else 0.0
         w = np.asarray(w)
         idx = np.clip(w, 0, self.support_max)
         out = np.where(
@@ -195,10 +200,21 @@ def dual_alpha(dist: DominatingDistribution, v: int, m: int) -> float:
     beta = dist.survival(v)
     # For i >= v the numerator is constant (survival(v - i) = 1), so the
     # candidate (1 - beta) / i is maximized at i = v; capping the scan at
-    # min(m, max(v, 1)) is exact.
-    i = np.arange(1, min(m, max(v, 1)) + 1)
-    tails = dist.survival(v - i)
-    return float(max(0.0, np.max((tails - beta) / i)))
+    # min(m, max(v, 1)) is exact.  Candidates with v - i above the support
+    # are 0 and are skipped.  Since survival <= 1 and rounding is monotone,
+    # every candidate from i on is at most fl((1 - beta) / i), so the scan
+    # over growing slices stops once that is no more than the best so far:
+    # the maximum is the same, bit for bit.
+    table = dist.survival_table
+    last = min(m, max(v, 1))
+    i = max(1, v - dist.support_max)
+    best, width = 0.0, 64
+    while i <= last and (1.0 - beta) / i > best:
+        j = min(last, i + width - 1)
+        tails = table[v - j:v - i + 1][::-1]  # survival(v - i..v - j)
+        best = max(best, float(((tails - beta) / np.arange(i, j + 1)).max()))
+        i, width = j + 1, 2 * width
+    return best
 
 
 def _tail_p_value(dist: DominatingDistribution, v: int, m: int,

@@ -63,19 +63,29 @@ def make_guesses(y: np.ndarray, k_plus: int, k_minus: int) -> np.ndarray:
     result maximizes sum(t * y) over vectors with k_plus entries equal to
     +1 and k_minus equal to -1.
     """
+    return _guesses(_score_orders(y), k_plus, k_minus)
+
+
+def _score_orders(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable descending and ascending orders of a finite 1-d score vector."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("scores must be a 1-d array")
     if not np.all(np.isfinite(y)):
         raise ValueError("scores must be finite")
-    m = y.size
+    return np.argsort(-y, kind="stable"), np.argsort(y, kind="stable")
+
+
+def _guesses(orders: tuple[np.ndarray, np.ndarray], k_plus: int,
+             k_minus: int) -> np.ndarray:
+    """The guesses of :func:`make_guesses`, built from the score orders."""
+    descending, ascending = orders
+    m = descending.size
     if k_plus < 0 or k_minus < 0 or k_plus + k_minus > m:
         raise ValueError(
             f"need 0 <= k_plus + k_minus <= {m}, got {k_plus} + {k_minus}")
     t = np.zeros(m, dtype=int)
-    plus = np.argsort(-y, kind="stable")[:k_plus]
-    t[plus] = 1
-    ascending = np.argsort(y, kind="stable")
+    t[descending[:k_plus]] = 1
     minus = ascending[t[ascending] == 0][:k_minus]
     t[minus] = -1
     return t
@@ -274,14 +284,21 @@ class KSweepResult:
 def k_sweep(y: np.ndarray, s: np.ndarray,
             grid: Sequence[tuple[int, int]], delta: float,
             confidence: float) -> KSweepResult:
-    """Evaluate the epsilon lower bound across a grid of guess budgets."""
+    """Evaluate the epsilon lower bound across a grid of guess budgets.
+
+    Each row's guesses are those of :func:`make_guesses`; the scores are
+    sorted once for the whole grid.
+    """
     s = _check_selection(s)
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    if len(grid) == 0:
+        raise ValueError("grid must hold at least one (k_plus, k_minus) budget")
     m = s.size
+    orders = _score_orders(y)
     rows = []
     for k_plus, k_minus in grid:
-        t = make_guesses(y, k_plus, k_minus)
+        t = _guesses(orders, k_plus, k_minus)
         v = count_correct(s, t)
         lb = eps_lower_bound(m, k_plus + k_minus, v, delta, 1.0 - confidence)
         rows.append(KSweepRow(k_plus=k_plus, k_minus=k_minus, v=v, eps_lb=lb))

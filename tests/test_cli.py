@@ -310,6 +310,19 @@ def test_dpsgd_audit_confidence_out_of_range_usage_exit(tmp_path, capsys):
     assert "'confidence'" in err
 
 
+def test_dpsgd_audit_sweep_needs_two_examples(tmp_path, capsys):
+    # m = 1 with no budget leaves no doubling budget to sweep
+    cfg_file = tmp_path / "audit.cfg"
+    cfg = write_config(cfg_file, m=1)
+    cfg_file.write_text("\n".join(
+        f"{k} = {v}" for k, v in cfg.items()
+        if k not in ("k_plus", "k_minus")))
+    code, out, err = run_cli(capsys, "dpsgd-audit", "--config", str(cfg_file))
+    assert code == 1
+    assert out == ""
+    assert "'m'" in err and "argmax" not in err
+
+
 def test_dpsgd_audit_missing_file_runtime_exit(capsys):
     code, _, err = run_cli(capsys, "dpsgd-audit", "--config",
                            "/nonexistent/audit.cfg")

@@ -55,6 +55,95 @@ def plain_clipped_gd(model, w0, ell, clip, lr):
 # training
 
 
+def reference_train(data, canaries, selection, cfg, rng):
+    """Per-step loop that clips each sampled row of the gradient matrix.
+
+    Same RNG draws in the same order as the trainer: data coins, canary
+    coins, then the noise.
+    """
+    q, c, d = cfg.sample_prob, cfg.clip, cfg.dim
+    dirac = canaries is not None and not isinstance(canaries, ExampleCanarySet)
+    included = np.asarray(selection) == 1 if canaries is not None else None
+    if dirac:
+        idx = np.array([k.index for k in canaries])[included]
+        mag = np.array([k.magnitude for k in canaries])[included]
+        mag = mag * np.minimum(1.0, c / np.abs(mag))
+        n_inc = idx.size
+    elif canaries is not None:
+        inc_X = canaries.features[included]
+        inc_y = canaries.labels[included]
+        n_inc = inc_X.shape[0]
+    else:
+        n_inc = 0
+    w = np.zeros(d)
+    iterates = [w]
+    for _ in range(cfg.ell):
+        gsum = np.zeros(d)
+        if data.n_examples:
+            mask = slice(None) if q == 1 else rng.random(data.n_examples) < q
+            grads = data.example_grads(w, data.features[mask],
+                                       data.labels[mask])
+            gsum += _clip_rows(grads, c).sum(axis=0)
+        if n_inc:
+            mask = slice(None) if q == 1 else rng.random(n_inc) < q
+            if dirac:
+                np.add.at(gsum, idx[mask], mag[mask])
+            else:
+                grads = data.example_grads(w, inc_X[mask], inc_y[mask])
+                gsum += _clip_rows(grads, c).sum(axis=0)
+        noise = rng.normal(0.0, cfg.noise_multiplier * c, d)
+        w = w - cfg.learning_rate * (noise + gsum)
+        iterates.append(w)
+    return np.array(iterates)
+
+
+def assert_iterates_close(actual, expected):
+    # relative 1e-12; the absolute floor covers coordinates that cancel to
+    # near zero, where a last-bit difference is a large relative one
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "linear"])
+@pytest.mark.parametrize("sample_prob", [1.0, 0.5])
+def test_trainer_matches_per_row_clipping_reference(kind, sample_prob):
+    # data rows plus example canaries, noise on, clip small enough to bind
+    d, m = 30, 40
+    setup = np.random.default_rng(20)
+    model = LossModel.synthetic(kind, n=60, d=d, rng=setup, label_noise=0.3)
+    canaries = mislabeled_canaries(model, m, setup)
+    s = sample_selection(m, setup)
+    cfg = TrainerConfig(ell=25, clip=0.3, noise_multiplier=0.8,
+                        sample_prob=sample_prob, learning_rate=0.1, dim=d)
+    rng_new, rng_ref = np.random.default_rng(21), np.random.default_rng(21)
+    trace = dpsgd_train(model, canaries, s, cfg, rng_new)
+    expected = reference_train(model, canaries, s, cfg, rng_ref)
+    assert_iterates_close(trace.iterates, expected)
+    assert rng_new.random() == rng_ref.random()
+
+
+@pytest.mark.parametrize("sample_prob", [1.0, 0.5])
+@pytest.mark.parametrize("with_data", [False, True])
+def test_trainer_matches_reference_with_dirac_canaries(sample_prob, with_data):
+    # canary-only runs are bit-identical; with data rows only the clipped
+    # data sum is reassociated
+    d, m = 50, 30
+    setup = np.random.default_rng(22)
+    model = (LossModel.synthetic("logistic", n=40, d=d, rng=setup)
+             if with_data else LossModel.canary_only(d))
+    canaries = dirac_canaries(m, d, 1.5, setup)
+    s = sample_selection(m, setup)
+    cfg = TrainerConfig(ell=20, clip=1.0, noise_multiplier=2.0,
+                        sample_prob=sample_prob, learning_rate=0.2, dim=d)
+    rng_new, rng_ref = np.random.default_rng(23), np.random.default_rng(23)
+    trace = dpsgd_train(model, canaries, s, cfg, rng_new)
+    expected = reference_train(model, canaries, s, cfg, rng_ref)
+    if with_data:
+        assert_iterates_close(trace.iterates, expected)
+    else:
+        assert np.array_equal(trace.iterates, expected)
+    assert rng_new.random() == rng_ref.random()
+
+
 @pytest.mark.parametrize("kind", ["logistic", "linear"])
 def test_noiseless_full_batch_matches_plain_gd(kind):
     rng = np.random.default_rng(0)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -250,6 +250,51 @@ def test_dual_alpha_is_feasible_dual_solution():
         alpha = dual_alpha(dist, v, m)
         for i in range(1, m + 1):
             assert alpha * i + beta >= dist.survival(v - i) - 1e-12
+
+
+def dual_alpha_full_scan(dist, v, m):
+    """Every candidate i = 1..min(m, max(v, 1)), through the array survival."""
+    beta = dist.survival(np.asarray(v))
+    i = np.arange(1, min(m, max(v, 1)) + 1)
+    tails = dist.survival(v - i)
+    return float(max(0.0, np.max((tails - beta) / i)))
+
+
+# q near 0 or 1 puts survival(v) and its neighbours deep in the tails
+tail_q = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1e-300, 1e-30, 1e-9, 0.999999, 1.0 - 1e-12, 1.0]),
+    st.floats(-40.0, 40.0).map(lambda x: float(special.expit(x))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), r=st.integers(0, 2000), q=tail_q,
+       m=st.integers(1, 3000))
+@example(data=None, r=2000, q=0.5, m=3000)
+@example(data=None, r=1500, q=1e-30, m=1)
+def test_dual_alpha_early_stop_equals_full_scan(data, r, q, m):
+    # the early-stopped scan returns the full scan's maximum, bit for bit,
+    # at both ends of v and everywhere between
+    dist = DominatingDistribution.from_binomial(r, q)
+    vs = {0, r, r + 1}
+    if data is not None:
+        vs.add(data.draw(st.integers(0, r)))
+    for v in vs:
+        assert dual_alpha(dist, v, m) == dual_alpha_full_scan(dist, v, m)
+        assert dist.survival(v) == float(dist.survival(np.asarray(v)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300),
+       data=st.data())
+def test_dual_alpha_early_stop_equals_full_scan_any_pmf(weights, data):
+    w = np.asarray(weights)
+    if w.sum() == 0:
+        w[0] = 1.0
+    dist = DominatingDistribution.from_pmf(w / w.sum())
+    v = data.draw(st.integers(-2, dist.support_max + 3))
+    m = data.draw(st.integers(1, 400))
+    assert dual_alpha(dist, v, m) == dual_alpha_full_scan(dist, v, m)
 
 
 # ---------------------------------------------------------------------------

@@ -316,3 +316,28 @@ def test_end_to_end_validity_small():
         report = audit_run(adapter, 200, 0, 0, 0.0, [0.95], seed=seed)
         overshoots += report.eps_lb[0.95] > eps_true
     assert overshoots / runs <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / runs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 40))
+def test_k_sweep_rows_equal_per_row_guesses(data, m):
+    # scores from a handful of values, so ties are common
+    y = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=m,
+                                    max_size=m)), dtype=float)
+    s = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=m,
+                                    max_size=m)))
+    budget = st.integers(0, m).flatmap(
+        lambda r: st.tuples(st.integers(0, r), st.just(r)))
+    grid = [(kp, r - kp) for kp, r in data.draw(
+        st.lists(budget, min_size=1, max_size=6))]
+    result = k_sweep(y, s, grid, delta=1e-5, confidence=0.9)
+    for (k_plus, k_minus), row in zip(grid, result.rows, strict=True):
+        v = count_correct(s, make_guesses(y, k_plus, k_minus))
+        assert (row.k_plus, row.k_minus, row.v) == (k_plus, k_minus, v)
+        assert row.eps_lb == eps_lower_bound(m, k_plus + k_minus, v, 1e-5, 0.1)
+
+
+def test_k_sweep_rejects_empty_grid():
+    s = np.array([1, -1, 1])
+    with pytest.raises(ValueError, match="grid"):
+        k_sweep(np.zeros(3), s, [], delta=0.0, confidence=0.95)
