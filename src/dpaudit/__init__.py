@@ -54,6 +54,7 @@ from .pipeline import (
     make_guesses,
     partition,
     replacement_selection,
+    run_mechanism,
     sample_selection,
 )
 from .dpsgd import (
@@ -66,9 +67,7 @@ from .dpsgd import (
     blackbox_score,
     dirac_canaries,
     dpsgd_train,
-    load_trace,
     mislabeled_canaries,
-    save_trace,
     theoretical_eps_upper,
     whitebox_adapter,
     whitebox_score,

@@ -227,7 +227,7 @@ _DPSGD_KEYS = {
     "clip": float, "noise_multiplier": float, "sample_prob": float,
     "learning_rate": float, "delta": float, "confidence": _num_list,
     "k_plus": int, "k_minus": int, "seed": int, "data_examples": int,
-    "label_noise": float, "out": str, "trace_out": str,
+    "label_noise": float, "out": str,
 }
 
 _DPSGD_DEFAULTS = {
@@ -250,6 +250,9 @@ def parse_dpsgd_config(path: str) -> dict[str, Any]:
             config[key] = _DPSGD_KEYS[key](value)
         except ValueError as exc:
             raise ValueError(f"bad value for config key {key!r}: {exc}")
+        if _DPSGD_KEYS[key] is float and not math.isfinite(config[key]):
+            raise ValueError(
+                f"config key {key!r} must be finite, got {config[key]!r}")
     missing = [k for k in _DPSGD_REQUIRED if k not in config]
     if missing:
         raise ValueError(f"dpsgd-audit experiment missing parameter(s): "
@@ -257,6 +260,15 @@ def parse_dpsgd_config(path: str) -> dict[str, Any]:
     if config["mode"] not in ("whitebox", "blackbox"):
         raise ValueError(f"config key 'mode' must be whitebox or blackbox, "
                          f"got {config['mode']!r}")
+    if config["loss"] not in ("canary-only", "logistic", "linear"):
+        raise ValueError(f"config key 'loss' must be canary-only, logistic "
+                         f"or linear, got {config['loss']!r}")
+    if config["mode"] == "blackbox" and config["loss"] == "canary-only":
+        raise ValueError(
+            "config key 'loss' must be logistic or linear in blackbox mode")
+    if config["data_examples"] < 0:
+        raise ValueError(f"config key 'data_examples' must be >= 0, "
+                         f"got {config['data_examples']}")
     confidences = config["confidence"]
     if not confidences or not all(0 < c < 1 for c in confidences):
         raise ValueError(f"config key 'confidence' must be a nonempty list of "
@@ -282,7 +294,6 @@ def run_dpsgd_audit(config: dict[str, Any]) -> pipeline.AuditReport:
     seed = config["seed"]
     delta = config["delta"]
     setup_rng = np.random.default_rng([seed, 1])
-    audit_rng = np.random.default_rng(seed)
     m = config["m"]
     if config["loss"] == "canary-only":
         model = dpsgd_mod.LossModel.canary_only(cfg.dim)
@@ -290,23 +301,15 @@ def run_dpsgd_audit(config: dict[str, Any]) -> pipeline.AuditReport:
         model = dpsgd_mod.LossModel.synthetic(
             config["loss"], config["data_examples"], cfg.dim, setup_rng,
             label_noise=config["label_noise"])
-    whitebox = config["mode"] == "whitebox"
-    if whitebox:
-        canaries = dpsgd_mod.dirac_canaries(m, cfg.dim, cfg.clip, setup_rng)
+    if config["mode"] == "whitebox":
+        adapter = dpsgd_mod.whitebox_adapter(
+            model, dpsgd_mod.dirac_canaries(m, cfg.dim, cfg.clip, setup_rng),
+            cfg, delta)
     else:
-        if config["loss"] == "canary-only":
-            raise ValueError(
-                "config key 'loss' must be logistic or linear in blackbox mode")
-        canaries = dpsgd_mod.mislabeled_canaries(model, m, setup_rng)
-
-    s = pipeline.sample_selection(m, audit_rng)
-    trace = dpsgd_mod.dpsgd_train(model, canaries, s, cfg, audit_rng)
-    if "trace_out" in config:
-        dpsgd_mod.save_trace(trace, cfg, _resolve_out(config["trace_out"]))
-    if whitebox:
-        y = dpsgd_mod.whitebox_scores(canaries, trace, cfg)
-    else:
-        y = dpsgd_mod.blackbox_scores(canaries, trace, model)
+        adapter = dpsgd_mod.blackbox_adapter(
+            model, dpsgd_mod.mislabeled_canaries(model, m, setup_rng), cfg,
+            delta)
+    s, y = pipeline.run_mechanism(adapter, m, seed)
 
     confidences = config["confidence"]
     sweep_caveat = False
@@ -338,7 +341,7 @@ def run_dpsgd_audit(config: dict[str, Any]) -> pipeline.AuditReport:
             "dpsgd": dataclasses.asdict(cfg),
             "loss": config["loss"],
             "delta": delta,
-            "theoretical_eps_upper": dpsgd_mod.theoretical_eps_upper(cfg, delta),
+            "theoretical_eps_upper": adapter.eps,
             "accounting": dataclasses.asdict(dpsgd_mod.privacy_accounting(cfg)),
         })
     return report

@@ -15,8 +15,6 @@ exactly computable and a full audit runs in seconds.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from typing import Sequence
 
 import numpy as np
@@ -75,10 +73,6 @@ class ModelTrace:
     @property
     def ell(self) -> int:
         return self.iterates.shape[0] - 1
-
-    @property
-    def dim(self) -> int:
-        return self.iterates.shape[1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -406,52 +400,3 @@ def blackbox_adapter(model: LossModel, canaries: ExampleCanarySet,
 
     return MechanismAdapter(name="dpsgd-blackbox", run=run, output="scores",
                             eps=theoretical_eps_upper(cfg, delta), delta=delta)
-
-
-def config_hash(cfg: TrainerConfig) -> str:
-    """Stable 16-hex-digit digest of a trainer configuration."""
-    blob = json.dumps(dataclasses.asdict(cfg), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def save_trace(trace: ModelTrace, cfg: TrainerConfig, path) -> None:
-    """Write a trace as one JSON header line plus flat little-endian float64s.
-
-    The header records (dim, iterations, config hash) so stored traces can
-    be audited post hoc.
-    """
-    header = {
-        "dim": trace.dim,
-        "iterations": trace.ell,
-        "config_hash": config_hash(cfg),
-        "dtype": "<f8",
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode() + b"\n")
-        fh.write(np.ascontiguousarray(trace.iterates, dtype="<f8").tobytes())
-
-
-def load_trace(path) -> tuple[ModelTrace, dict]:
-    """Read a trace written by :func:`save_trace`; returns (trace, header).
-
-    A malformed header raises ValueError naming the field at fault.
-    """
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        payload = fh.read()
-    for key in ("dim", "iterations", "config_hash", "dtype"):
-        if not isinstance(header, dict) or key not in header:
-            raise ValueError(f"trace header missing field {key!r}")
-    if header["dtype"] != "<f8":
-        raise ValueError(
-            f"trace header field 'dtype' must be '<f8', got {header['dtype']!r}")
-    for key in ("dim", "iterations"):
-        if type(header[key]) is not int or header[key] < 1:
-            raise ValueError(f"trace header field {key!r} must be a positive "
-                             f"int, got {header[key]!r}")
-    shape = (header["iterations"] + 1, header["dim"])
-    if len(payload) != 8 * shape[0] * shape[1]:
-        raise ValueError(
-            f"trace payload has {len(payload)} bytes, expected {shape} float64s")
-    flat = np.frombuffer(payload, dtype="<f8")
-    return ModelTrace(iterates=flat.reshape(shape).copy()), header

@@ -143,6 +143,22 @@ def adapter_pathological(cfg: mechanisms.PathologicalConfig) -> MechanismAdapter
         output="guesses", eps=cfg.eps, delta=cfg.delta)
 
 
+def run_mechanism(adapter: MechanismAdapter, m: int,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One seeded run: the selection coins, then the mechanism on them.
+
+    Both draw from one generator seeded with ``seed``, coins first, so
+    ``(adapter, m, seed)`` re-creates the selection and the output exactly.
+    """
+    rng = np.random.default_rng(seed)
+    s = sample_selection(m, rng)
+    try:
+        return s, adapter.run(s, rng)
+    except Exception as exc:
+        raise RuntimeError(
+            f"mechanism adapter {adapter.name!r} failed: {exc}") from exc
+
+
 @dataclasses.dataclass
 class AuditReport:
     """Everything needed to reproduce and interpret one audit run."""
@@ -179,13 +195,7 @@ def audit_run(adapter: MechanismAdapter, m: int, k_plus: int, k_minus: int,
     for conf in confidences:
         if not 0 < conf < 1:
             raise ValueError(f"confidence must be in (0, 1), got {conf}")
-    rng = np.random.default_rng(seed)
-    s = sample_selection(m, rng)
-    try:
-        out = adapter.run(s, rng)
-    except Exception as exc:
-        raise RuntimeError(
-            f"mechanism adapter {adapter.name!r} failed: {exc}") from exc
+    s, out = run_mechanism(adapter, m, seed)
     if adapter.output == "guesses":
         t = np.asarray(out)
         if t.shape != s.shape or not np.all(np.isin(t, (-1, 0, 1))):

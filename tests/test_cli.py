@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 from dpaudit import cli
+from dpaudit.dpsgd import (LossModel, TrainerConfig, blackbox_adapter,
+                          dirac_canaries, mislabeled_canaries,
+                          whitebox_adapter)
 from dpaudit.mechanisms import gaussian_dp_eps
+from dpaudit.pipeline import audit_run
 
 
 def run_cli(capsys, *argv):
@@ -253,17 +257,50 @@ def test_dpsgd_audit_sweep_flags_caveat(tmp_path, capsys):
     assert payload["config"]["multiple_testing_caveat"] is True
 
 
-def test_dpsgd_audit_persists_trace(tmp_path, capsys):
-    from dpaudit.dpsgd import load_trace
-
+@pytest.mark.parametrize("overrides", [
+    {"noise_multiplier": 4.0},
+    {"mode": "blackbox", "loss": "logistic", "dim": 20, "data_examples": 60,
+     "sample_prob": 0.5, "noise_multiplier": 0.5},
+], ids=["whitebox", "blackbox"])
+def test_dpsgd_audit_matches_audit_run(tmp_path, overrides):
+    # same setup stream and adapter: the CLI must draw the selection coins
+    # and the training noise exactly as pipeline.audit_run does
     cfg_file = tmp_path / "audit.cfg"
-    trace_file = tmp_path / "trace.bin"
-    write_config(cfg_file, trace_out=str(trace_file))
-    code, _, _ = run_cli(capsys, "dpsgd-audit", "--config", str(cfg_file))
-    assert code == 0
-    trace, header = load_trace(trace_file)
-    assert header["dim"] == 40
-    assert trace.ell == 20
+    write_config(cfg_file, confidence="0.95,0.9", **overrides)
+    config = cli.parse_dpsgd_config(str(cfg_file))
+    m, delta, seed = config["m"], config["delta"], config["seed"]
+    cfg = TrainerConfig(
+        ell=config["iterations"], clip=config["clip"],
+        noise_multiplier=config["noise_multiplier"],
+        sample_prob=config["sample_prob"],
+        learning_rate=config["learning_rate"], dim=config["dim"])
+    setup_rng = np.random.default_rng([seed, 1])
+    if config["mode"] == "whitebox":
+        adapter = whitebox_adapter(
+            LossModel.canary_only(cfg.dim),
+            dirac_canaries(m, cfg.dim, cfg.clip, setup_rng), cfg, delta)
+    else:
+        model = LossModel.synthetic("logistic", config["data_examples"],
+                                    cfg.dim, setup_rng)
+        adapter = blackbox_adapter(
+            model, mislabeled_canaries(model, m, setup_rng), cfg, delta)
+    expected = audit_run(adapter, m, config["k_plus"], config["k_minus"],
+                         delta, config["confidence"], seed)
+    report = cli.run_dpsgd_audit(config)
+    assert expected.summary.r // 2 < expected.summary.v < expected.summary.r
+    assert report.summary == expected.summary
+    assert report.eps_lb == expected.eps_lb
+    assert report.p_values == expected.p_values
+    assert report.config["theoretical_eps_upper"] == adapter.eps
+
+
+def test_dpsgd_audit_runtime_failure_names_adapter(tmp_path, capsys):
+    cfg_file = tmp_path / "audit.cfg"
+    write_config(cfg_file, learning_rate=1e308)
+    code, out, err = run_cli(capsys, "dpsgd-audit", "--config", str(cfg_file))
+    assert (code, out) == (2, "")
+    assert "non-finite iterate at step 1" in err
+    assert "'dpsgd-whitebox'" in err
 
 
 def test_dpsgd_audit_overwhelming_noise_estimates_zero(tmp_path, capsys):
@@ -290,6 +327,27 @@ def test_dpsgd_audit_missing_key_named(tmp_path, capsys):
     code, _, err = run_cli(capsys, "dpsgd-audit", "--config", str(cfg_file))
     assert code == 1
     assert "dim" in err
+
+
+@pytest.mark.parametrize("key, overrides", [
+    ("clip", {"clip": "nan"}),
+    ("noise_multiplier", {"noise_multiplier": "inf"}),
+    ("learning_rate", {"learning_rate": "nan"}),
+    ("label_noise", {"loss": "logistic", "data_examples": 20,
+                     "label_noise": "nan"}),
+    ("loss", {"loss": "hinge"}),
+    ("data_examples", {"loss": "logistic", "data_examples": -1}),
+    ("loss", {"mode": "blackbox"}),  # canary-only has no black-box score
+], ids=["clip-nan", "noise-inf", "lr-nan", "label-noise-nan", "loss-hinge",
+        "data-negative", "blackbox-canary-only"])
+def test_dpsgd_audit_bad_value_named(tmp_path, capsys, key, overrides):
+    cfg_file = tmp_path / "audit.cfg"
+    write_config(cfg_file, **overrides)
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        cli.parse_dpsgd_config(str(cfg_file))
+    code, out, err = run_cli(capsys, "dpsgd-audit", "--config", str(cfg_file))
+    assert (code, out) == (1, "")
+    assert f"'{key}'" in err
 
 
 def test_dpsgd_audit_empty_confidence_usage_exit(tmp_path, capsys):

@@ -1,6 +1,5 @@
-"""Trainer, canaries, scoring, accounting, and trace persistence."""
+"""Trainer, canaries, scoring, accounting, and the audit adapters."""
 
-import json
 import math
 
 import numpy as np
@@ -16,13 +15,10 @@ from dpaudit.dpsgd import (
     _clip_rows,
     blackbox_score,
     blackbox_scores,
-    config_hash,
     dirac_canaries,
     dpsgd_train,
-    load_trace,
     mislabeled_canaries,
     privacy_accounting,
-    save_trace,
     theoretical_eps_upper,
     whitebox_score,
     whitebox_scores,
@@ -445,73 +441,3 @@ def test_accounting_requires_noise():
                         sample_prob=1.0, learning_rate=0.1, dim=4)
     with pytest.raises(ValueError):
         privacy_accounting(cfg)
-
-
-# ---------------------------------------------------------------------------
-# trace persistence
-
-
-def test_trace_round_trip(tmp_path):
-    rng = np.random.default_rng(21)
-    d = 16
-    canaries = dirac_canaries(6, d, 1.0, rng)
-    s = sample_selection(6, rng)
-    cfg = TrainerConfig(ell=12, clip=1.0, noise_multiplier=1.0,
-                        sample_prob=1.0, learning_rate=0.1, dim=d)
-    trace = dpsgd_train(LossModel.canary_only(d), canaries, s, cfg, rng)
-    path = tmp_path / "trace.bin"
-    save_trace(trace, cfg, path)
-    loaded, header = load_trace(path)
-    np.testing.assert_array_equal(loaded.iterates, trace.iterates)
-    assert header["dim"] == d
-    assert header["iterations"] == 12
-    assert header["config_hash"] == config_hash(cfg)
-    # post hoc audit on the stored trace reproduces the scores
-    np.testing.assert_allclose(whitebox_scores(canaries, loaded, cfg),
-                               whitebox_scores(canaries, trace, cfg))
-
-
-def test_load_trace_rejects_truncated(tmp_path):
-    path = tmp_path / "trace.bin"
-    cfg = TrainerConfig(ell=2, clip=1.0, noise_multiplier=1.0,
-                        sample_prob=1.0, learning_rate=0.1, dim=3)
-    trace = ModelTrace(iterates=np.zeros((3, 3)))
-    save_trace(trace, cfg, path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8])
-    with pytest.raises(ValueError):
-        load_trace(path)
-
-
-def _write_trace(path, payload=np.zeros(9).tobytes(), drop=None, **fields):
-    """A 3-by-3 trace file whose header fields can be dropped or replaced."""
-    header = {"dim": 3, "iterations": 2, "config_hash": "0" * 16,
-              "dtype": "<f8", **fields}
-    header.pop(drop, None)
-    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
-    return path
-
-
-@pytest.mark.parametrize("field", ["dim", "iterations", "config_hash", "dtype"])
-def test_load_trace_requires_every_header_field(tmp_path, field):
-    path = _write_trace(tmp_path / "trace.bin", drop=field)
-    with pytest.raises(ValueError, match=field):
-        load_trace(path)
-
-
-def test_load_trace_rejects_other_dtype(tmp_path):
-    # a float32 payload of the size the header promises is not reinterpreted
-    path = _write_trace(tmp_path / "trace.bin", dtype="<f4",
-                        payload=np.zeros(9, dtype="<f4").tobytes())
-    with pytest.raises(ValueError, match="dtype"):
-        load_trace(path)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("dim", 0), ("dim", 3.0), ("iterations", -1), ("iterations", "2"),
-    ("iterations", True),
-])
-def test_load_trace_rejects_bad_shape_fields(tmp_path, field, value):
-    path = _write_trace(tmp_path / "trace.bin", **{field: value})
-    with pytest.raises(ValueError, match=field):
-        load_trace(path)

@@ -1,6 +1,8 @@
-"""README command-line examples print what the README says they print."""
+"""README command-line examples print what the README says they print,
+and the README's dpsgd-audit config uses only keys the CLI accepts."""
 
 import pathlib
+import re
 import shlex
 
 import pytest
@@ -30,3 +32,11 @@ def test_readme_has_examples():
 def test_readme_example_output(argv, expected, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.strip() == expected
+
+
+def test_readme_config_keys_are_known():
+    block = README.read_text(encoding="utf-8").split("```ini\n", 1)[1]
+    block = block.split("```", 1)[0]
+    keys = re.findall(r"^#?\s*(\w+)\s*=", block, flags=re.MULTILINE)
+    assert len(keys) >= len(cli._DPSGD_REQUIRED)
+    assert [k for k in keys if k not in cli._DPSGD_KEYS] == []
