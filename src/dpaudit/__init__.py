@@ -58,7 +58,6 @@ from .pipeline import (
     sample_selection,
 )
 from .dpsgd import (
-    DiracCanary,
     ExampleCanarySet,
     LossModel,
     ModelTrace,

@@ -238,6 +238,23 @@ _DPSGD_DEFAULTS = {
 _DPSGD_REQUIRED = ("mode", "m", "dim", "iterations", "clip",
                    "noise_multiplier", "sample_prob", "learning_rate", "delta")
 
+# (key, rule, rule text) for each numeric key with a range
+_DPSGD_RANGES = (
+    ("m", lambda v: v >= 1, ">= 1"),
+    ("dim", lambda v: v >= 1, ">= 1"),
+    ("iterations", lambda v: v >= 1, ">= 1"),
+    ("clip", lambda v: v > 0, "> 0"),
+    ("noise_multiplier", lambda v: v > 0,
+     "> 0 (no privacy guarantee without noise)"),
+    ("sample_prob", lambda v: 0 < v <= 1, "in (0, 1]"),
+    ("learning_rate", lambda v: v > 0, "> 0"),
+    ("delta", lambda v: 0 < v < 1, "in (0, 1)"),
+    ("seed", lambda v: v >= 0, ">= 0"),
+    ("data_examples", lambda v: v >= 0, ">= 0"),
+    ("k_plus", lambda v: v >= 0, ">= 0"),
+    ("k_minus", lambda v: v >= 0, ">= 0"),
+)
+
 
 def parse_dpsgd_config(path: str) -> dict[str, Any]:
     """Parse and type-check a flat key=value config; errors name the key."""
@@ -266,16 +283,26 @@ def parse_dpsgd_config(path: str) -> dict[str, Any]:
     if config["mode"] == "blackbox" and config["loss"] == "canary-only":
         raise ValueError(
             "config key 'loss' must be logistic or linear in blackbox mode")
-    if config["data_examples"] < 0:
-        raise ValueError(f"config key 'data_examples' must be >= 0, "
-                         f"got {config['data_examples']}")
+    for key, ok, rule in _DPSGD_RANGES:
+        if key in config and not ok(config[key]):
+            raise ValueError(
+                f"config key {key!r} must be {rule}, got {config[key]!r}")
+    m = config["m"]
+    if config["mode"] == "whitebox" and m > config["dim"]:
+        raise ValueError(f"config key 'm' must be <= dim in whitebox mode "
+                         f"(one coordinate per canary), got {m} > "
+                         f"{config['dim']}")
+    k_plus, k_minus = config.get("k_plus", 0), config.get("k_minus", 0)
+    if k_plus + k_minus > m:
+        raise ValueError(f"config keys 'k_plus' + 'k_minus' must be <= m, "
+                         f"got {k_plus} + {k_minus} > {m}")
     confidences = config["confidence"]
     if not confidences or not all(0 < c < 1 for c in confidences):
         raise ValueError(f"config key 'confidence' must be a nonempty list of "
                          f"values in (0, 1), got {confidences!r}")
-    if "k_plus" not in config and "k_minus" not in config and config["m"] < 2:
+    if "k_plus" not in config and "k_minus" not in config and m < 2:
         raise ValueError(f"config key 'm' must be >= 2 to sweep guess budgets "
-                         f"(or set k_plus/k_minus), got {config['m']}")
+                         f"(or set k_plus/k_minus), got {m}")
     return config
 
 
@@ -303,7 +330,7 @@ def run_dpsgd_audit(config: dict[str, Any]) -> pipeline.AuditReport:
             label_noise=config["label_noise"])
     if config["mode"] == "whitebox":
         adapter = dpsgd_mod.whitebox_adapter(
-            model, dpsgd_mod.dirac_canaries(m, cfg.dim, cfg.clip, setup_rng),
+            model, dpsgd_mod.dirac_canaries(m, cfg.dim, setup_rng),
             cfg, delta)
     else:
         adapter = dpsgd_mod.blackbox_adapter(

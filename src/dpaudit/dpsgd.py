@@ -3,9 +3,10 @@
 Implements the iterative mechanism most worth auditing: each step Poisson-
 samples the training set, clips per-example gradients to norm c, adds
 N(0, sigma^2 c^2 I) noise, and takes a gradient step; the full iterate
-trace is returned.  Canaries are either gradient-space (one-hot "Dirac"
-gradients of magnitude c, whose white-box score law is exactly Gaussian)
-or input-space examples scored black-box by their loss reduction.
+trace is returned.  Canaries are either gradient-space "Dirac" canaries,
+each a coordinate whose gradient is the clip norm c there (clipping never
+changes it, and its white-box score law is exactly Gaussian), or
+input-space examples scored black-box by their loss reduction.
 
 Models are deliberately small synthetic ones (logistic / linear / a
 canary-only mode with zero data gradients) so score distributions are
@@ -15,7 +16,6 @@ exactly computable and a full audit runs in seconds.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
 
 import numpy as np
 from scipy import special
@@ -76,14 +76,6 @@ class ModelTrace:
 
 
 @dataclasses.dataclass(frozen=True)
-class DiracCanary:
-    """Gradient-space canary: gradient is `magnitude` at one coordinate."""
-
-    index: int
-    magnitude: float
-
-
-@dataclasses.dataclass(frozen=True)
 class ExampleCanarySet:
     """Input-space canaries: rows of (feature, label) scored via the loss."""
 
@@ -100,13 +92,11 @@ class ExampleCanarySet:
         return self.features.shape[0]
 
 
-def dirac_canaries(m: int, d: int, c: float,
-                   rng: np.random.Generator) -> list[DiracCanary]:
-    """m canaries at distinct uniformly random coordinates, magnitude c."""
+def dirac_canaries(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """Coordinates of m Dirac canaries, distinct and uniformly random."""
     if m > d:
         raise ValueError(f"need m <= d for distinct indices, got {m} > {d}")
-    indices = rng.permutation(d)[:m]
-    return [DiracCanary(index=int(i), magnitude=c) for i in indices]
+    return rng.permutation(d)[:m]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,30 +179,29 @@ def mislabeled_canaries(model: LossModel, m: int,
     return ExampleCanarySet(features=X, labels=-truth)
 
 
-def _clip_magnitudes(mags: np.ndarray, c: float) -> np.ndarray:
-    """Clip one-hot gradient magnitudes elementwise to absolute value c."""
-    return mags * np.minimum(1.0, np.where(mags != 0, c / np.abs(mags), 1.0))
+def _clip_factors(norms: np.ndarray, c: float) -> np.ndarray:
+    """Factors min(1, c / norm) clipping gradients of these norms to c."""
+    # callers hold an np.errstate: non-finite gradients reach the iterate check
+    return np.minimum(1.0, np.where(norms > 0, c / norms, 1.0))
 
 
 def _clip_rows(grads: np.ndarray, c: float) -> np.ndarray:
-    norms = np.linalg.norm(grads, axis=1)
-    # non-finite gradients flow through and are caught by the iterate check
     with np.errstate(divide="ignore", invalid="ignore"):
-        factors = np.minimum(1.0, np.where(norms > 0, c / norms, 1.0))
-        return grads * factors[:, None]
+        return grads * _clip_factors(np.linalg.norm(grads, axis=1), c)[:, None]
 
 
 def dpsgd_train(data: LossModel,
-                canaries: Sequence[DiracCanary] | ExampleCanarySet | None,
+                canaries: np.ndarray | ExampleCanarySet | None,
                 selection: np.ndarray | None, cfg: TrainerConfig,
                 rng: np.random.Generator, w0: np.ndarray | None = None
                 ) -> ModelTrace:
     """Train with per-example clipping and Gaussian noise; return all iterates.
 
     Data examples are always in the training set; canary i participates iff
-    selection[i] == +1.  Every element of the training set is resampled
-    independently with probability sample_prob at each step (at
-    sample_prob = 1 no sampling coins are drawn).  The update is
+    selection[i] == +1; a Dirac canary is its coordinate, and a repeated
+    coordinate adds c once per canary.  Every element of the training set
+    is resampled independently with probability sample_prob at each step
+    (at sample_prob = 1 no sampling coins are drawn).  The update is
     w <- w - lr * (noise + sum of clipped per-example gradients).
     """
     d = cfg.dim
@@ -225,8 +214,7 @@ def dpsgd_train(data: LossModel,
     elif isinstance(canaries, ExampleCanarySet):
         n_canaries = len(canaries)
     else:
-        dirac_idx = np.array([c.index for c in canaries], dtype=int)
-        dirac_mag = np.array([c.magnitude for c in canaries], dtype=float)
+        dirac_idx = np.asarray(canaries, dtype=int)
         if dirac_idx.size and (dirac_idx.min() < 0 or dirac_idx.max() >= d):
             raise ValueError("canary index out of range")
         n_canaries = dirac_idx.size
@@ -240,7 +228,6 @@ def dpsgd_train(data: LossModel,
         n_inc = int(included.sum())
         if dirac_idx is not None:
             dirac_idx = dirac_idx[included]
-            dirac_mag = _clip_magnitudes(dirac_mag[included], cfg.clip)
     q, c, lr = cfg.sample_prob, cfg.clip, cfg.learning_rate
 
     # Row blocks with clipped per-example gradients: the data rows, then the
@@ -255,10 +242,7 @@ def dpsgd_train(data: LossModel,
 
     def clipped_row_sum(w, X, Y, row_norms, sampled):
         a = data.example_coefs(w, X, Y)
-        # non-finite gradients flow through and are caught by the iterate check
-        with np.errstate(divide="ignore", invalid="ignore"):
-            norms = np.abs(a) * row_norms
-            b = a * np.minimum(1.0, np.where(norms > 0, c / norms, 1.0))
+        b = a * _clip_factors(np.abs(a) * row_norms, c)
         if sampled is not None:
             b[~sampled] = 0.0
         return b @ X
@@ -268,27 +252,29 @@ def dpsgd_train(data: LossModel,
     if q == 1 and not blocks:
         fixed_sum = np.zeros(d)
         if dirac_idx is not None:
-            np.add.at(fixed_sum, dirac_idx, dirac_mag)
+            np.add.at(fixed_sum, dirac_idx, c)
 
     w = np.zeros(d) if w0 is None else np.array(w0, dtype=float)
     iterates = np.empty((cfg.ell + 1, d))
     iterates[0] = w
-    for step in range(1, cfg.ell + 1):
-        if fixed_sum is not None:
-            gsum = fixed_sum
-        else:  # sampling coins: data rows, then the included canaries
-            gsum = np.zeros(d)
-            for X, Y, row_norms in blocks:
-                sampled = None if q == 1 else rng.random(len(X)) < q
-                gsum += clipped_row_sum(w, X, Y, row_norms, sampled)
-            if dirac_idx is not None:
-                on = slice(None) if q == 1 else rng.random(n_inc) < q
-                np.add.at(gsum, dirac_idx[on], dirac_mag[on])
-        noise = rng.normal(0.0, cfg.noise_multiplier * c, d)
-        w = w - lr * (noise + gsum)
-        if not np.all(np.isfinite(w)):
-            raise RuntimeError(f"non-finite iterate at step {step}")
-        iterates[step] = w
+    # non-finite values flow on to the iterate check, which names the step
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for step in range(1, cfg.ell + 1):
+            if fixed_sum is not None:
+                gsum = fixed_sum
+            else:  # sampling coins: data rows, then the included canaries
+                gsum = np.zeros(d)
+                for X, Y, row_norms in blocks:
+                    sampled = None if q == 1 else rng.random(len(X)) < q
+                    gsum += clipped_row_sum(w, X, Y, row_norms, sampled)
+                if dirac_idx is not None:
+                    on = slice(None) if q == 1 else rng.random(n_inc) < q
+                    np.add.at(gsum, dirac_idx[on], c)
+            noise = rng.normal(0.0, cfg.noise_multiplier * c, d)
+            w = w - lr * (noise + gsum)
+            if not np.all(np.isfinite(w)):
+                raise RuntimeError(f"non-finite iterate at step {step}")
+            iterates[step] = w
     return ModelTrace(iterates=iterates)
 
 
@@ -296,17 +282,15 @@ def whitebox_score(canary, trace: ModelTrace, cfg: TrainerConfig,
                    model: LossModel | None = None) -> float:
     """Sum over steps of <w^(t-1) - w^t, clipped canary gradient at w^(t-1)>.
 
-    For a Dirac canary the clipped gradient is constant, so the score
-    reduces to the net displacement of its coordinate times the clipped
-    magnitude.  For an input-space canary (x, y) pass the loss model so
-    the gradient can be recomputed at each iterate.
+    A Dirac canary is an int coordinate; its gradient is the clip norm
+    there at every step, so the score is the net displacement of that
+    coordinate times the clip norm.  For an input-space canary (x, y) pass
+    the loss model so the gradient can be recomputed at each iterate.
     """
     its = trace.iterates
-    if isinstance(canary, DiracCanary):
-        mag = canary.magnitude
-        clipped = mag * min(1.0, cfg.clip / abs(mag)) if mag != 0 else 0.0
-        diffs = its[:-1, canary.index] - its[1:, canary.index]
-        return float(clipped * diffs.sum())
+    if isinstance(canary, (int, np.integer)):
+        diffs = its[:-1, canary] - its[1:, canary]
+        return float(cfg.clip * diffs.sum())
     if model is None:
         raise ValueError("input-space canaries need the loss model")
     x, y = canary
@@ -318,14 +302,11 @@ def whitebox_score(canary, trace: ModelTrace, cfg: TrainerConfig,
     return total
 
 
-def whitebox_scores(canaries: Sequence[DiracCanary], trace: ModelTrace,
+def whitebox_scores(canaries: np.ndarray, trace: ModelTrace,
                     cfg: TrainerConfig) -> np.ndarray:
-    """Vectorized white-box scores for a set of Dirac canaries."""
-    idx = np.array([c.index for c in canaries], dtype=int)
-    mags = np.array([c.magnitude for c in canaries], dtype=float)
-    clipped = _clip_magnitudes(mags, cfg.clip)
-    cols = trace.iterates[:, idx]
-    return clipped * (cols[:-1] - cols[1:]).sum(axis=0)
+    """Vectorized white-box scores for Dirac canaries (their coordinates)."""
+    cols = trace.iterates[:, canaries]
+    return cfg.clip * (cols[:-1] - cols[1:]).sum(axis=0)
 
 
 def blackbox_score(example, w0: np.ndarray, w_final: np.ndarray,
@@ -378,7 +359,7 @@ def theoretical_eps_upper(cfg: TrainerConfig, delta: float) -> float:
     return record.eps_check + np.log(1.0 / delta)
 
 
-def whitebox_adapter(model: LossModel, canaries: Sequence[DiracCanary],
+def whitebox_adapter(model: LossModel, canaries: np.ndarray,
                      cfg: TrainerConfig, delta: float = 1e-5) -> MechanismAdapter:
     """Audit adapter: train gated on the selection, emit white-box scores."""
 

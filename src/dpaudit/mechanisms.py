@@ -212,7 +212,9 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
     """
     rtol, maxiter = 4 * np.finfo(float).eps, 100
     xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
+    # float64 values as in scipy's C code: a zero denominator in a step gives
+    # inf or nan, which fails the step test and falls back to bisection
+    fpre, fcur = np.float64(f(xpre)), np.float64(f(xcur))
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -233,13 +235,15 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
         if fcur == 0 or abs(sbis) < tol:
             return float(xcur)
         if abs(spre) > tol and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant step
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
+                if xpre == xblk:  # secant step
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - tol):
                 spre, scur = scur, stry
             else:
@@ -248,7 +252,7 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > tol else (tol if sbis > 0 else -tol)
-        fcur = f(xcur)
+        fcur = np.float64(f(xcur))
     raise RuntimeError(f"no convergence in {maxiter} iterations")
 
 

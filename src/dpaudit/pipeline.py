@@ -149,14 +149,21 @@ def run_mechanism(adapter: MechanismAdapter, m: int,
 
     Both draw from one generator seeded with ``seed``, coins first, so
     ``(adapter, m, seed)`` re-creates the selection and the output exactly.
+    A failure, or an output that is not finite, is a RuntimeError that
+    names the adapter.
     """
     rng = np.random.default_rng(seed)
     s = sample_selection(m, rng)
     try:
-        return s, adapter.run(s, rng)
+        # an overflow shows up in the output, which is checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = adapter.run(s, rng)
+        if not np.all(np.isfinite(out)):
+            raise ValueError("non-finite output")
     except Exception as exc:
         raise RuntimeError(
             f"mechanism adapter {adapter.name!r} failed: {exc}") from exc
+    return s, out
 
 
 @dataclasses.dataclass

@@ -179,7 +179,7 @@ def test_criterion_6_dpsgd_whitebox_law_and_validity():
     # score-law moment checks on ~1e4 IN and ~1e4 OUT samples from one run
     d = m = 20_000
     rng = np.random.default_rng(77)
-    canaries = dirac_canaries(m, d, c, rng)
+    canaries = dirac_canaries(m, d, rng)
     s = sample_selection(m, rng)
     cfg = TrainerConfig(ell=ell, clip=c, noise_multiplier=sigma,
                         sample_prob=1.0, learning_rate=lr, dim=d)
@@ -206,7 +206,7 @@ def test_criterion_6_dpsgd_whitebox_law_and_validity():
     reps = 100
     for rep in range(reps):
         rep_rng = np.random.default_rng([555, rep])
-        canaries = dirac_canaries(m_audit, d_audit, c, rep_rng)
+        canaries = dirac_canaries(m_audit, d_audit, rep_rng)
         s = sample_selection(m_audit, rep_rng)
         trace = dpsgd_train(LossModel.canary_only(d_audit), canaries, s,
                             cfg, rep_rng)

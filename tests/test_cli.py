@@ -1,12 +1,16 @@
 """CLI subcommands: outputs, exit codes, persistence, reproducibility."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from dpaudit import cli
 from dpaudit.dpsgd import (LossModel, TrainerConfig, blackbox_adapter,
@@ -278,7 +282,7 @@ def test_dpsgd_audit_matches_audit_run(tmp_path, overrides):
     if config["mode"] == "whitebox":
         adapter = whitebox_adapter(
             LossModel.canary_only(cfg.dim),
-            dirac_canaries(m, cfg.dim, cfg.clip, setup_rng), cfg, delta)
+            dirac_canaries(m, cfg.dim, setup_rng), cfg, delta)
     else:
         model = LossModel.synthetic("logistic", config["data_examples"],
                                     cfg.dim, setup_rng)
@@ -295,12 +299,26 @@ def test_dpsgd_audit_matches_audit_run(tmp_path, overrides):
 
 
 def test_dpsgd_audit_runtime_failure_names_adapter(tmp_path, capsys):
+    # the iterate check reports the overflow; numpy must not warn first
     cfg_file = tmp_path / "audit.cfg"
     write_config(cfg_file, learning_rate=1e308)
-    code, out, err = run_cli(capsys, "dpsgd-audit", "--config", str(cfg_file))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "dpsgd-audit", "--config",
+                                 str(cfg_file))
     assert (code, out) == (2, "")
     assert "non-finite iterate at step 1" in err
     assert "'dpsgd-whitebox'" in err
+
+
+def test_dpsgd_audit_nonfinite_scores_runtime_exit(tmp_path, capsys):
+    # finite iterates near 1e300 times a clip norm of 1e300 overflow the
+    # scores: a runtime failure of the adapter, not a usage error
+    cfg_file = tmp_path / "audit.cfg"
+    write_config(cfg_file, clip=1e300, learning_rate=1.0)
+    code, out, err = run_cli(capsys, "dpsgd-audit", "--config", str(cfg_file))
+    assert (code, out) == (2, "")
+    assert "'dpsgd-whitebox' failed: non-finite output" in err
 
 
 def test_dpsgd_audit_overwhelming_noise_estimates_zero(tmp_path, capsys):
@@ -338,8 +356,17 @@ def test_dpsgd_audit_missing_key_named(tmp_path, capsys):
     ("loss", {"loss": "hinge"}),
     ("data_examples", {"loss": "logistic", "data_examples": -1}),
     ("loss", {"mode": "blackbox"}),  # canary-only has no black-box score
+    ("iterations", {"iterations": 0}),
+    ("noise_multiplier", {"noise_multiplier": 0.0}),
+    ("delta", {"delta": 1.0}),
+    ("seed", {"seed": -1}),
+    ("k_minus", {"k_minus": -1}),
+    ("k_plus", {"k_plus": 25, "k_minus": 20}),  # 45 guesses, 40 canaries
+    ("m", {"dim": 30}),  # 40 Dirac canaries need 40 distinct coordinates
 ], ids=["clip-nan", "noise-inf", "lr-nan", "label-noise-nan", "loss-hinge",
-        "data-negative", "blackbox-canary-only"])
+        "data-negative", "blackbox-canary-only", "iterations-zero",
+        "noise-zero", "delta-one", "seed-negative", "k-minus-negative",
+        "budget-over-m", "whitebox-m-over-dim"])
 def test_dpsgd_audit_bad_value_named(tmp_path, capsys, key, overrides):
     cfg_file = tmp_path / "audit.cfg"
     write_config(cfg_file, **overrides)
@@ -386,6 +413,64 @@ def test_dpsgd_audit_missing_file_runtime_exit(capsys):
                            "/nonexistent/audit.cfg")
     assert code == 2
     assert "error" in err.lower()
+
+
+NAN, INF = float("nan"), float("inf")
+
+# (typical, boundary, invalid) values of each numeric key of a tiny config;
+# k_plus and k_minus are optional
+_FUZZ_VALUES = {
+    "m": ([2, 5, 12], [1, 16], [-1, 0]),
+    "dim": ([12, 16], [1, 3], [-1, 0]),
+    "iterations": ([2, 3], [1], [-1, 0]),
+    "clip": ([0.5, 1.0], [1e-300, 1e300], [NAN, INF, -1.0, 0.0]),
+    "noise_multiplier": ([0.5, 2.0], [1e-300, 1e300], [NAN, INF, -1.0, 0.0]),
+    "sample_prob": ([0.5, 1.0], [1e-300], [NAN, -0.5, 0.0, 1.5]),
+    "learning_rate": ([0.1, 0.2], [1e-300, 1e308], [NAN, INF, -0.2, 0.0]),
+    "delta": ([1e-5], [1e-300, 0.5], [NAN, -1e-5, 0.0, 1.0]),
+    "confidence": (["0.95"], ["0.5,0.99"], ["0", "1", "nan", ""]),
+    "seed": ([0, 7], [2 ** 40], [-1]),
+    "data_examples": ([4, 12], [0, 1], [-1]),
+    "label_noise": ([0.0, 0.3], [-1.0, 1e300], [NAN, INF]),
+    "k_plus": ([1, 4], [0, 16], [-1]),
+    "k_minus": ([1, 4], [0, 16], [-1]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(["whitebox", "blackbox"]),
+       loss=st.sampled_from(["canary-only", "logistic", "linear"]),
+       odd=st.sampled_from(sorted(_FUZZ_VALUES)), kind=st.sampled_from([1, 2]),
+       budget=st.sets(st.sampled_from(["k_plus", "k_minus"])))
+def test_dpsgd_audit_config_fuzz(tmp_path_factory, data, mode, loss, odd,
+                                 kind, budget):
+    # a tiny config with typical values except for one boundary (kind 1) or
+    # invalid (kind 2) key: exit 0 with a finite bound and a silent stderr,
+    # or the CLI's own usage (1) or runtime (2) error, and no numpy warning
+    config = {"mode": mode, "loss": loss}
+    for key, values in _FUZZ_VALUES.items():
+        if key in budget or not key.startswith("k_"):
+            pool = values[kind] if key == odd else values[0]
+            config[key] = data.draw(st.sampled_from(pool), label=key)
+    cfg_file = tmp_path_factory.mktemp("fuzz") / "audit.cfg"
+    cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(["dpsgd-audit", "--config", str(cfg_file)])
+    assert [str(w.message) for w in caught] == []
+    out, err = out.getvalue(), err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+        payload = json.loads(out)
+        assert all(math.isfinite(lb) and lb >= 0
+                   for lb in payload["eps_lb"].values())
+    else:
+        assert out == ""
+        assert err.startswith("usage error:" if code == 1 else "error:")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from scipy import special, stats
 
 from dpaudit.dpsgd import (
-    DiracCanary,
     ExampleCanarySet,
     LossModel,
     ModelTrace,
@@ -60,10 +59,8 @@ def reference_train(data, canaries, selection, cfg, rng):
     q, c, d = cfg.sample_prob, cfg.clip, cfg.dim
     dirac = canaries is not None and not isinstance(canaries, ExampleCanarySet)
     included = np.asarray(selection) == 1 if canaries is not None else None
-    if dirac:
-        idx = np.array([k.index for k in canaries])[included]
-        mag = np.array([k.magnitude for k in canaries])[included]
-        mag = mag * np.minimum(1.0, c / np.abs(mag))
+    if dirac:  # each included coordinate's gradient is c there
+        idx = np.asarray(canaries)[included]
         n_inc = idx.size
     elif canaries is not None:
         inc_X = canaries.features[included]
@@ -83,7 +80,7 @@ def reference_train(data, canaries, selection, cfg, rng):
         if n_inc:
             mask = slice(None) if q == 1 else rng.random(n_inc) < q
             if dirac:
-                np.add.at(gsum, idx[mask], mag[mask])
+                np.add.at(gsum, idx[mask], c)
             else:
                 grads = data.example_grads(w, inc_X[mask], inc_y[mask])
                 gsum += _clip_rows(grads, c).sum(axis=0)
@@ -126,7 +123,7 @@ def test_trainer_matches_reference_with_dirac_canaries(sample_prob, with_data):
     setup = np.random.default_rng(22)
     model = (LossModel.synthetic("logistic", n=40, d=d, rng=setup)
              if with_data else LossModel.canary_only(d))
-    canaries = dirac_canaries(m, d, 1.5, setup)
+    canaries = dirac_canaries(m, d, setup)
     s = sample_selection(m, setup)
     cfg = TrainerConfig(ell=20, clip=1.0, noise_multiplier=2.0,
                         sample_prob=sample_prob, learning_rate=0.2, dim=d)
@@ -169,12 +166,13 @@ def test_clip_invariant_enforced():
 
 
 def test_canary_only_updates_unroll_exactly():
-    # sigma = 0, q = 1: each step moves by lr * min(magnitude, clip) on
-    # included coordinates; the second case has magnitudes above the clip
+    # sigma = 0, q = 1: each step moves by lr * clip on each included
+    # coordinate, once per canary there (the last case repeats coordinate 3)
     d, m = 12, 8
-    for magnitude, clip in [(0.7, 0.7), (2.0, 1.0)]:
+    repeated = np.array([3, 3, 0, 7, 3, 11, 5, 7])
+    for clip, fixed in [(0.7, None), (1.0, None), (0.4, repeated)]:
         rng = np.random.default_rng(4)
-        canaries = dirac_canaries(m, d, magnitude, rng)
+        canaries = dirac_canaries(m, d, rng) if fixed is None else fixed
         s = sample_selection(m, rng)
         cfg = TrainerConfig(ell=5, clip=clip, noise_multiplier=0.0,
                             sample_prob=1.0, learning_rate=0.3, dim=d)
@@ -183,7 +181,7 @@ def test_canary_only_updates_unroll_exactly():
         expected_step = np.zeros(d)
         for canary, si in zip(canaries, s):
             if si == 1:
-                expected_step[canary.index] += 0.3 * min(magnitude, clip)
+                expected_step[canary] += 0.3 * clip
         for t in range(5):
             np.testing.assert_allclose(
                 trace.iterates[t] - trace.iterates[t + 1], expected_step,
@@ -194,7 +192,7 @@ def test_poisson_sampling_thins_gradient():
     # at q = 0.25 roughly a quarter of canaries contribute per step
     d = m = 400
     rng = np.random.default_rng(6)
-    canaries = dirac_canaries(m, d, 1.0, rng)
+    canaries = dirac_canaries(m, d, rng)
     s = np.ones(m, dtype=int)
     cfg = TrainerConfig(ell=200, clip=1.0, noise_multiplier=0.0,
                         sample_prob=0.25, learning_rate=1.0, dim=d)
@@ -232,17 +230,18 @@ def test_trainer_config_validates():
 
 def test_dirac_canaries_full_permutation():
     rng = np.random.default_rng(10)
-    canaries = dirac_canaries(10, 10, 1.0, rng)
-    assert sorted(c.index for c in canaries) == list(range(10))
+    canaries = dirac_canaries(10, 10, rng)
+    assert sorted(canaries) == list(range(10))
 
 
 def test_dirac_canaries_distinct_and_reproducible():
-    a = dirac_canaries(3, 10, 1.0, np.random.default_rng(11))
-    b = dirac_canaries(3, 10, 1.0, np.random.default_rng(11))
-    assert a == b
-    assert len({c.index for c in a}) == 3
+    a = dirac_canaries(3, 10, np.random.default_rng(11))
+    b = dirac_canaries(3, 10, np.random.default_rng(11))
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, np.random.default_rng(11).permutation(10)[:3])
+    assert len(set(a.tolist())) == 3
     with pytest.raises(ValueError):
-        dirac_canaries(11, 10, 1.0, np.random.default_rng(12))
+        dirac_canaries(11, 10, np.random.default_rng(12))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +252,7 @@ def test_whitebox_score_constant_trace_is_zero():
     trace = ModelTrace(iterates=np.ones((6, 4)))
     cfg = TrainerConfig(ell=5, clip=1.0, noise_multiplier=1.0,
                         sample_prob=1.0, learning_rate=0.1, dim=4)
-    assert whitebox_score(DiracCanary(2, 1.0), trace, cfg) == 0.0
+    assert whitebox_score(2, trace, cfg) == 0.0
 
 
 def test_whitebox_score_law_in_canary_only_mode():
@@ -262,7 +261,7 @@ def test_whitebox_score_law_in_canary_only_mode():
     d = m = 4000
     ell, sigma, c, lr = 50, 5.0, 1.0, 0.1
     rng = np.random.default_rng(13)
-    canaries = dirac_canaries(m, d, c, rng)
+    canaries = dirac_canaries(m, d, rng)
     s = sample_selection(m, rng)
     cfg = TrainerConfig(ell=ell, clip=c, noise_multiplier=sigma,
                         sample_prob=1.0, learning_rate=lr, dim=d)
@@ -282,18 +281,18 @@ def test_whitebox_score_law_in_canary_only_mode():
 def test_whitebox_scores_match_singular():
     d = 20
     rng = np.random.default_rng(14)
-    canaries = dirac_canaries(5, d, 2.0, rng)
+    canaries = dirac_canaries(5, d, rng)
     s = sample_selection(5, rng)
-    cfg = TrainerConfig(ell=8, clip=1.0, noise_multiplier=0.5,
+    cfg = TrainerConfig(ell=8, clip=0.5, noise_multiplier=0.5,
                         sample_prob=1.0, learning_rate=0.2, dim=d)
     trace = dpsgd_train(LossModel.canary_only(d), canaries, s, cfg, rng)
     batch = whitebox_scores(canaries, trace, cfg)
-    singles = [whitebox_score(c, trace, cfg) for c in canaries]
+    singles = [whitebox_score(k, trace, cfg) for k in canaries]
     np.testing.assert_allclose(batch, singles, rtol=1e-12)
-    # magnitude 2 canaries are clipped to norm 1 when scoring
-    assert whitebox_score(canaries[0], trace, cfg) == pytest.approx(
-        1.0 * (trace.iterates[0, canaries[0].index]
-               - trace.iterates[-1, canaries[0].index]), rel=1e-12)
+    # the score is the clip norm times the coordinate's net displacement
+    k = int(canaries[0])
+    assert whitebox_score(k, trace, cfg) == pytest.approx(
+        0.5 * (trace.iterates[0, k] - trace.iterates[-1, k]), rel=1e-12)
 
 
 def test_whitebox_separation_matches_noise_scale():
@@ -378,7 +377,7 @@ def test_blackbox_audit_weaker_than_whitebox_paired():
     for seed in range(30):
         setup = np.random.default_rng([23, seed])
         model = LossModel.synthetic("logistic", n=40, d=60, rng=setup)
-        canaries = dirac_canaries(60, 60, 1.0, setup)
+        canaries = dirac_canaries(60, 60, setup)
         report = audit_run(whitebox_adapter(
             LossModel.canary_only(60), canaries, cfg), 60, 20, 20, 1e-5,
             [0.95], seed=seed)

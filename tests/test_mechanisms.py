@@ -226,7 +226,7 @@ def test_gaussian_dp_delta_equals_scipy_stats_norm_form():
 
 def test_gaussian_dp_eps_matches_brentq_reference():
     for rho in np.geomspace(1e-3, 50.0, 25):
-        for delta in [1e-12, 1e-8, 1e-5, 1e-3, 0.05, 0.3]:
+        for delta in [1e-300, 1e-12, 1e-8, 1e-5, 1e-3, 0.05, 0.3]:
             if gaussian_dp_delta(rho, 0.0) <= delta:
                 continue
             hi = 1.0
