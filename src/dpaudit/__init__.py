@@ -60,7 +60,6 @@ from .pipeline import (
 from .dpsgd import (
     ExampleCanarySet,
     LossModel,
-    ModelTrace,
     TrainerConfig,
     blackbox_adapter,
     blackbox_score,
@@ -69,7 +68,6 @@ from .dpsgd import (
     mislabeled_canaries,
     theoretical_eps_upper,
     whitebox_adapter,
-    whitebox_score,
     whitebox_scores,
 )
 

@@ -171,6 +171,8 @@ def cmd_experiment_gaussian(args) -> int:
 
 
 def cmd_pathological_check(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     cfg = mechanisms.PathologicalConfig(m=args.m, r=args.r, eps=args.eps,
                                         delta=args.delta, beta=args.beta)
     t0 = time.perf_counter()
@@ -287,6 +289,15 @@ def parse_dpsgd_config(path: str) -> dict[str, Any]:
         if key in config and not ok(config[key]):
             raise ValueError(
                 f"config key {key!r} must be {rule}, got {config[key]!r}")
+    # the accounting reads 1 / sigma^2 and rho = iterations / (2 sigma^2)
+    sigma = config["noise_multiplier"]
+    var = sigma * sigma
+    if not (var > 0 and 0 < 1.0 / var < math.inf
+            and 0 < config["iterations"] / (2.0 * var) < math.inf):
+        raise ValueError(
+            f"config key 'noise_multiplier' must keep 1 / noise_multiplier^2 "
+            f"and iterations / (2 noise_multiplier^2) finite and positive, "
+            f"got {sigma!r}")
     m = config["m"]
     if config["mode"] == "whitebox" and m > config["dim"]:
         raise ValueError(f"config key 'm' must be <= dim in whitebox mode "

@@ -2,11 +2,13 @@
 
 Implements the iterative mechanism most worth auditing: each step Poisson-
 samples the training set, clips per-example gradients to norm c, adds
-N(0, sigma^2 c^2 I) noise, and takes a gradient step; the full iterate
-trace is returned.  Canaries are either gradient-space "Dirac" canaries,
-each a coordinate whose gradient is the clip norm c there (clipping never
-changes it, and its white-box score law is exactly Gaussian), or
-input-space examples scored black-box by their loss reduction.
+N(0, sigma^2 c^2 I) noise, and takes a gradient step; the trainer returns
+the final model, which is all an audit reads.  Canaries are either
+gradient-space "Dirac" canaries, each a coordinate whose gradient is the
+clip norm c there (clipping never changes it, its white-box score is c
+times the coordinate's net displacement, and its law is exactly
+Gaussian), or input-space examples scored black-box by their loss
+reduction.
 
 Models are deliberately small synthetic ones (logistic / linear / a
 canary-only mode with zero data gradients) so score distributions are
@@ -55,24 +57,6 @@ class TrainerConfig:
                 f"learning_rate must be positive, got {self.learning_rate}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-
-
-@dataclasses.dataclass
-class ModelTrace:
-    """All iterates w^0..w^ell of one training run, shape (ell+1, dim)."""
-
-    iterates: np.ndarray
-
-    def __post_init__(self):
-        self.iterates = np.asarray(self.iterates, dtype=float)
-        if self.iterates.ndim != 2 or self.iterates.shape[0] < 2:
-            raise ValueError("trace needs at least the initial and one iterate")
-        if not np.all(np.isfinite(self.iterates)):
-            raise ValueError("trace contains non-finite values")
-
-    @property
-    def ell(self) -> int:
-        return self.iterates.shape[0] - 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,15 +178,16 @@ def dpsgd_train(data: LossModel,
                 canaries: np.ndarray | ExampleCanarySet | None,
                 selection: np.ndarray | None, cfg: TrainerConfig,
                 rng: np.random.Generator, w0: np.ndarray | None = None
-                ) -> ModelTrace:
-    """Train with per-example clipping and Gaussian noise; return all iterates.
+                ) -> np.ndarray:
+    """Train with per-example clipping and Gaussian noise; return the model.
 
     Data examples are always in the training set; canary i participates iff
     selection[i] == +1; a Dirac canary is its coordinate, and a repeated
     coordinate adds c once per canary.  Every element of the training set
     is resampled independently with probability sample_prob at each step
     (at sample_prob = 1 no sampling coins are drawn).  The update is
-    w <- w - lr * (noise + sum of clipped per-example gradients).
+    w <- w - lr * (noise + sum of clipped per-example gradients), and the
+    final iterate w^ell is returned; no other iterate is kept.
     """
     d = cfg.dim
     if data.n_examples and data.features.shape[1] != d:
@@ -238,7 +223,9 @@ def dpsgd_train(data: LossModel,
     blocks = [(data.features, data.labels)]
     if dirac_idx is None and n_inc:
         blocks.append((canaries.features[included], canaries.labels[included]))
-    blocks = [(X, Y, np.linalg.norm(X, axis=1)) for X, Y in blocks if len(X)]
+    # row norms without the n x d temporary of np.linalg.norm(X, axis=1)
+    blocks = [(X, Y, np.sqrt(np.einsum("ij,ij->i", X, X)))
+              for X, Y in blocks if len(X)]
 
     def clipped_row_sum(w, X, Y, row_norms, sampled):
         a = data.example_coefs(w, X, Y)
@@ -255,8 +242,6 @@ def dpsgd_train(data: LossModel,
             np.add.at(fixed_sum, dirac_idx, c)
 
     w = np.zeros(d) if w0 is None else np.array(w0, dtype=float)
-    iterates = np.empty((cfg.ell + 1, d))
-    iterates[0] = w
     # non-finite values flow on to the iterate check, which names the step
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for step in range(1, cfg.ell + 1):
@@ -274,39 +259,18 @@ def dpsgd_train(data: LossModel,
             w = w - lr * (noise + gsum)
             if not np.all(np.isfinite(w)):
                 raise RuntimeError(f"non-finite iterate at step {step}")
-            iterates[step] = w
-    return ModelTrace(iterates=iterates)
+    return w
 
 
-def whitebox_score(canary, trace: ModelTrace, cfg: TrainerConfig,
-                   model: LossModel | None = None) -> float:
-    """Sum over steps of <w^(t-1) - w^t, clipped canary gradient at w^(t-1)>.
-
-    A Dirac canary is an int coordinate; its gradient is the clip norm
-    there at every step, so the score is the net displacement of that
-    coordinate times the clip norm.  For an input-space canary (x, y) pass
-    the loss model so the gradient can be recomputed at each iterate.
-    """
-    its = trace.iterates
-    if isinstance(canary, (int, np.integer)):
-        diffs = its[:-1, canary] - its[1:, canary]
-        return float(cfg.clip * diffs.sum())
-    if model is None:
-        raise ValueError("input-space canaries need the loss model")
-    x, y = canary
-    x = np.asarray(x, float)
-    total = 0.0
-    for t in range(trace.ell):
-        g = model.example_grads(its[t], x[None, :], np.array([y]))[0]
-        total += float((its[t] - its[t + 1]) @ _clip_rows(g[None, :], cfg.clip)[0])
-    return total
-
-
-def whitebox_scores(canaries: np.ndarray, trace: ModelTrace,
+def whitebox_scores(canaries: np.ndarray, w0: np.ndarray, w_final: np.ndarray,
                     cfg: TrainerConfig) -> np.ndarray:
-    """Vectorized white-box scores for Dirac canaries (their coordinates)."""
-    cols = trace.iterates[:, canaries]
-    return cfg.clip * (cols[:-1] - cols[1:]).sum(axis=0)
+    """White-box scores of Dirac canaries, given as their coordinates.
+
+    A canary's score is the sum over steps of <w^(t-1) - w^t, its clipped
+    gradient>.  That gradient is the clip norm c at its coordinate j at
+    every step, so the sum telescopes to c * (w0[j] - w_final[j]).
+    """
+    return cfg.clip * (w0[canaries] - w_final[canaries])
 
 
 def blackbox_score(example, w0: np.ndarray, w_final: np.ndarray,
@@ -322,9 +286,9 @@ def blackbox_score(example, w0: np.ndarray, w_final: np.ndarray,
                  - loss_model.example_losses(w_final, x, y)[0])
 
 
-def blackbox_scores(canaries: ExampleCanarySet, trace: ModelTrace,
-                    model: LossModel) -> np.ndarray:
-    w0, w_final = trace.iterates[0], trace.iterates[-1]
+def blackbox_scores(canaries: ExampleCanarySet, w0: np.ndarray,
+                    w_final: np.ndarray, model: LossModel) -> np.ndarray:
+    """Loss reductions of every canary, as in :func:`blackbox_score`."""
     return (model.example_losses(w0, canaries.features, canaries.labels)
             - model.example_losses(w_final, canaries.features, canaries.labels))
 
@@ -339,7 +303,8 @@ def privacy_accounting(cfg: TrainerConfig) -> ZcdpParams | RdpParams:
     if cfg.noise_multiplier == 0:
         raise ValueError("no privacy guarantee without noise")
     if cfg.sample_prob == 1:
-        return ZcdpParams(rho=cfg.ell / (2.0 * cfg.noise_multiplier ** 2))
+        sigma = cfg.noise_multiplier
+        return ZcdpParams(rho=cfg.ell / (2.0 * sigma * sigma))
     return RdpParams(order=2.0, eps_check=dpsgd_rdp_eps(
         cfg.ell, cfg.sample_prob, cfg.noise_multiplier))
 
@@ -364,8 +329,8 @@ def whitebox_adapter(model: LossModel, canaries: np.ndarray,
     """Audit adapter: train gated on the selection, emit white-box scores."""
 
     def run(s, rng):
-        trace = dpsgd_train(model, canaries, s, cfg, rng)
-        return whitebox_scores(canaries, trace, cfg)
+        w_final = dpsgd_train(model, canaries, s, cfg, rng)
+        return whitebox_scores(canaries, np.zeros(cfg.dim), w_final, cfg)
 
     return MechanismAdapter(name="dpsgd-whitebox", run=run, output="scores",
                             eps=theoretical_eps_upper(cfg, delta), delta=delta)
@@ -376,8 +341,8 @@ def blackbox_adapter(model: LossModel, canaries: ExampleCanarySet,
     """Audit adapter scoring canaries by loss reduction of the final model."""
 
     def run(s, rng):
-        trace = dpsgd_train(model, canaries, s, cfg, rng)
-        return blackbox_scores(canaries, trace, model)
+        w_final = dpsgd_train(model, canaries, s, cfg, rng)
+        return blackbox_scores(canaries, np.zeros(cfg.dim), w_final, model)
 
     return MechanismAdapter(name="dpsgd-blackbox", run=run, output="scores",
                             eps=theoretical_eps_upper(cfg, delta), delta=delta)

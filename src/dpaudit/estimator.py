@@ -32,7 +32,7 @@ def rr_accuracy(eps: float) -> float:
     This is the largest probability with which any eps-DP mechanism can
     correctly guess an independent fair bit of its input.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     return float(special.expit(eps))
 

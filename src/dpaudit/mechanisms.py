@@ -30,7 +30,7 @@ class RRConfig:
     eps: float
 
     def __post_init__(self):
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
 
 
@@ -45,16 +45,22 @@ class GaussianReportConfig:
     sensitivity: float = 2.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.sensitivity <= 0:
+        if not 0 < self.sigma < math.inf:
             raise ValueError(
-                f"sensitivity must be positive, got {self.sensitivity}")
+                f"sigma must be positive and finite, got {self.sigma}")
+        if not 0 < self.sensitivity < math.inf:
+            raise ValueError(f"sensitivity must be positive and finite, "
+                             f"got {self.sensitivity}")
+        if not 0 < self.rho < math.inf:
+            raise ValueError(
+                f"sensitivity^2 / (2 sigma^2) must be positive and finite, "
+                f"got sigma={self.sigma}, sensitivity={self.sensitivity}")
 
     @property
     def rho(self) -> float:
         """Concentrated-DP parameter sensitivity^2 / (2 sigma^2)."""
-        return self.sensitivity ** 2 / (2.0 * self.sigma ** 2)
+        s, var2 = self.sensitivity, 2.0 * self.sigma * self.sigma
+        return s * s / var2 if var2 else math.inf
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,7 +82,7 @@ class PathologicalConfig:
     def __post_init__(self):
         if not 0 < self.r <= self.m:
             raise ValueError(f"need 0 < r <= m, got r={self.r} m={self.m}")
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
         if not 0 <= self.delta <= 1:
             raise ValueError(f"delta must be in [0, 1], got {self.delta}")
@@ -260,6 +266,8 @@ def dpsgd_rdp_eps(ell: int, q: float, sigma: float) -> float:
     """Order-2 Renyi privacy of ell noisy-SGD steps with sampling rate q.
 
     eps_check = ell * log(1 + q^2 * (exp(1/sigma^2) - 1)), additive in ell.
+    Where exp(1/sigma^2) overflows or q^2 underflows, the log term is
+    evaluated as log(1 + e^y) with y = log(q^2 (e^(1/sigma^2) - 1)).
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
@@ -269,7 +277,16 @@ def dpsgd_rdp_eps(ell: int, q: float, sigma: float) -> float:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if q == 0:
         return 0.0
-    return ell * math.log1p(q * q * math.expm1(1.0 / (sigma * sigma)))
+    x = 1.0 / (sigma * sigma)
+    if x == 0:  # sigma^2 overflows: the bound is below every float
+        return 0.0
+    if q * q >= np.finfo(float).tiny:
+        try:
+            return ell * math.log1p(q * q * math.expm1(x))
+        except OverflowError:
+            pass
+    y = 2.0 * math.log(q) + x + math.log(-math.expm1(-x))
+    return ell * float(np.logaddexp(0.0, y))
 
 
 def rdp_membership_accuracy(eps_check: float) -> float:

@@ -121,6 +121,7 @@ class MechanismAdapter:
 
 
 def adapter_randomized_response(eps: float) -> MechanismAdapter:
+    mechanisms.RRConfig(eps)  # rejects a negative or nan eps up front
     return MechanismAdapter(
         name="randomized-response",
         run=lambda s, rng: mechanisms.randomized_response(s, eps, rng),

@@ -201,6 +201,15 @@ def test_pathological_check_no_violations(tmp_path, capsys):
     assert len(rows) == 51
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_pathological_check_needs_trials(capsys, trials):
+    code, out, err = run_cli(capsys, "pathological-check", "--m", "20",
+                             "--r", "5", "--eps", "1.0", "--delta", "0",
+                             "--beta", "0.05", "--trials", trials)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:") and "--trials" in err
+
+
 def test_pathological_check_invalid_parameters(capsys):
     # m*delta > r*beta violates the mechanism precondition
     code, _, err = run_cli(capsys, "pathological-check", "--m", "1000",
@@ -331,6 +340,17 @@ def test_dpsgd_audit_overwhelming_noise_estimates_zero(tmp_path, capsys):
     assert payload["eps_lb"]["0.95"] <= 0.25
 
 
+def test_dpsgd_audit_small_noise_subsampled_accounts(tmp_path, capsys):
+    # exp(1 / 0.03^2) overflows a float; the order-2 Renyi bound does not
+    cfg_file = tmp_path / "audit.cfg"
+    write_config(cfg_file, noise_multiplier=0.03, sample_prob=0.5)
+    code, out, err = run_cli(capsys, "dpsgd-audit", "--config", str(cfg_file))
+    assert (code, err) == (0, "")
+    accounting = json.loads(out)["config"]["accounting"]
+    assert accounting["eps_check"] == pytest.approx(
+        20 * (1 / 0.03 ** 2 + 2 * math.log(0.5)), rel=1e-12)
+
+
 def test_dpsgd_audit_unknown_key_named(tmp_path, capsys):
     cfg_file = tmp_path / "audit.cfg"
     cfg_file.write_text("mode = whitebox\nmystery_knob = 3\n")
@@ -363,10 +383,13 @@ def test_dpsgd_audit_missing_key_named(tmp_path, capsys):
     ("k_minus", {"k_minus": -1}),
     ("k_plus", {"k_plus": 25, "k_minus": 20}),  # 45 guesses, 40 canaries
     ("m", {"dim": 30}),  # 40 Dirac canaries need 40 distinct coordinates
+    # 1 / sigma^2 overflows; sigma^2 overflows, so rho underflows to zero
+    ("noise_multiplier", {"noise_multiplier": 1e-300}),
+    ("noise_multiplier", {"noise_multiplier": 1e300}),
 ], ids=["clip-nan", "noise-inf", "lr-nan", "label-noise-nan", "loss-hinge",
         "data-negative", "blackbox-canary-only", "iterations-zero",
         "noise-zero", "delta-one", "seed-negative", "k-minus-negative",
-        "budget-over-m", "whitebox-m-over-dim"])
+        "budget-over-m", "whitebox-m-over-dim", "noise-tiny", "noise-huge"])
 def test_dpsgd_audit_bad_value_named(tmp_path, capsys, key, overrides):
     cfg_file = tmp_path / "audit.cfg"
     write_config(cfg_file, **overrides)
@@ -508,3 +531,66 @@ def test_simulate_pathological(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["k_plus"] + payload["k_minus"] == 50
+
+
+# ---------------------------------------------------------------------------
+# argument-vector fuzz
+
+# per subcommand: option -> typical values; every number-valued option can
+# instead take one of the odd values below
+_ODD_NUMBERS = ["0", "1", "-1", "2.5", "1e-300", "1e300", "nan", "inf",
+                "-inf", "x", ""]
+_ODD_LISTS = ["", "0", "-1", "nan", "1,x", "1e300", "0.5,2"]
+_ARGV_OPTIONS = {
+    "pvalue": {"--m": ["10", "20"], "--r": ["5", "10"], "--v": ["0", "3", "5"],
+               "--eps": ["0.5", "1.0"], "--delta": ["0", "1e-5"]},
+    "epslb": {"--m": ["10", "20"], "--r": ["5", "10"], "--v": ["0", "3", "5"],
+              "--delta": ["0", "1e-5"], "--conf": ["0.95"]},
+    "experiment-pure": {"--eps": ["0.5", "1.0"], "--guesses": ["10,20", "8"],
+                        "--conf": ["0.95"]},
+    "experiment-gaussian": {"--sigma": ["2.0"], "--sensitivity": ["2.0"],
+                            "--m": ["100"], "--r-grid": ["2,8"],
+                            "--delta-grid": ["1e-5"], "--conf-grid": ["0.95"]},
+    "pathological-check": {"--m": ["20"], "--r": ["5"], "--eps": ["1.0"],
+                           "--delta": ["0", "1e-3"], "--beta": ["0.05"],
+                           "--trials": ["5", "20"], "--seed": ["0", "3"]},
+    "simulate": {"--mechanism": ["rr", "gaussian", "pathological"],
+                 "--m": ["10", "20"], "--k-plus": ["0", "2"],
+                 "--k-minus": ["0", "2"], "--eps": ["1.0"], "--sigma": ["2.0"],
+                 "--r": ["5"], "--mech-delta": ["0"], "--beta": ["0.05"],
+                 "--delta": ["0", "1e-5"], "--conf": ["0.95"],
+                 "--seed": ["0"]},
+}
+_LIST_OPTIONS = ("--guesses", "--r-grid", "--delta-grid", "--conf-grid")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(_ARGV_OPTIONS)))
+def test_cli_argv_fuzz(data, command):
+    # typical values except, usually, for one option at a boundary or invalid
+    # value: exit 0 with a silent stderr and no nan in the result, or the
+    # CLI's own usage (1) or runtime (2) error, and no numpy warning
+    options = _ARGV_OPTIONS[command]
+    odd = data.draw(st.sampled_from([None] + sorted(options)), label="odd")
+    argv = [command]
+    for option, typical in options.items():
+        if option == odd and option != "--mechanism":
+            pool = _ODD_LISTS if option in _LIST_OPTIONS else _ODD_NUMBERS
+        else:
+            pool = typical
+        argv += [option, data.draw(st.sampled_from(pool), label=option)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert [str(w.message) for w in caught] == []
+    out, err = out.getvalue(), err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+        assert "nan" not in out.lower()
+    else:
+        assert out == ""
+        assert err.startswith("usage error:" if code == 1 else "error:")

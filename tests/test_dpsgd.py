@@ -1,6 +1,8 @@
 """Trainer, canaries, scoring, accounting, and the audit adapters."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from scipy import special, stats
 from dpaudit.dpsgd import (
     ExampleCanarySet,
     LossModel,
-    ModelTrace,
     TrainerConfig,
     _clip_rows,
     blackbox_score,
@@ -19,7 +20,6 @@ from dpaudit.dpsgd import (
     mislabeled_canaries,
     privacy_accounting,
     theoretical_eps_upper,
-    whitebox_score,
     whitebox_scores,
 )
 from dpaudit.mechanisms import ZcdpParams, gaussian_dp_delta, gaussian_dp_eps
@@ -90,6 +90,20 @@ def reference_train(data, canaries, selection, cfg, rng):
     return np.array(iterates)
 
 
+def trajectory(data, canaries, selection, cfg, seed):
+    """Iterates w^0..w^ell of one run: each prefix 1..ell trained from seed.
+
+    The trainer returns only the final model; every prefix replays the same
+    draws, so its final model is that run's iterate at that step.
+    """
+    iterates = [np.zeros(cfg.dim)]
+    for t in range(1, cfg.ell + 1):
+        iterates.append(dpsgd_train(data, canaries, selection,
+                                    dataclasses.replace(cfg, ell=t),
+                                    np.random.default_rng(seed)))
+    return np.array(iterates)
+
+
 def assert_iterates_close(actual, expected):
     # relative 1e-12; the absolute floor covers coordinates that cancel to
     # near zero, where a last-bit difference is a large relative one
@@ -108,10 +122,10 @@ def test_trainer_matches_per_row_clipping_reference(kind, sample_prob):
     cfg = TrainerConfig(ell=25, clip=0.3, noise_multiplier=0.8,
                         sample_prob=sample_prob, learning_rate=0.1, dim=d)
     rng_new, rng_ref = np.random.default_rng(21), np.random.default_rng(21)
-    trace = dpsgd_train(model, canaries, s, cfg, rng_new)
+    dpsgd_train(model, canaries, s, cfg, rng_new)
     expected = reference_train(model, canaries, s, cfg, rng_ref)
-    assert_iterates_close(trace.iterates, expected)
     assert rng_new.random() == rng_ref.random()
+    assert_iterates_close(trajectory(model, canaries, s, cfg, 21), expected)
 
 
 @pytest.mark.parametrize("sample_prob", [1.0, 0.5])
@@ -128,13 +142,14 @@ def test_trainer_matches_reference_with_dirac_canaries(sample_prob, with_data):
     cfg = TrainerConfig(ell=20, clip=1.0, noise_multiplier=2.0,
                         sample_prob=sample_prob, learning_rate=0.2, dim=d)
     rng_new, rng_ref = np.random.default_rng(23), np.random.default_rng(23)
-    trace = dpsgd_train(model, canaries, s, cfg, rng_new)
+    dpsgd_train(model, canaries, s, cfg, rng_new)
     expected = reference_train(model, canaries, s, cfg, rng_ref)
-    if with_data:
-        assert_iterates_close(trace.iterates, expected)
-    else:
-        assert np.array_equal(trace.iterates, expected)
     assert rng_new.random() == rng_ref.random()
+    iterates = trajectory(model, canaries, s, cfg, 23)
+    if with_data:
+        assert_iterates_close(iterates, expected)
+    else:
+        assert np.array_equal(iterates, expected)
 
 
 @pytest.mark.parametrize("kind", ["logistic", "linear"])
@@ -143,9 +158,9 @@ def test_noiseless_full_batch_matches_plain_gd(kind):
     model = LossModel.synthetic(kind, n=25, d=6, rng=rng)
     cfg = TrainerConfig(ell=30, clip=0.5, noise_multiplier=0.0,
                         sample_prob=1.0, learning_rate=0.2, dim=6)
-    trace = dpsgd_train(model, None, None, cfg, np.random.default_rng(1))
+    iterates = trajectory(model, None, None, cfg, 1)
     oracle = plain_clipped_gd(model, np.zeros(6), 30, 0.5, 0.2)
-    np.testing.assert_allclose(trace.iterates, oracle, atol=1e-10)
+    np.testing.assert_allclose(iterates, oracle, atol=1e-10)
 
 
 def test_clip_invariant_enforced():
@@ -160,9 +175,9 @@ def test_clip_invariant_enforced():
     # the independent clipped gradient descent oracle
     cfg = TrainerConfig(ell=10, clip=0.05, noise_multiplier=0.0,
                         sample_prob=1.0, learning_rate=0.1, dim=5)
-    trace = dpsgd_train(model, None, None, cfg, np.random.default_rng(3))
+    iterates = trajectory(model, None, None, cfg, 3)
     oracle = plain_clipped_gd(model, np.zeros(5), 10, 0.05, 0.1)
-    np.testing.assert_allclose(trace.iterates, oracle, atol=1e-10)
+    np.testing.assert_allclose(iterates, oracle, atol=1e-10)
 
 
 def test_canary_only_updates_unroll_exactly():
@@ -176,15 +191,14 @@ def test_canary_only_updates_unroll_exactly():
         s = sample_selection(m, rng)
         cfg = TrainerConfig(ell=5, clip=clip, noise_multiplier=0.0,
                             sample_prob=1.0, learning_rate=0.3, dim=d)
-        trace = dpsgd_train(LossModel.canary_only(d), canaries, s, cfg,
-                            np.random.default_rng(5))
+        iterates = trajectory(LossModel.canary_only(d), canaries, s, cfg, 5)
         expected_step = np.zeros(d)
         for canary, si in zip(canaries, s):
             if si == 1:
                 expected_step[canary] += 0.3 * clip
         for t in range(5):
             np.testing.assert_allclose(
-                trace.iterates[t] - trace.iterates[t + 1], expected_step,
+                iterates[t] - iterates[t + 1], expected_step,
                 atol=1e-12)
 
 
@@ -196,9 +210,8 @@ def test_poisson_sampling_thins_gradient():
     s = np.ones(m, dtype=int)
     cfg = TrainerConfig(ell=200, clip=1.0, noise_multiplier=0.0,
                         sample_prob=0.25, learning_rate=1.0, dim=d)
-    trace = dpsgd_train(LossModel.canary_only(d), canaries, s, cfg,
-                        np.random.default_rng(7))
-    steps = trace.iterates[:-1] - trace.iterates[1:]
+    iterates = trajectory(LossModel.canary_only(d), canaries, s, cfg, 7)
+    steps = iterates[:-1] - iterates[1:]
     per_step_mass = steps.sum(axis=1)
     assert per_step_mass.mean() == pytest.approx(0.25 * m, rel=0.05)
     assert per_step_mass.std() > 0
@@ -249,10 +262,11 @@ def test_dirac_canaries_distinct_and_reproducible():
 
 
 def test_whitebox_score_constant_trace_is_zero():
-    trace = ModelTrace(iterates=np.ones((6, 4)))
     cfg = TrainerConfig(ell=5, clip=1.0, noise_multiplier=1.0,
                         sample_prob=1.0, learning_rate=0.1, dim=4)
-    assert whitebox_score(2, trace, cfg) == 0.0
+    w = np.ones(4)
+    assert np.array_equal(whitebox_scores(np.array([2, 0]), w, w, cfg),
+                          [0.0, 0.0])
 
 
 def test_whitebox_score_law_in_canary_only_mode():
@@ -265,8 +279,8 @@ def test_whitebox_score_law_in_canary_only_mode():
     s = sample_selection(m, rng)
     cfg = TrainerConfig(ell=ell, clip=c, noise_multiplier=sigma,
                         sample_prob=1.0, learning_rate=lr, dim=d)
-    trace = dpsgd_train(LossModel.canary_only(d), canaries, s, cfg, rng)
-    scores = whitebox_scores(canaries, trace, cfg)
+    w_final = dpsgd_train(LossModel.canary_only(d), canaries, s, cfg, rng)
+    scores = whitebox_scores(canaries, np.zeros(d), w_final, cfg)
     mean_in = lr * ell * c * c
     var = lr * lr * c ** 4 * sigma * sigma * ell
     inn, out = scores[s == 1], scores[s == -1]
@@ -279,20 +293,23 @@ def test_whitebox_score_law_in_canary_only_mode():
 
 
 def test_whitebox_scores_match_singular():
+    # the telescoped score equals the per-step sum of
+    # <w^(t-1) - w^t, canary gradient> over the reference trainer's iterates
     d = 20
     rng = np.random.default_rng(14)
     canaries = dirac_canaries(5, d, rng)
     s = sample_selection(5, rng)
     cfg = TrainerConfig(ell=8, clip=0.5, noise_multiplier=0.5,
                         sample_prob=1.0, learning_rate=0.2, dim=d)
-    trace = dpsgd_train(LossModel.canary_only(d), canaries, s, cfg, rng)
-    batch = whitebox_scores(canaries, trace, cfg)
-    singles = [whitebox_score(k, trace, cfg) for k in canaries]
-    np.testing.assert_allclose(batch, singles, rtol=1e-12)
-    # the score is the clip norm times the coordinate's net displacement
-    k = int(canaries[0])
-    assert whitebox_score(k, trace, cfg) == pytest.approx(
-        0.5 * (trace.iterates[0, k] - trace.iterates[-1, k]), rel=1e-12)
+    model = LossModel.canary_only(d)
+    w_final = dpsgd_train(model, canaries, s, cfg, np.random.default_rng(15))
+    batch = whitebox_scores(canaries, np.zeros(d), w_final, cfg)
+    its = reference_train(model, canaries, s, cfg, np.random.default_rng(15))
+    for k, score in zip(canaries, batch):
+        grad = np.zeros(d)
+        grad[k] = cfg.clip
+        per_step = sum((its[t] - its[t + 1]) @ grad for t in range(cfg.ell))
+        assert score == pytest.approx(per_step, rel=1e-12)
 
 
 def test_whitebox_separation_matches_noise_scale():
@@ -322,9 +339,8 @@ def test_blackbox_trained_examples_score_positive():
         model = LossModel.synthetic("logistic", n=30, d=4, rng=run_rng)
         cfg = TrainerConfig(ell=40, clip=1.0, noise_multiplier=0.3,
                             sample_prob=1.0, learning_rate=0.4, dim=4)
-        trace = dpsgd_train(model, None, None, cfg, run_rng)
-        scores = [blackbox_score((x, y), trace.iterates[0],
-                                 trace.iterates[-1], model)
+        w_final = dpsgd_train(model, None, None, cfg, run_rng)
+        scores = [blackbox_score((x, y), np.zeros(4), w_final, model)
                   for x, y in zip(model.features, model.labels)]
         data_means.append(np.mean(scores))
     mean = np.mean(data_means)
@@ -340,8 +356,8 @@ def test_blackbox_excluded_mislabeled_scores_below_included():
         s = sample_selection(10, run_rng)
         cfg = TrainerConfig(ell=40, clip=1.0, noise_multiplier=0.3,
                             sample_prob=1.0, learning_rate=0.4, dim=4)
-        trace = dpsgd_train(model, canaries, s, cfg, run_rng)
-        scores = blackbox_scores(canaries, trace, model)
+        w_final = dpsgd_train(model, canaries, s, cfg, run_rng)
+        scores = blackbox_scores(canaries, np.zeros(4), w_final, model)
         if np.any(s == 1):
             in_means.append(scores[s == 1].mean())
         if np.any(s == -1):
@@ -357,11 +373,11 @@ def test_blackbox_scores_match_singular():
     model = LossModel.synthetic("linear", n=12, d=3, rng=rng)
     canaries = ExampleCanarySet(features=model.features[:4],
                                 labels=model.labels[:4] + 1.0)
-    trace = ModelTrace(iterates=rng.normal(size=(5, 3)))
-    batch = blackbox_scores(canaries, trace, model)
+    w0, w_final = rng.normal(size=(2, 3))
+    batch = blackbox_scores(canaries, w0, w_final, model)
     singles = [
         blackbox_score((canaries.features[i], canaries.labels[i]),
-                       trace.iterates[0], trace.iterates[-1], model)
+                       w0, w_final, model)
         for i in range(4)]
     np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
@@ -396,6 +412,48 @@ def test_mislabeled_canaries_flip_teacher_labels():
     canaries = mislabeled_canaries(model, 50, np.random.default_rng(20))
     truth = np.where(canaries.features @ model.teacher >= 0, 1.0, -1.0)
     assert np.all(canaries.labels == -truth)
+
+
+# ---------------------------------------------------------------------------
+# memory: an audit keeps only the models it reads
+
+
+def traced_peak(fn):
+    """Peak bytes allocated while fn runs, beyond those live when it starts."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_whitebox_audit_memory_flat_in_steps():
+    # canary-only sweep, m = dim = 2000, 100 steps: an iterate trace alone
+    # would be 101 x 2000 floats (1.6 MB)
+    from dpaudit.cli import run_dpsgd_audit
+
+    config = {"mode": "whitebox", "loss": "canary-only", "m": 2000,
+              "dim": 2000, "iterations": 100, "clip": 1.0,
+              "noise_multiplier": 10.0, "sample_prob": 1.0,
+              "learning_rate": 0.1, "delta": 1e-5, "confidence": [0.95],
+              "data_examples": 0, "label_noise": 0.0, "seed": 3}
+    assert traced_peak(lambda: run_dpsgd_audit(config)) < 2 ** 20
+
+
+def test_trainer_allocates_no_row_block_temporary():
+    # 2000 x 200 logistic rows plus 1000 mislabeled canaries, Poisson
+    # sampled: peak below half the data block's n * d * 8 bytes
+    n, d = 2000, 200
+    setup = np.random.default_rng(30)
+    model = LossModel.synthetic("logistic", n=n, d=d, rng=setup)
+    canaries = mislabeled_canaries(model, 1000, setup)
+    s = sample_selection(1000, setup)
+    cfg = TrainerConfig(ell=5, clip=1.0, noise_multiplier=1.0,
+                        sample_prob=0.5, learning_rate=0.1, dim=d)
+    peak = traced_peak(lambda: dpsgd_train(model, canaries, s, cfg,
+                                           np.random.default_rng(31)))
+    assert peak < n * d * 8 / 2
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,63 @@ def test_binomial_sf_matches_mpmath_tails():
         assert binomial_sf(n, q, v) == pytest.approx(exact, rel=1e-12)
 
 
+def mp_survival(mp, n, q):
+    """Pr[Binomial(n, q) >= w] for w = 0..n at the working mpmath precision.
+
+    The pmf comes from its ratio recurrence and is summed from the top, an
+    evaluation independent of the incomplete-beta kernel under test.
+    """
+    q = mp.mpf(q)
+    ratio = q / (1 - q)
+    pmf = [(1 - q) ** n]
+    for k in range(n):
+        pmf.append(pmf[-1] * (n - k) / (k + 1) * ratio)
+    sf, acc = [], mp.mpf(0)
+    for term in reversed(pmf):
+        acc += term
+        sf.append(acc)
+    return sf[::-1]
+
+
+def first_below(sf, level):
+    """First threshold whose tail is below level, else the top of the support."""
+    return next((v for v, tail in enumerate(sf) if tail < level), len(sf) - 1)
+
+
+def assert_rel_1e12(got, exact, case):
+    # a tail below the normal float range can only come back as a tail there
+    if exact < np.finfo(float).tiny:
+        assert got < np.finfo(float).tiny, case
+    else:
+        assert abs(got - exact) <= 1e-12 * exact, case
+
+
+def test_binomial_sf_and_p_value_match_50_digit_oracle():
+    # deep tails (S about 1e-300), v = 0, v = r and v just above the mean,
+    # n <= 2000, to the relative 1e-12 of binomial_sf's docstring; p-values
+    # at delta = 0 and delta > 0, with dual_alpha taken over the exact tails
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    for n, q in [(2000, 0.5), (2000, 0.1), (1000, 1e-3), (100, 0.75),
+                 (10, float(rr_accuracy(1.0))), (1, 0.3)]:
+        sf = mp_survival(mp, n, q)
+        for v in {0, n, math.floor(n * q) + 1, first_below(sf, 1e-295)}:
+            assert_rel_1e12(binomial_sf(n, q, v), sf[v], (n, q, v))
+    for m, r, eps in [(2000, 2000, 0.0), (2000, 1000, 1.0), (100, 100, 0.5)]:
+        e = mp.exp(eps)
+        sf = mp_survival(mp, r, e / (1 + e))
+        for v in {0, r, math.floor(r * rr_accuracy(eps)) + 1,
+                  first_below(sf, 1e-295)}:
+            summary = GuessSummary(m=m, k_plus=r, k_minus=0, v=v)
+            for delta in (0.0, 1e-5):
+                tail = sf[v]
+                alpha = max([0] + [((sf[v - i] if i < v else 1) - tail) / i
+                                   for i in range(1, m + 1)])
+                exact = min(1, tail + alpha * 2 * m * mp.mpf(delta))
+                got = p_value_audit(summary, PrivacyParams(eps, delta))
+                assert_rel_1e12(got, exact, (m, r, v, delta))
+
+
 def test_binomial_sf_large_n_logspace_oracle():
     # the oracle itself carries ~1e-9 relative error from gammaln at n = 1e6
     for n, q, v in [(10**6, 0.75, 751_000), (10**6, 0.5, 500_000),

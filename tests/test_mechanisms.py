@@ -267,6 +267,28 @@ def test_rdp_eps_additive_in_steps():
     assert dpsgd_rdp_eps(1000, 0.02, 1.3) == pytest.approx(a + b, rel=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [1.0, 0.04, 0.0376, 0.0375, 0.03, 1e-3,
+                                   1e-150])
+def test_rdp_eps_matches_mpmath(sigma):
+    # 50-digit oracle on the float inputs, on both sides of the sigma where
+    # exp(1/sigma^2) leaves the float range and of the q where q^2
+    # underflows; where neither happens the plain expression's bits are kept
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    tiny = np.finfo(float).tiny
+    for q in (1.0, 0.5, 1e-3, 1e-100, 1e-200, 1e-300):
+        for ell in (1, 100):
+            got = dpsgd_rdp_eps(ell, q, sigma)
+            s, qq = mpmath.mpf(sigma), mpmath.mpf(q)
+            exact = ell * mpmath.log1p(qq * qq * mpmath.expm1(1 / (s * s)))
+            assert math.isfinite(got)
+            # below the normal range a float has no relative 1e-12
+            assert abs(got - exact) <= max(1e-12 * exact, tiny)
+            if q * q >= tiny and 1.0 / (sigma * sigma) < 709.0:
+                assert got == ell * math.log1p(
+                    q * q * math.expm1(1.0 / (sigma * sigma)))
+
+
 def test_rdp_membership_accuracy_values():
     assert rdp_membership_accuracy(0.0) == 0.5
     assert rdp_membership_accuracy(math.log(5.0)) == pytest.approx(
