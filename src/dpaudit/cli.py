@@ -402,6 +402,10 @@ def cmd_dpsgd_audit(args) -> int:
 
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
+    for option, budget in (("--k-plus", args.k_plus),
+                           ("--k-minus", args.k_minus)):
+        if budget < 0:
+            raise ValueError(f"{option} must be >= 0, got {budget}")
     if args.mechanism == "rr":
         adapter = pipeline.adapter_randomized_response(args.eps)
     elif args.mechanism == "gaussian":

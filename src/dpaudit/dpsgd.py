@@ -18,6 +18,7 @@ exactly computable and a full audit runs in seconds.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 from scipy import special
@@ -300,10 +301,16 @@ def privacy_accounting(cfg: TrainerConfig) -> ZcdpParams | RdpParams:
     rho = ell / (2 sigma^2) of concentrated DP; subsampled runs get the
     order-2 Renyi bound.
     """
-    if cfg.noise_multiplier == 0:
+    sigma = cfg.noise_multiplier
+    if sigma == 0:
         raise ValueError("no privacy guarantee without noise")
+    var = sigma * sigma
+    if not (var > 0 and 0 < 1.0 / var < math.inf
+            and 0 < cfg.ell / (2.0 * var) < math.inf):
+        raise ValueError(
+            f"noise_multiplier must keep 1 / noise_multiplier^2 and "
+            f"ell / (2 noise_multiplier^2) finite and positive, got {sigma!r}")
     if cfg.sample_prob == 1:
-        sigma = cfg.noise_multiplier
         return ZcdpParams(rho=cfg.ell / (2.0 * sigma * sigma))
     return RdpParams(order=2.0, eps_check=dpsgd_rdp_eps(
         cfg.ell, cfg.sample_prob, cfg.noise_multiplier))

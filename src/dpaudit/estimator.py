@@ -201,19 +201,37 @@ def dual_alpha(dist: DominatingDistribution, v: int, m: int) -> float:
     # For i >= v the numerator is constant (survival(v - i) = 1), so the
     # candidate (1 - beta) / i is maximized at i = v; capping the scan at
     # min(m, max(v, 1)) is exact.  Candidates with v - i above the support
-    # are 0 and are skipped.  Since survival <= 1 and rounding is monotone,
-    # every candidate from i on is at most fl((1 - beta) / i), so the scan
-    # over growing slices stops once that is no more than the best so far:
-    # the maximum is the same, bit for bit.
-    table = dist.survival_table
-    last = min(m, max(v, 1))
-    i = max(1, v - dist.support_max)
-    best, width = 0.0, 64
-    while i <= last and (1.0 - beta) / i > best:
+    # are 0 and are skipped.
+    chunks = _scan_chunks(max(1, v - dist.support_max), min(m, max(v, 1)))
+    return _spill_max(dist.survival_table, v, beta, chunks)
+
+
+def _scan_chunks(first: int, last: int):
+    """The scan's slices of i = first..last, growing by doubling from 64.
+
+    Yields (i, np.arange(i, j + 1)) for each slice i..j.
+    """
+    i, width = first, 64
+    while i <= last:
         j = min(last, i + width - 1)
-        tails = table[v - j:v - i + 1][::-1]  # survival(v - i..v - j)
-        best = max(best, float(((tails - beta) / np.arange(i, j + 1)).max()))
+        yield i, np.arange(i, j + 1)
         i, width = j + 1, 2 * width
+
+
+def _spill_max(table: np.ndarray, v: int, beta: float, chunks) -> float:
+    """max(0, max over the chunks' i of (table[v - i] - beta) / i).
+
+    Since survival <= 1 and rounding is monotone, every candidate from i on
+    is at most fl((1 - beta) / i), so the scan stops at the first slice
+    where that is no more than the best so far: the maximum is the same,
+    bit for bit, as over every i.
+    """
+    best = 0.0
+    for i, divisors in chunks:
+        if (1.0 - beta) / i <= best:
+            break
+        tails = table[v - i - divisors.size + 1:v - i + 1][::-1]
+        best = max(best, float(((tails - beta) / divisors).max()))
     return best
 
 
@@ -222,9 +240,34 @@ def _tail_p_value(dist: DominatingDistribution, v: int, m: int,
     return min(1.0, dist.survival(v) + dual_alpha(dist, v, m) * 2.0 * m * delta)
 
 
-def _p_value(m: int, r: int, v: int, eps: float, delta: float) -> float:
-    dist = DominatingDistribution.from_binomial(r, rr_accuracy(eps))
-    return _tail_p_value(dist, v, m, delta)
+def _p_value_at(m: int, r: int, v: int, delta: float):
+    """The function eps -> p-value of v correct out of r guesses on m examples.
+
+    The eps-independent set-up (index arrays, the table buffer, the scan's
+    slices) is done here once.  Each call fills S(w) = Pr[Bin(r, q) >= w]
+    for w = 1..v only, the entries the p-value reads, with the same values
+    and [0, 1] clamp as :meth:`DominatingDistribution.from_binomial`, so it
+    equals ``_tail_p_value(DominatingDistribution.from_binomial(r, q), v, m,
+    delta)`` bit for bit, with q = rr_accuracy(eps).
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    a = np.arange(1.0, v + 1)
+    b = r - a + 1
+    table = np.empty(v + 1)  # table[w] = S(w)
+    table[0] = 1.0
+    tail = table[1:]
+    chunks = tuple(_scan_chunks(1, min(m, max(v, 1))))
+
+    def p_value(eps: float) -> float:
+        special.betainc(a, b, rr_accuracy(eps), out=tail)
+        np.maximum(tail, 0.0, out=tail)
+        np.minimum(tail, 1.0, out=tail)
+        beta = float(table[v])
+        alpha = _spill_max(table, v, beta, chunks)
+        return min(1.0, beta + alpha * 2.0 * m * delta)
+
+    return p_value
 
 
 def p_value_audit(summary: GuessSummary, params: PrivacyParams) -> float:
@@ -238,7 +281,8 @@ def p_value_audit(summary: GuessSummary, params: PrivacyParams) -> float:
       summary: Counts (m, k_plus, k_minus, v) from one audit run.
       params: The null hypothesis (eps, delta).
     """
-    return _p_value(summary.m, summary.r, summary.v, params.eps, params.delta)
+    return _p_value_at(summary.m, summary.r, summary.v,
+                       params.delta)(params.eps)
 
 
 def eps_lower_bound(m: int, r: int, v: int, delta: float, beta: float) -> float:
@@ -248,6 +292,9 @@ def eps_lower_bound(m: int, r: int, v: int, delta: float, beta: float) -> float:
     beta, then bisect 30 times and return the lower end, which keeps the
     result conservative: p_value(result) < beta, and the p-value crosses
     beta within one terminal bracket width (at most 2**-30 of the bracket).
+    The eps-independent set-up runs once per bound, and each p-value
+    evaluation (one per growth step, plus 30) computes the survival S(w)
+    only at w <= v, the entries the p-value reads.
 
     Args:
       m: Number of randomized examples.
@@ -265,13 +312,14 @@ def eps_lower_bound(m: int, r: int, v: int, delta: float, beta: float) -> float:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
     if not 0 < beta < 1:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
+    p_value = _p_value_at(m, r, v, delta)
     eps_min = 0.0  # maintain p_value(eps_min) < beta
     eps_max = 1.0  # maintain p_value(eps_max) >= beta
-    while _p_value(m, r, v, eps_max, delta) < beta:
+    while p_value(eps_max) < beta:
         eps_max += 1.0
     for _ in range(30):
         eps = (eps_min + eps_max) / 2
-        if _p_value(m, r, v, eps, delta) < beta:
+        if p_value(eps) < beta:
             eps_min = eps
         else:
             eps_max = eps

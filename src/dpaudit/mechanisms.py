@@ -277,7 +277,10 @@ def dpsgd_rdp_eps(ell: int, q: float, sigma: float) -> float:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if q == 0:
         return 0.0
-    x = 1.0 / (sigma * sigma)
+    var = sigma * sigma
+    if var == 0 or 1.0 / var == math.inf:
+        raise ValueError(f"sigma must keep 1 / sigma^2 finite, got {sigma!r}")
+    x = 1.0 / var
     if x == 0:  # sigma^2 overflows: the bound is below every float
         return 0.0
     if q * q >= np.finfo(float).tiny:

@@ -511,6 +511,19 @@ def test_simulate_rr_deterministic(capsys):
     assert payload["k_plus"] + payload["k_minus"] == 300
 
 
+@pytest.mark.parametrize("mechanism", ["rr", "gaussian", "pathological"])
+@pytest.mark.parametrize("k_plus,k_minus,option", [
+    ("-1", "-3", "--k-plus"), ("2", "-1", "--k-minus")])
+def test_simulate_rejects_negative_budget(capsys, mechanism, k_plus, k_minus,
+                                          option):
+    code, out, err = run_cli(capsys, "simulate", "--mechanism", mechanism,
+                             "--m", "10", "--r", "5", "--k-plus", k_plus,
+                             "--k-minus", k_minus)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:") and option in err
+
+
 def test_simulate_gaussian_uses_budget(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--mechanism", "gaussian",
                            "--sigma", "2.0", "--m", "1000", "--k-plus", "50",

@@ -498,3 +498,15 @@ def test_accounting_requires_noise():
                         sample_prob=1.0, learning_rate=0.1, dim=4)
     with pytest.raises(ValueError):
         privacy_accounting(cfg)
+
+
+@pytest.mark.parametrize("sample_prob", [1.0, 0.5])
+@pytest.mark.parametrize("sigma", [1e-300, 1e-160, 1e300])
+def test_accounting_rejects_noise_outside_float_range(sigma, sample_prob):
+    # 1 / sigma^2 or ell / (2 sigma^2) is infinite or zero
+    cfg = TrainerConfig(ell=1, clip=1.0, noise_multiplier=sigma,
+                        sample_prob=sample_prob, learning_rate=0.1, dim=4)
+    with pytest.raises(ValueError, match="noise_multiplier"):
+        privacy_accounting(cfg)
+    with pytest.raises(ValueError, match="noise_multiplier"):
+        theoretical_eps_upper(cfg, 1e-5)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from dpaudit import estimator
 from dpaudit.estimator import (
     DominatingDistribution,
     GeneralPParams,
@@ -27,6 +28,8 @@ from dpaudit.estimator import (
     p_value_general_p,
     prior_generalization_bound,
     rr_accuracy,
+    _p_value_at,
+    _tail_p_value,
 )
 
 LN3 = math.log(3.0)
@@ -403,6 +406,32 @@ def test_p_value_is_probability(m, data, eps, delta):
     assert 0.0 <= p <= 1.0
 
 
+def reference_p_value(m, r, v, eps, delta):
+    """The p-value through the full dominating distribution over 0..r."""
+    dist = DominatingDistribution.from_binomial(r, rr_accuracy(eps))
+    return _tail_p_value(dist, v, m, delta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), r=st.integers(0, 3000),
+       delta=st.sampled_from([0.0, 1e-300, 1e-5, 1.0]),
+       eps_list=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4))
+@example(data=None, r=3000, delta=1e-5, eps_list=[0.0, 40.0, 1.0])
+@example(data=None, r=0, delta=1.0, eps_list=[0.5])
+def test_p_value_at_equals_full_table_reference(data, r, delta, eps_list):
+    # one set-up evaluated at several eps in turn, so a stale table entry
+    # would show; v at both ends, next to 0 and drawn, m from r to 3r
+    m_lo = max(r, 1)
+    m = data.draw(st.integers(m_lo, 3 * m_lo)) if data else 3 * m_lo
+    vs = {0, min(1, r), r}
+    if data is not None:
+        vs.add(data.draw(st.integers(0, r)))
+    for v in vs:
+        p_value_of = _p_value_at(m, r, v, delta)
+        for eps in eps_list:
+            assert p_value_of(eps) == reference_p_value(m, r, v, eps, delta)
+
+
 def test_guess_summary_invariants():
     with pytest.raises(ValueError):
         GuessSummary(m=10, k_plus=6, k_minus=5, v=3)  # r > m
@@ -437,6 +466,86 @@ def test_eps_lower_bound_bracket_contract():
         if x > 0:
             assert p_value(m, r, v, x, delta) < 0.05
         assert p_value(m, r, v, x + 1e-8, delta) >= 0.05
+
+
+def eps_lower_bound_reference(m, r, v, delta, beta):
+    """The grow-by-one and 30-step bisection over the full-table p-value."""
+    eps_min, eps_max = 0.0, 1.0
+    while reference_p_value(m, r, v, eps_max, delta) < beta:
+        eps_max += 1.0
+    for _ in range(30):
+        eps = (eps_min + eps_max) / 2
+        if reference_p_value(m, r, v, eps, delta) < beta:
+            eps_min = eps
+        else:
+            eps_max = eps
+    return eps_min
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), r=st.integers(0, 1000),
+       delta=st.sampled_from([0.0, 1e-300, 1e-5, 1e-2]),
+       beta=st.sampled_from([0.01, 0.05, 0.5]))
+@example(data=None, r=1000, delta=0.0, beta=0.05)
+def test_eps_lower_bound_equals_full_table_bisection(data, r, delta, beta):
+    m_lo = max(r, 1)
+    m = data.draw(st.integers(m_lo, 3 * m_lo)) if data else m_lo
+    v = data.draw(st.integers(0, r)) if data else (731 * r) // 1000
+    assert eps_lower_bound(m, r, v, delta, beta) == \
+        eps_lower_bound_reference(m, r, v, delta, beta)
+
+
+def test_eps_lower_bound_work_count(monkeypatch):
+    # each p-value evaluation computes the survival at w = 1..v only, and
+    # a bound takes the 30 bisection steps plus at most 3 growth steps
+    sizes = []
+    betainc = estimator.special.betainc
+
+    def counting_betainc(*args, **kwargs):
+        out = betainc(*args, **kwargs)
+        sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(estimator.special, "betainc", counting_betainc)
+    eps_lower_bound(1000, 1000, 731, 0.0, 0.05)
+    assert 31 <= len(sizes) <= 33
+    assert set(sizes) == {731}
+
+
+def test_p_value_upper_bounds_primal_lp():
+    # The primal of dual_alpha's docstring: an adversary picks a random
+    # offset I in {0, ..., m} with E[I] <= 2 m delta to maximize
+    # E[S(v - I)].  (beta, alpha) is dual feasible, so beta + alpha 2 m delta
+    # is at least the LP optimum; at a budget of at most 1 it is the optimum
+    # (all weight on i = 0 and the maximizing i).  Over these 300 cases the
+    # largest gap is 6e-13 at budgets of at most 1 (184 cases), and 0.080
+    # between the p-value (clamped at 1) and the LP at larger budgets.
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        m = int(rng.integers(1, 31))
+        r = int(rng.integers(0, m + 1))
+        v = int(rng.integers(0, r + 1))
+        eps = float(rng.uniform(0.0, 4.0))
+        delta = float(rng.choice([1e-5, 1e-3, 0.01, 0.05, 0.2, 1.0]))
+        dist = DominatingDistribution.from_binomial(r, rr_accuracy(eps))
+        beta, alpha = dist.survival(v), dual_alpha(dist, v, m)
+        budget = 2.0 * m * delta
+        i = np.arange(m + 1)
+        gain = dist.survival(v - i)
+        # gains differ by less than HiGHS's default 1e-7 tolerances
+        lp = linprog(-gain, A_ub=[i], b_ub=[budget], A_eq=[np.ones(m + 1)],
+                     b_eq=[1.0], bounds=(0, None), method="highs",
+                     options={"primal_feasibility_tolerance": 1e-10,
+                              "dual_feasibility_tolerance": 1e-10})
+        assert lp.status == 0
+        optimum = -lp.fun
+        bound = beta + alpha * budget
+        assert bound >= optimum - 1e-9
+        assert _p_value_at(m, r, v, delta)(eps) >= optimum - 1e-9
+        if budget <= 1.0:
+            assert bound <= optimum + 1e-9
 
 
 def test_eps_lower_bound_rejects_bad_args():

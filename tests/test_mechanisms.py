@@ -250,6 +250,17 @@ def test_rdp_eps_zero_sampling():
     assert dpsgd_rdp_eps(100, 0.0, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("sigma", [1e-300, 1e-160])
+def test_rdp_eps_rejects_infinite_inverse_variance(sigma):
+    # sigma^2 underflows to 0 or to a subnormal whose inverse overflows
+    with pytest.raises(ValueError, match="sigma"):
+        dpsgd_rdp_eps(1, 0.5, sigma)
+
+
+def test_rdp_eps_vanishing_inverse_variance_is_zero():
+    assert dpsgd_rdp_eps(1, 0.5, 1e300) == 0.0
+
+
 def test_rdp_eps_closed_form_unit():
     assert dpsgd_rdp_eps(1, 1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
 
