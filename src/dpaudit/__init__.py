@@ -62,7 +62,6 @@ from .dpsgd import (
     LossModel,
     TrainerConfig,
     blackbox_adapter,
-    blackbox_score,
     dirac_canaries,
     dpsgd_train,
     mislabeled_canaries,

@@ -224,80 +224,66 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return raw
 
 
+_REQUIRED = object()  # the default of a config key that must be given
+
+# The dpsgd-audit config keys: key -> (type, default, rule, rule text).  A
+# default of None lets a key be absent, a rule of None takes any value; the
+# trainer keys' rows come from dpsgd.TRAINER_KEYS and are required.
 _DPSGD_KEYS = {
-    "mode": str, "loss": str, "m": int, "dim": int, "iterations": int,
-    "clip": float, "noise_multiplier": float, "sample_prob": float,
-    "learning_rate": float, "delta": float, "confidence": _num_list,
-    "k_plus": int, "k_minus": int, "seed": int, "data_examples": int,
-    "label_noise": float, "out": str,
+    "mode": (str, _REQUIRED, lambda v: v in ("whitebox", "blackbox"),
+             "whitebox or blackbox"),
+    "loss": (str, "canary-only",
+             lambda v: v in ("canary-only", "logistic", "linear"),
+             "canary-only, logistic or linear"),
+    "m": (int, _REQUIRED, lambda v: v >= 1, ">= 1"),
+    **{key: (kind, _REQUIRED, ok, rule)
+       for key, (_, kind, ok, rule) in dpsgd_mod.TRAINER_KEYS.items()},
+    "delta": (float, _REQUIRED, lambda v: 0 < v < 1, "in (0, 1)"),
+    "confidence": (_num_list, [0.95],
+                   lambda v: v and all(0 < c < 1 for c in v),
+                   "a nonempty list of values in (0, 1)"),
+    "seed": (int, 0, lambda v: v >= 0, ">= 0"),
+    "data_examples": (int, 0, lambda v: v >= 0, ">= 0"),
+    "label_noise": (float, 0.0, None, None),
+    "k_plus": (int, None, lambda v: v >= 0, ">= 0"),
+    "k_minus": (int, None, lambda v: v >= 0, ">= 0"),
+    "out": (str, None, None, None),
 }
-
-_DPSGD_DEFAULTS = {
-    "loss": "canary-only", "confidence": [0.95], "seed": 0,
-    "data_examples": 0, "label_noise": 0.0,
-}
-
-_DPSGD_REQUIRED = ("mode", "m", "dim", "iterations", "clip",
-                   "noise_multiplier", "sample_prob", "learning_rate", "delta")
-
-# (key, rule, rule text) for each numeric key with a range
-_DPSGD_RANGES = (
-    ("m", lambda v: v >= 1, ">= 1"),
-    ("dim", lambda v: v >= 1, ">= 1"),
-    ("iterations", lambda v: v >= 1, ">= 1"),
-    ("clip", lambda v: v > 0, "> 0"),
-    ("noise_multiplier", lambda v: v > 0,
-     "> 0 (no privacy guarantee without noise)"),
-    ("sample_prob", lambda v: 0 < v <= 1, "in (0, 1]"),
-    ("learning_rate", lambda v: v > 0, "> 0"),
-    ("delta", lambda v: 0 < v < 1, "in (0, 1)"),
-    ("seed", lambda v: v >= 0, ">= 0"),
-    ("data_examples", lambda v: v >= 0, ">= 0"),
-    ("k_plus", lambda v: v >= 0, ">= 0"),
-    ("k_minus", lambda v: v >= 0, ">= 0"),
-)
 
 
 def parse_dpsgd_config(path: str) -> dict[str, Any]:
     """Parse and type-check a flat key=value config; errors name the key."""
-    raw = _parse_config_file(path)
-    config: dict[str, Any] = dict(_DPSGD_DEFAULTS)
-    for key, value in raw.items():
+    config: dict[str, Any] = {
+        key: default for key, (_, default, _, _) in _DPSGD_KEYS.items()
+        if default is not None and default is not _REQUIRED}
+    for key, value in _parse_config_file(path).items():
         if key not in _DPSGD_KEYS:
             raise ValueError(f"unknown config key {key!r}")
+        kind = _DPSGD_KEYS[key][0]
         try:
-            config[key] = _DPSGD_KEYS[key](value)
+            config[key] = kind(value)
         except ValueError as exc:
             raise ValueError(f"bad value for config key {key!r}: {exc}")
-        if _DPSGD_KEYS[key] is float and not math.isfinite(config[key]):
+        if kind is float and not math.isfinite(config[key]):
             raise ValueError(
                 f"config key {key!r} must be finite, got {config[key]!r}")
-    missing = [k for k in _DPSGD_REQUIRED if k not in config]
+    missing = [key for key, (_, default, _, _) in _DPSGD_KEYS.items()
+               if default is _REQUIRED and key not in config]
     if missing:
         raise ValueError(f"dpsgd-audit experiment missing parameter(s): "
                          f"{', '.join(missing)}")
-    if config["mode"] not in ("whitebox", "blackbox"):
-        raise ValueError(f"config key 'mode' must be whitebox or blackbox, "
-                         f"got {config['mode']!r}")
-    if config["loss"] not in ("canary-only", "logistic", "linear"):
-        raise ValueError(f"config key 'loss' must be canary-only, logistic "
-                         f"or linear, got {config['loss']!r}")
+    for key, (_, _, ok, rule) in _DPSGD_KEYS.items():
+        if ok is not None and key in config and not ok(config[key]):
+            raise ValueError(
+                f"config key {key!r} must be {rule}, got {config[key]!r}")
     if config["mode"] == "blackbox" and config["loss"] == "canary-only":
         raise ValueError(
             "config key 'loss' must be logistic or linear in blackbox mode")
-    for key, ok, rule in _DPSGD_RANGES:
-        if key in config and not ok(config[key]):
-            raise ValueError(
-                f"config key {key!r} must be {rule}, got {config[key]!r}")
-    # the accounting reads 1 / sigma^2 and rho = iterations / (2 sigma^2)
     sigma = config["noise_multiplier"]
-    var = sigma * sigma
-    if not (var > 0 and 0 < 1.0 / var < math.inf
-            and 0 < config["iterations"] / (2.0 * var) < math.inf):
-        raise ValueError(
-            f"config key 'noise_multiplier' must keep 1 / noise_multiplier^2 "
-            f"and iterations / (2 noise_multiplier^2) finite and positive, "
-            f"got {sigma!r}")
+    if not dpsgd_mod.noise_rule_ok(sigma, config["iterations"]):
+        raise ValueError(f"config key 'noise_multiplier' must "
+                         f"{dpsgd_mod.NOISE_RULE.format(ell='iterations')}, "
+                         f"got {sigma!r}")
     m = config["m"]
     if config["mode"] == "whitebox" and m > config["dim"]:
         raise ValueError(f"config key 'm' must be <= dim in whitebox mode "
@@ -307,10 +293,6 @@ def parse_dpsgd_config(path: str) -> dict[str, Any]:
     if k_plus + k_minus > m:
         raise ValueError(f"config keys 'k_plus' + 'k_minus' must be <= m, "
                          f"got {k_plus} + {k_minus} > {m}")
-    confidences = config["confidence"]
-    if not confidences or not all(0 < c < 1 for c in confidences):
-        raise ValueError(f"config key 'confidence' must be a nonempty list of "
-                         f"values in (0, 1), got {confidences!r}")
     if "k_plus" not in config and "k_minus" not in config and m < 2:
         raise ValueError(f"config key 'm' must be >= 2 to sweep guess budgets "
                          f"(or set k_plus/k_minus), got {m}")
@@ -324,11 +306,7 @@ def run_dpsgd_audit(config: dict[str, Any]) -> pipeline.AuditReport:
     selection coins and training noise, so the audited randomness is
     independent of the setup.
     """
-    cfg = dpsgd_mod.TrainerConfig(
-        ell=config["iterations"], clip=config["clip"],
-        noise_multiplier=config["noise_multiplier"],
-        sample_prob=config["sample_prob"],
-        learning_rate=config["learning_rate"], dim=config["dim"])
+    cfg = dpsgd_mod.TrainerConfig.from_config(config)
     seed = config["seed"]
     delta = config["delta"]
     setup_rng = np.random.default_rng([seed, 1])
@@ -400,6 +378,11 @@ def cmd_dpsgd_audit(args) -> int:
     return 0
 
 
+# the options that shape each mechanism's output, echoed in its result row
+_SIMULATE_OPTIONS = {"rr": ("eps",), "gaussian": ("sigma",),
+                     "pathological": ("r", "eps", "mech_delta", "beta")}
+
+
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     for option, budget in (("--k-plus", args.k_plus),
@@ -425,7 +408,9 @@ def cmd_simulate(args) -> int:
         args.out, command="simulate",
         inputs={"mechanism": args.mechanism, "m": args.m,
                 "k_plus": args.k_plus, "k_minus": args.k_minus,
-                "delta": args.delta, "conf": args.conf},
+                "delta": args.delta, "conf": args.conf,
+                **{name: getattr(args, name)
+                   for name in _SIMULATE_OPTIONS[args.mechanism]}},
         outputs=payload, confidence=args.conf,
         runtime_ms=(time.perf_counter() - t0) * 1e3, seed=args.seed)
     return 0

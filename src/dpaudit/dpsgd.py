@@ -27,12 +27,35 @@ from .mechanisms import RdpParams, ZcdpParams, dpsgd_rdp_eps, gaussian_dp_eps
 from .pipeline import MechanismAdapter
 
 
+# Each noisy-SGD setting once: config key -> (TrainerConfig field, type,
+# rule, rule text).  TrainerConfig checks its fields against these rows, the
+# dpsgd-audit config parser its keys.
+TRAINER_KEYS = {
+    "iterations": ("ell", int, lambda v: v >= 1, ">= 1"),
+    "clip": ("clip", float, lambda v: v > 0, "> 0"),
+    "noise_multiplier": ("noise_multiplier", float, lambda v: v >= 0, ">= 0"),
+    "sample_prob": ("sample_prob", float, lambda v: 0 < v <= 1, "in (0, 1]"),
+    "learning_rate": ("learning_rate", float, lambda v: v > 0, "> 0"),
+    "dim": ("dim", int, lambda v: v >= 1, ">= 1"),
+}
+
+NOISE_RULE = ("keep 1 / noise_multiplier^2 and {ell} / (2 noise_multiplier^2) "
+              "finite and positive")
+
+
+def noise_rule_ok(sigma: float, ell: int) -> bool:
+    """Whether sigma satisfies NOISE_RULE, which the accounting reads."""
+    var = sigma * sigma
+    return (var > 0 and 0 < 1.0 / var < math.inf
+            and 0 < ell / (2.0 * var) < math.inf)
+
+
 @dataclasses.dataclass(frozen=True)
 class TrainerConfig:
-    """Noisy-SGD hyperparameters.
+    """Noisy-SGD hyperparameters, each in its range of TRAINER_KEYS.
 
-    noise_multiplier may be zero, which degenerates to deterministic
-    clipped gradient descent (useful as an oracle).
+    noise_multiplier may be zero: deterministic clipped gradient descent, an
+    oracle with no privacy guarantee, which privacy_accounting rejects.
     """
 
     ell: int
@@ -43,21 +66,16 @@ class TrainerConfig:
     dim: int
 
     def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError(f"ell must be >= 1, got {self.ell}")
-        if self.clip <= 0:
-            raise ValueError(f"clip must be positive, got {self.clip}")
-        if self.noise_multiplier < 0:
-            raise ValueError(
-                f"noise_multiplier must be >= 0, got {self.noise_multiplier}")
-        if not 0 < self.sample_prob <= 1:
-            raise ValueError(
-                f"sample_prob must be in (0, 1], got {self.sample_prob}")
-        if self.learning_rate <= 0:
-            raise ValueError(
-                f"learning_rate must be positive, got {self.learning_rate}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        for field, _, ok, rule in TRAINER_KEYS.values():
+            value = getattr(self, field)
+            if not ok(value):
+                raise ValueError(f"{field} must be {rule}, got {value!r}")
+
+    @classmethod
+    def from_config(cls, config: dict) -> "TrainerConfig":
+        """The trainer settings of a dpsgd-audit config, by TRAINER_KEYS."""
+        return cls(**{field: config[key]
+                      for key, (field, *_) in TRAINER_KEYS.items()})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,12 +164,6 @@ class LossModel:
             return X @ w - Y
         raise ValueError("canary-only mode has no data gradients")
 
-    def example_grads(self, w: np.ndarray, X: np.ndarray,
-                      Y: np.ndarray) -> np.ndarray:
-        if X.shape[0] == 0:
-            return np.zeros((0, w.size))
-        return self.example_coefs(w, X, Y)[:, None] * X
-
 
 def mislabeled_canaries(model: LossModel, m: int,
                         rng: np.random.Generator) -> ExampleCanarySet:
@@ -162,17 +174,6 @@ def mislabeled_canaries(model: LossModel, m: int,
     X = rng.normal(0.0, 1.0 / np.sqrt(d), (m, d))
     truth = np.where(X @ model.teacher >= 0, 1.0, -1.0)
     return ExampleCanarySet(features=X, labels=-truth)
-
-
-def _clip_factors(norms: np.ndarray, c: float) -> np.ndarray:
-    """Factors min(1, c / norm) clipping gradients of these norms to c."""
-    # callers hold an np.errstate: non-finite gradients reach the iterate check
-    return np.minimum(1.0, np.where(norms > 0, c / norms, 1.0))
-
-
-def _clip_rows(grads: np.ndarray, c: float) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return grads * _clip_factors(np.linalg.norm(grads, axis=1), c)[:, None]
 
 
 def dpsgd_train(data: LossModel,
@@ -217,23 +218,17 @@ def dpsgd_train(data: LossModel,
     q, c, lr = cfg.sample_prob, cfg.clip, cfg.learning_rate
 
     # Row blocks with clipped per-example gradients: the data rows, then the
-    # included example canaries.  Row i's gradient is a_i * x_i, so its
-    # clipped form is b_i * x_i with b_i = a_i * min(1, c / (|a_i| ||x_i||)),
-    # and a block's clipped sum over its sampled rows is the mat-vec b @ X
-    # with b_i = 0 on rows not sampled this step.
+    # included example canaries.  Row i's gradient is a_i * x_i, so clipping
+    # it to norm c clips a_i to +-c / ||x_i|| (no bound on a zero row), and a
+    # block's clipped sum over its sampled rows is the mat-vec b @ X with
+    # b_i = 0 on rows not sampled this step.
     blocks = [(data.features, data.labels)]
     if dirac_idx is None and n_inc:
         blocks.append((canaries.features[included], canaries.labels[included]))
     # row norms without the n x d temporary of np.linalg.norm(X, axis=1)
-    blocks = [(X, Y, np.sqrt(np.einsum("ij,ij->i", X, X)))
-              for X, Y in blocks if len(X)]
-
-    def clipped_row_sum(w, X, Y, row_norms, sampled):
-        a = data.example_coefs(w, X, Y)
-        b = a * _clip_factors(np.abs(a) * row_norms, c)
-        if sampled is not None:
-            b[~sampled] = 0.0
-        return b @ X
+    with np.errstate(divide="ignore", over="ignore"):
+        blocks = [(X, Y, c / np.sqrt(np.einsum("ij,ij->i", X, X)))
+                  for X, Y in blocks if len(X)]
 
     # Full batch with no rows: the Dirac sum is the same every step.
     fixed_sum = None
@@ -250,9 +245,11 @@ def dpsgd_train(data: LossModel,
                 gsum = fixed_sum
             else:  # sampling coins: data rows, then the included canaries
                 gsum = np.zeros(d)
-                for X, Y, row_norms in blocks:
-                    sampled = None if q == 1 else rng.random(len(X)) < q
-                    gsum += clipped_row_sum(w, X, Y, row_norms, sampled)
+                for X, Y, bound in blocks:
+                    b = np.clip(data.example_coefs(w, X, Y), -bound, bound)
+                    if q < 1:
+                        b[rng.random(len(X)) >= q] = 0.0
+                    gsum += b @ X
                 if dirac_idx is not None:
                     on = slice(None) if q == 1 else rng.random(n_inc) < q
                     np.add.at(gsum, dirac_idx[on], c)
@@ -274,22 +271,10 @@ def whitebox_scores(canaries: np.ndarray, w0: np.ndarray, w_final: np.ndarray,
     return cfg.clip * (w0[canaries] - w_final[canaries])
 
 
-def blackbox_score(example, w0: np.ndarray, w_final: np.ndarray,
-                   loss_model: LossModel) -> float:
-    """Loss reduction of one example: loss at w0 minus loss at the final model.
-
-    Higher reduction suggests the example was trained on.
-    """
-    x, y = example
-    x = np.asarray(x, float)[None, :]
-    y = np.array([y], dtype=float)
-    return float(loss_model.example_losses(w0, x, y)[0]
-                 - loss_model.example_losses(w_final, x, y)[0])
-
-
 def blackbox_scores(canaries: ExampleCanarySet, w0: np.ndarray,
                     w_final: np.ndarray, model: LossModel) -> np.ndarray:
-    """Loss reductions of every canary, as in :func:`blackbox_score`."""
+    """Loss at w0 minus loss at the final model of each canary; a higher
+    reduction suggests the canary was trained on."""
     return (model.example_losses(w0, canaries.features, canaries.labels)
             - model.example_losses(w_final, canaries.features, canaries.labels))
 
@@ -302,18 +287,13 @@ def privacy_accounting(cfg: TrainerConfig) -> ZcdpParams | RdpParams:
     order-2 Renyi bound.
     """
     sigma = cfg.noise_multiplier
-    if sigma == 0:
-        raise ValueError("no privacy guarantee without noise")
-    var = sigma * sigma
-    if not (var > 0 and 0 < 1.0 / var < math.inf
-            and 0 < cfg.ell / (2.0 * var) < math.inf):
-        raise ValueError(
-            f"noise_multiplier must keep 1 / noise_multiplier^2 and "
-            f"ell / (2 noise_multiplier^2) finite and positive, got {sigma!r}")
+    if not noise_rule_ok(sigma, cfg.ell):
+        raise ValueError(f"noise_multiplier must {NOISE_RULE.format(ell='ell')}"
+                         f", got {sigma!r}")
     if cfg.sample_prob == 1:
         return ZcdpParams(rho=cfg.ell / (2.0 * sigma * sigma))
     return RdpParams(order=2.0, eps_check=dpsgd_rdp_eps(
-        cfg.ell, cfg.sample_prob, cfg.noise_multiplier))
+        cfg.ell, cfg.sample_prob, sigma))
 
 
 def theoretical_eps_upper(cfg: TrainerConfig, delta: float) -> float:

@@ -13,9 +13,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from dpaudit import cli
-from dpaudit.dpsgd import (LossModel, TrainerConfig, blackbox_adapter,
-                          dirac_canaries, mislabeled_canaries,
-                          whitebox_adapter)
+from dpaudit.dpsgd import (TRAINER_KEYS, LossModel, TrainerConfig,
+                          blackbox_adapter, dirac_canaries,
+                          mislabeled_canaries, whitebox_adapter)
 from dpaudit.mechanisms import gaussian_dp_eps
 from dpaudit.pipeline import audit_run
 
@@ -400,6 +400,42 @@ def test_dpsgd_audit_bad_value_named(tmp_path, capsys, key, overrides):
     assert f"'{key}'" in err
 
 
+# for each config key with a rule: a value just outside it, and for the
+# trainer keys one just inside it
+_JUST_OUTSIDE = {
+    "mode": "whitebox2", "loss": "logistics", "m": 0, "delta": 1.0,
+    "confidence": "0.95,1.0", "seed": -1, "data_examples": -1,
+    "k_plus": -1, "k_minus": -1,
+    "iterations": 0, "clip": 0.0, "noise_multiplier": -5e-324,
+    "sample_prob": 1.0000000000000002, "learning_rate": 0.0, "dim": 0,
+}
+_JUST_INSIDE = {"iterations": 1, "clip": 5e-324, "noise_multiplier": 0.0,
+                "sample_prob": 1.0, "learning_rate": 5e-324, "dim": 1}
+
+
+def test_config_rule_probes_cover_the_tables():
+    ruled = [key for key, (_, _, ok, _) in cli._DPSGD_KEYS.items()
+             if ok is not None]
+    assert sorted(_JUST_OUTSIDE) == sorted(ruled)
+    assert sorted(_JUST_INSIDE) == sorted(TRAINER_KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(_JUST_OUTSIDE))
+def test_config_rule_rejects_value_just_outside(tmp_path, key):
+    # the parser names the config key; TrainerConfig, for a trainer key,
+    # names the field, rejects nan too, and takes the value just inside
+    cfg_file = tmp_path / "audit.cfg"
+    base = write_config(cfg_file, **{key: _JUST_OUTSIDE[key]})
+    with pytest.raises(ValueError, match=f"^config key '{key}' must be "):
+        cli.parse_dpsgd_config(str(cfg_file))
+    if key in TRAINER_KEYS:
+        field = TRAINER_KEYS[key][0]
+        for bad in (_JUST_OUTSIDE[key], float("nan")):
+            with pytest.raises(ValueError, match=f"^{field} must be "):
+                TrainerConfig.from_config(dict(base, **{key: bad}))
+        TrainerConfig.from_config(dict(base, **{key: _JUST_INSIDE[key]}))
+
+
 def test_dpsgd_audit_empty_confidence_usage_exit(tmp_path, capsys):
     cfg_file = tmp_path / "audit.cfg"
     write_config(cfg_file, confidence="")
@@ -544,6 +580,26 @@ def test_simulate_pathological(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["k_plus"] + payload["k_minus"] == 50
+
+
+@pytest.mark.parametrize("mechanism", ["rr", "gaussian", "pathological"])
+def test_simulate_row_reruns_from_its_inputs(tmp_path, capsys, mechanism):
+    # every option off its default: the row's inputs and seed alone must
+    # rebuild an argument vector that writes the same row
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    argv = ["--mechanism", mechanism, "--m", "200", "--k-plus", "10",
+            "--k-minus", "12", "--eps", "0.8", "--sigma", "3.7", "--r", "40",
+            "--mech-delta", "1e-3", "--beta", "0.2", "--delta", "1e-4",
+            "--conf", "0.9", "--seed", "4"]
+    assert cli.main(["simulate", *argv, "--out", str(first)]) == 0
+    row = cli.ResultRow.from_json(first.read_text())
+    rerun = ["simulate", "--seed", str(row.seed), "--out", str(second)]
+    for name, value in row.inputs.items():
+        rerun += ["--" + name.replace("_", "-"), str(value)]
+    assert cli.main(rerun) == 0
+    again = cli.ResultRow.from_json(second.read_text())
+    row.runtime_ms = again.runtime_ms = None
+    assert again.to_json() == row.to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from dpaudit.dpsgd import (
     ExampleCanarySet,
     LossModel,
     TrainerConfig,
-    _clip_rows,
-    blackbox_score,
     blackbox_scores,
     dirac_canaries,
     dpsgd_train,
@@ -24,6 +22,7 @@ from dpaudit.dpsgd import (
 )
 from dpaudit.mechanisms import ZcdpParams, gaussian_dp_delta, gaussian_dp_eps
 from dpaudit.pipeline import sample_selection
+from references import blackbox_score, clip_rows, example_grads
 
 
 def plain_clipped_gd(model, w0, ell, clip, lr):
@@ -74,16 +73,16 @@ def reference_train(data, canaries, selection, cfg, rng):
         gsum = np.zeros(d)
         if data.n_examples:
             mask = slice(None) if q == 1 else rng.random(data.n_examples) < q
-            grads = data.example_grads(w, data.features[mask],
-                                       data.labels[mask])
-            gsum += _clip_rows(grads, c).sum(axis=0)
+            grads = example_grads(data, w, data.features[mask],
+                                  data.labels[mask])
+            gsum += clip_rows(grads, c).sum(axis=0)
         if n_inc:
             mask = slice(None) if q == 1 else rng.random(n_inc) < q
             if dirac:
                 np.add.at(gsum, idx[mask], c)
             else:
-                grads = data.example_grads(w, inc_X[mask], inc_y[mask])
-                gsum += _clip_rows(grads, c).sum(axis=0)
+                grads = example_grads(data, w, inc_X[mask], inc_y[mask])
+                gsum += clip_rows(grads, c).sum(axis=0)
         noise = rng.normal(0.0, cfg.noise_multiplier * c, d)
         w = w - cfg.learning_rate * (noise + gsum)
         iterates.append(w)
@@ -167,9 +166,9 @@ def test_clip_invariant_enforced():
     rng = np.random.default_rng(2)
     # teacher-scale labels make raw linear gradients much larger than clip
     model = LossModel.synthetic("linear", n=40, d=5, rng=rng)
-    raw = model.example_grads(np.zeros(5), model.features, model.labels)
+    raw = example_grads(model, np.zeros(5), model.features, model.labels)
     assert np.linalg.norm(raw, axis=1).max() > 0.05
-    clipped = _clip_rows(raw, 0.05)
+    clipped = clip_rows(raw, 0.05)
     assert np.all(np.linalg.norm(clipped, axis=1) <= 0.05 * (1 + 1e-9))
     # the trainer applies that clip: noiseless full-batch training equals
     # the independent clipped gradient descent oracle
