@@ -61,12 +61,12 @@ from .dpsgd import (
     ExampleCanarySet,
     LossModel,
     TrainerConfig,
-    blackbox_adapter,
+    adapter_dpsgd_audit,
+    audit_adapter,
     dirac_canaries,
     dpsgd_train,
     mislabeled_canaries,
     theoretical_eps_upper,
-    whitebox_adapter,
     whitebox_scores,
 )
 

@@ -300,59 +300,36 @@ def parse_dpsgd_config(path: str) -> dict[str, Any]:
 
 
 def run_dpsgd_audit(config: dict[str, Any]) -> pipeline.AuditReport:
-    """Train once with selection-gated canaries, score, and estimate.
-
-    Model and canary construction use a seed stream disjoint from the
-    selection coins and training noise, so the audited randomness is
-    independent of the setup.
-    """
-    cfg = dpsgd_mod.TrainerConfig.from_config(config)
-    seed = config["seed"]
-    delta = config["delta"]
-    setup_rng = np.random.default_rng([seed, 1])
-    m = config["m"]
-    if config["loss"] == "canary-only":
-        model = dpsgd_mod.LossModel.canary_only(cfg.dim)
-    else:
-        model = dpsgd_mod.LossModel.synthetic(
-            config["loss"], config["data_examples"], cfg.dim, setup_rng,
-            label_noise=config["label_noise"])
-    if config["mode"] == "whitebox":
-        adapter = dpsgd_mod.whitebox_adapter(
-            model, dpsgd_mod.dirac_canaries(m, cfg.dim, setup_rng),
-            cfg, delta)
-    else:
-        adapter = dpsgd_mod.blackbox_adapter(
-            model, dpsgd_mod.mislabeled_canaries(model, m, setup_rng), cfg,
-            delta)
+    """Train once with selection-gated canaries, score, guess and estimate;
+    dpsgd.adapter_dpsgd_audit builds the model, canaries and adapter."""
+    seed, delta, m = config["seed"], config["delta"], config["m"]
+    adapter = dpsgd_mod.adapter_dpsgd_audit(config)
     s, y = pipeline.run_mechanism(adapter, m, seed)
 
     confidences = config["confidence"]
-    sweep_caveat = False
+    # No guess budget given: sweep doublings and keep the best point, which
+    # is multiple testing; the caveat is recorded in the report.
+    sweep_caveat = "k_plus" not in config and "k_minus" not in config
     known_lb = {}  # confidence -> bound already computed by the sweep
-    if "k_plus" in config or "k_minus" in config:
-        k_plus = config.get("k_plus", 0)
-        k_minus = config.get("k_minus", 0)
-        t = pipeline.make_guesses(y, k_plus, k_minus)
-        v = pipeline.count_correct(s, t)
-    else:
-        # No guess budget given: sweep doublings and keep the best point,
-        # which is multiple testing; the caveat is recorded in the report.
+    if sweep_caveat:
         grid = [(r // 2, r - r // 2) for r in _doubling_grid(2, m)]
         sweep = pipeline.k_sweep(y, s, grid, delta, confidences[0])
         k_plus, k_minus, v = sweep.best.k_plus, sweep.best.k_minus, sweep.best.v
         known_lb[confidences[0]] = sweep.best.eps_lb
-        sweep_caveat = True
+    else:
+        k_plus, k_minus = config.get("k_plus", 0), config.get("k_minus", 0)
+        v = pipeline.count_correct(s, pipeline.make_guesses(y, k_plus, k_minus))
     summary = GuessSummary(m=m, k_plus=k_plus, k_minus=k_minus, v=v)
     eps_lb = {conf: known_lb[conf] if conf in known_lb else
               eps_lower_bound(m, summary.r, v, delta, 1.0 - conf)
               for conf in confidences}
     p_values = {e: p_value_audit(summary, PrivacyParams(e, delta))
                 for e in pipeline.DEFAULT_EPS_GRID}
-    report = pipeline.AuditReport(
+    cfg = dpsgd_mod.TrainerConfig.from_config(config)
+    return pipeline.AuditReport(
         summary=summary, eps_lb=eps_lb, p_values=p_values, seed=seed,
         config={
-            "mechanism": f"dpsgd-{config['mode']}",
+            "mechanism": adapter.name,
             "multiple_testing_caveat": sweep_caveat,
             "dpsgd": dataclasses.asdict(cfg),
             "loss": config["loss"],
@@ -360,7 +337,6 @@ def run_dpsgd_audit(config: dict[str, Any]) -> pipeline.AuditReport:
             "theoretical_eps_upper": adapter.eps,
             "accounting": dataclasses.asdict(dpsgd_mod.privacy_accounting(cfg)),
         })
-    return report
 
 
 def cmd_dpsgd_audit(args) -> int:

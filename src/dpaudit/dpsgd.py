@@ -137,7 +137,10 @@ class LossModel:
         """Random features with labels from a hidden teacher vector."""
         teacher = rng.normal(0.0, 1.0, d)
         features = rng.normal(0.0, 1.0 / np.sqrt(d), (n, d))
-        margins = features @ teacher + label_noise * rng.normal(0.0, 1.0, n)
+        with np.errstate(over="ignore"):
+            margins = features @ teacher + label_noise * rng.normal(0.0, 1.0, n)
+        if not np.all(np.isfinite(margins)):
+            raise ValueError(f"label_noise {label_noise!r} overflows a margin")
         if kind == "logistic":
             labels = np.where(margins >= 0, 1.0, -1.0)
         elif kind == "linear":
@@ -311,25 +314,41 @@ def theoretical_eps_upper(cfg: TrainerConfig, delta: float) -> float:
     return record.eps_check + np.log(1.0 / delta)
 
 
-def whitebox_adapter(model: LossModel, canaries: np.ndarray,
-                     cfg: TrainerConfig, delta: float = 1e-5) -> MechanismAdapter:
-    """Audit adapter: train gated on the selection, emit white-box scores."""
+def audit_adapter(model: LossModel, canaries: np.ndarray | ExampleCanarySet,
+                  cfg: TrainerConfig, delta: float = 1e-5) -> MechanismAdapter:
+    """Audit adapter: train gated on the selection, score the final model.
+
+    The canaries' form picks the scorer: Dirac coordinates get white-box
+    scores, an ExampleCanarySet black-box loss reductions.
+    """
+    blackbox = isinstance(canaries, ExampleCanarySet)
 
     def run(s, rng):
         w_final = dpsgd_train(model, canaries, s, cfg, rng)
+        if blackbox:
+            return blackbox_scores(canaries, np.zeros(cfg.dim), w_final, model)
         return whitebox_scores(canaries, np.zeros(cfg.dim), w_final, cfg)
 
-    return MechanismAdapter(name="dpsgd-whitebox", run=run, output="scores",
-                            eps=theoretical_eps_upper(cfg, delta), delta=delta)
+    return MechanismAdapter(
+        name="dpsgd-blackbox" if blackbox else "dpsgd-whitebox", run=run,
+        output="scores", eps=theoretical_eps_upper(cfg, delta), delta=delta)
 
 
-def blackbox_adapter(model: LossModel, canaries: ExampleCanarySet,
-                     cfg: TrainerConfig, delta: float = 1e-5) -> MechanismAdapter:
-    """Audit adapter scoring canaries by loss reduction of the final model."""
+def adapter_dpsgd_audit(config: dict) -> MechanismAdapter:
+    """The audit adapter of a parsed dpsgd-audit config.
 
-    def run(s, rng):
-        w_final = dpsgd_train(model, canaries, s, cfg, rng)
-        return blackbox_scores(canaries, np.zeros(cfg.dim), w_final, model)
-
-    return MechanismAdapter(name="dpsgd-blackbox", run=run, output="scores",
-                            eps=theoretical_eps_upper(cfg, delta), delta=delta)
+    The model, then the canaries, come from the seed stream [seed, 1], so
+    they are independent of the selection coins and noise drawn from seed.
+    """
+    cfg = TrainerConfig.from_config(config)
+    setup_rng = np.random.default_rng([config["seed"], 1])
+    if config["loss"] == "canary-only":
+        model = LossModel.canary_only(cfg.dim)
+    else:
+        model = LossModel.synthetic(config["loss"], config["data_examples"],
+                                    cfg.dim, setup_rng, config["label_noise"])
+    if config["mode"] == "whitebox":
+        canaries = dirac_canaries(config["m"], cfg.dim, setup_rng)
+    else:
+        canaries = mislabeled_canaries(model, config["m"], setup_rng)
+    return audit_adapter(model, canaries, cfg, config["delta"])

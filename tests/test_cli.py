@@ -7,15 +7,12 @@ import json
 import math
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from dpaudit import cli
-from dpaudit.dpsgd import (TRAINER_KEYS, LossModel, TrainerConfig,
-                          blackbox_adapter, dirac_canaries,
-                          mislabeled_canaries, whitebox_adapter)
+from dpaudit.dpsgd import TRAINER_KEYS, TrainerConfig, adapter_dpsgd_audit
 from dpaudit.mechanisms import gaussian_dp_eps
 from dpaudit.pipeline import audit_run
 
@@ -281,24 +278,10 @@ def test_dpsgd_audit_matches_audit_run(tmp_path, overrides):
     cfg_file = tmp_path / "audit.cfg"
     write_config(cfg_file, confidence="0.95,0.9", **overrides)
     config = cli.parse_dpsgd_config(str(cfg_file))
-    m, delta, seed = config["m"], config["delta"], config["seed"]
-    cfg = TrainerConfig(
-        ell=config["iterations"], clip=config["clip"],
-        noise_multiplier=config["noise_multiplier"],
-        sample_prob=config["sample_prob"],
-        learning_rate=config["learning_rate"], dim=config["dim"])
-    setup_rng = np.random.default_rng([seed, 1])
-    if config["mode"] == "whitebox":
-        adapter = whitebox_adapter(
-            LossModel.canary_only(cfg.dim),
-            dirac_canaries(m, cfg.dim, setup_rng), cfg, delta)
-    else:
-        model = LossModel.synthetic("logistic", config["data_examples"],
-                                    cfg.dim, setup_rng)
-        adapter = blackbox_adapter(
-            model, mislabeled_canaries(model, m, setup_rng), cfg, delta)
-    expected = audit_run(adapter, m, config["k_plus"], config["k_minus"],
-                         delta, config["confidence"], seed)
+    adapter = adapter_dpsgd_audit(config)
+    expected = audit_run(adapter, config["m"], config["k_plus"],
+                         config["k_minus"], config["delta"],
+                         config["confidence"], config["seed"])
     report = cli.run_dpsgd_audit(config)
     assert expected.summary.r // 2 < expected.summary.v < expected.summary.r
     assert report.summary == expected.summary
@@ -328,6 +311,20 @@ def test_dpsgd_audit_nonfinite_scores_runtime_exit(tmp_path, capsys):
     code, out, err = run_cli(capsys, "dpsgd-audit", "--config", str(cfg_file))
     assert (code, out) == (2, "")
     assert "'dpsgd-whitebox' failed: non-finite output" in err
+
+
+def test_dpsgd_audit_label_noise_overflow_usage_exit(tmp_path, capsys):
+    # label_noise * N(0, 1) overflows one of the 20 margins: the config is at
+    # fault, so the CLI names the key and exits 1, and numpy must not warn
+    cfg_file = tmp_path / "audit.cfg"
+    write_config(cfg_file, mode="blackbox", loss="linear", m=50, dim=10,
+                 data_examples=20, label_noise=1e308, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "dpsgd-audit", "--config",
+                                 str(cfg_file))
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:") and "label_noise" in err
 
 
 def test_dpsgd_audit_overwhelming_noise_estimates_zero(tmp_path, capsys):
@@ -490,7 +487,7 @@ _FUZZ_VALUES = {
     "confidence": (["0.95"], ["0.5,0.99"], ["0", "1", "nan", ""]),
     "seed": ([0, 7], [2 ** 40], [-1]),
     "data_examples": ([4, 12], [0, 1], [-1]),
-    "label_noise": ([0.0, 0.3], [-1.0, 1e300], [NAN, INF]),
+    "label_noise": ([0.0, 0.3], [-1.0, 1e300, 1e308], [NAN, INF]),
     "k_plus": ([1, 4], [0, 16], [-1]),
     "k_minus": ([1, 4], [0, 16], [-1]),
 }
@@ -582,20 +579,52 @@ def test_simulate_pathological(capsys):
     assert payload["k_plus"] + payload["k_minus"] == 50
 
 
-@pytest.mark.parametrize("mechanism", ["rr", "gaussian", "pathological"])
-def test_simulate_row_reruns_from_its_inputs(tmp_path, capsys, mechanism):
-    # every option off its default: the row's inputs and seed alone must
-    # rebuild an argument vector that writes the same row
+_SIMULATE_ARGV = ["--m", "200", "--k-plus", "10", "--k-minus", "12", "--eps",
+                  "0.8", "--sigma", "3.7", "--r", "40", "--mech-delta", "1e-3",
+                  "--beta", "0.2", "--delta", "1e-4", "--conf", "0.9",
+                  "--seed", "4"]
+# per JSON-lines command: an argument vector with every option off its
+# default, and the option that names the row's file
+_RERUN_ARGV = {
+    **{mechanism: (["simulate", "--mechanism", mechanism, *_SIMULATE_ARGV],
+                   "--out") for mechanism in ("rr", "gaussian", "pathological")},
+    "pvalue": (["pvalue", "--m", "200", "--r", "40", "--v", "31", "--eps",
+                "0.8", "--delta", "1e-4"], "--out"),
+    "epslb": (["epslb", "--m", "200", "--r", "40", "--v", "31", "--delta",
+               "1e-4", "--conf", "0.9"], "--out"),
+    "pathological-check": (["pathological-check", "--m", "200", "--r", "40",
+                            "--eps", "0.8", "--delta", "1e-3", "--beta", "0.2",
+                            "--trials", "50", "--seed", "4"], "--report"),
+}
+
+
+@pytest.mark.parametrize("case", [*_RERUN_ARGV, "dpsgd-audit"])
+def test_simulate_row_reruns_from_its_inputs(tmp_path, capsys, case):
+    # the row's inputs and seed alone must rebuild an argument vector (or a
+    # config file) that writes the same row
     first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
-    argv = ["--mechanism", mechanism, "--m", "200", "--k-plus", "10",
-            "--k-minus", "12", "--eps", "0.8", "--sigma", "3.7", "--r", "40",
-            "--mech-delta", "1e-3", "--beta", "0.2", "--delta", "1e-4",
-            "--conf", "0.9", "--seed", "4"]
-    assert cli.main(["simulate", *argv, "--out", str(first)]) == 0
-    row = cli.ResultRow.from_json(first.read_text())
-    rerun = ["simulate", "--seed", str(row.seed), "--out", str(second)]
-    for name, value in row.inputs.items():
-        rerun += ["--" + name.replace("_", "-"), str(value)]
+    if case == "dpsgd-audit":
+        write_config(tmp_path / "first.cfg", mode="blackbox", loss="linear",
+                     dim=12, data_examples=15, label_noise=0.3,
+                     sample_prob=0.5, confidence="0.9,0.8", seed=5)
+        assert cli.main(["dpsgd-audit", "--config",
+                         str(tmp_path / "first.cfg"), "--out", str(first)]) == 0
+        row = cli.ResultRow.from_json(first.read_text())
+        config = dict(row.inputs, seed=row.seed)
+        config["confidence"] = ",".join(map(str, config["confidence"]))
+        (tmp_path / "second.cfg").write_text(
+            "".join(f"{key} = {value}\n" for key, value in config.items()))
+        rerun = ["dpsgd-audit", "--config", str(tmp_path / "second.cfg"),
+                 "--out", str(second)]
+    else:
+        argv, out_option = _RERUN_ARGV[case]
+        assert cli.main([*argv, out_option, str(first)]) == 0
+        row = cli.ResultRow.from_json(first.read_text())
+        rerun = [row.command, out_option, str(second)]
+        if row.seed is not None:
+            rerun += ["--seed", str(row.seed)]
+        for name, value in row.inputs.items():
+            rerun += ["--" + name.replace("_", "-"), str(value)]
     assert cli.main(rerun) == 0
     again = cli.ResultRow.from_json(second.read_text())
     row.runtime_ms = again.runtime_ms = None

@@ -383,7 +383,7 @@ def test_blackbox_scores_match_singular():
 
 def test_blackbox_audit_weaker_than_whitebox_paired():
     # paired runs: white-box one-hot gradients carry far more signal
-    from dpaudit.dpsgd import blackbox_adapter, whitebox_adapter
+    from dpaudit.dpsgd import audit_adapter
     from dpaudit.pipeline import audit_run
 
     wb, bb = [], []
@@ -393,12 +393,12 @@ def test_blackbox_audit_weaker_than_whitebox_paired():
         setup = np.random.default_rng([23, seed])
         model = LossModel.synthetic("logistic", n=40, d=60, rng=setup)
         canaries = dirac_canaries(60, 60, setup)
-        report = audit_run(whitebox_adapter(
+        report = audit_run(audit_adapter(
             LossModel.canary_only(60), canaries, cfg), 60, 20, 20, 1e-5,
             [0.95], seed=seed)
         wb.append(report.eps_lb[0.95])
         mis = mislabeled_canaries(model, 60, setup)
-        report = audit_run(blackbox_adapter(model, mis, cfg), 60, 20, 20,
+        report = audit_run(audit_adapter(model, mis, cfg), 60, 20, 20,
                            1e-5, [0.95], seed=seed)
         bb.append(report.eps_lb[0.95])
     assert min(bb) >= 0.0

@@ -1,17 +1,26 @@
-"""Exact coverage of eps_lower_bound under randomized response.
+"""Exact validity oracles for the p-value and eps_lower_bound.
 
 With fair selection coins, eps-DP randomized response makes the number of
 correct guesses out of r exactly Binomial(r, q(eps)), q(eps) =
 e^eps / (e^eps + 1).  eps_lower_bound is nondecreasing in the count v, so
 the bound overshoots eps exactly when v >= v*, the smallest v whose bound
 exceeds eps, and the overshoot rate is Pr[Binomial(r, q(eps)) >= v*]:
-computed, not sampled.
+computed, not sampled.  The worst-case mechanism's count has a known law
+too, so its tail is checked against the p-value at every threshold.
 """
 
+import itertools
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from dpaudit.estimator import eps_lower_bound, rr_accuracy
+from dpaudit.estimator import (GuessSummary, PrivacyParams, eps_lower_bound,
+                               p_value_audit, rr_accuracy)
+from dpaudit.mechanisms import PathologicalConfig
 
 
 def overshoot_threshold(r: int, eps: float, beta: float, guess: int) -> int:
@@ -67,3 +76,63 @@ def test_eps_lower_bound_exact_coverage(r):
         for beta in (0.01, 0.05, 0.2):
             v_star, rate = overshoot_rate(r, eps, beta)
             assert rate <= beta, (eps, beta, v_star, rate)
+
+
+# criterion 5's set-up first, then a grid of worst-case configurations
+_WORST_CASES = [PathologicalConfig(1000, 100, 1.0, 1e-4, 0.05)] + [
+    PathologicalConfig(m, r, eps, delta, beta)
+    for m, r, eps, delta, beta in itertools.product(
+        (100, 1000), (10, 50, 100), (0.0, 0.5, 1.0, 3.0),
+        (1e-4, 1e-3, 1e-2), (0.01, 0.05, 0.2, 1.0))
+    if r <= m and m * delta <= r * beta]
+
+
+def worst_case_tails(cfg: PathologicalConfig):
+    """(Pr[W >= v], Pr[Bin(r, q) >= v], p-value) for v = 0..r.
+
+    Under the worst-case mechanism W is the mixture
+    beta * Bin(r, boosted accuracy) + (1 - beta) * Bin(r, q).
+    """
+    v = np.arange(cfg.r + 1)
+    plain = stats.binom.sf(v - 1, cfg.r, cfg.branch_accuracy(False))
+    tail = (cfg.beta * stats.binom.sf(v - 1, cfg.r, cfg.branch_accuracy(True))
+            + (1.0 - cfg.beta) * plain)
+    params = PrivacyParams(cfg.eps, cfg.delta)
+    p = np.array([p_value_audit(GuessSummary(cfg.m, cfg.r, 0, int(w)), params)
+                  for w in v])
+    return tail, plain, p
+
+
+def test_p_value_bounds_worst_case_tail():
+    worst_ratio = worst_spill = math.inf
+    for cfg in _WORST_CASES:
+        tail, plain, p = worst_case_tails(cfg)
+        assert np.all(tail <= p * (1.0 + 1e-12)), cfg
+        worst_ratio = min(worst_ratio, float((p / tail).min()))
+        # the delta term p - S(v) against what the rare branch adds to the
+        # tail, where it adds more than rounding and p is not capped at 1
+        added = (p < 1.0) & (tail - plain > 1e-9 * tail)
+        if added.any():
+            worst_spill = min(worst_spill, float(
+                ((p - plain)[added] / (tail - plain)[added]).min()))
+    # the bound is attained, to rounding, where it saturates (p = tail = 1)
+    assert worst_ratio == pytest.approx(1.0, rel=1e-12)
+    # the rare branch never adds more than half of the delta term (worst at
+    # m = 100, r = 10, eps = 0, delta = 1e-4, beta = 1, v = 1), so the tail
+    # check alone would pass a delta term cut in half; this figure would not
+    assert worst_spill == pytest.approx(2.0090165, rel=1e-6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), m=st.integers(1, 3000),
+       spill=st.one_of(st.floats(1.0, 30.0), st.floats(0.0, 1.0)),
+       eps=st.lists(st.floats(0.0, 8.0), min_size=2, max_size=100))
+def test_p_value_nondecreasing_in_eps(data, m, spill, eps):
+    # the bisection assumes it; each spillover candidate is increasing in q
+    # only for i > 2 m delta, so budgets 2 m delta in [1, 30] are drawn too
+    r = data.draw(st.integers(1, min(m, 1000)), label="r")
+    v = data.draw(st.integers(0, r), label="v")
+    delta = min(1.0, spill / (2 * m))
+    summary = GuessSummary(m=m, k_plus=r, k_minus=0, v=v)
+    p = [p_value_audit(summary, PrivacyParams(e, delta)) for e in sorted(eps)]
+    assert all(a <= b for a, b in zip(p, p[1:])), (m, r, v, delta)
