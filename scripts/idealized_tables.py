@@ -1,77 +1,33 @@
 #!/usr/bin/env python3
 """Regenerate the idealized-experiment tables as CSV files.
 
-Three tables:
-  pure_rr.csv        eps_lb vs number of guesses when the fraction correct
-                     is pinned at e^eps/(e^eps+1) for eps = 4
-  gaussian_sweep.csv eps_lb vs number of guesses for the +-1 + N(0, 4)
-                     score release, with the matching upper bound
-  delta_sweep.csv    eps_lb vs delta and confidence at 1500 guesses
+Each table is one run of a CLI experiment command on the paper's grid:
+  pure_rr.csv        experiment-pure: eps_lb vs number of guesses when the
+                     fraction correct is pinned at e^eps/(e^eps+1), eps = 4
+  gaussian_sweep.csv experiment-gaussian: eps_lb vs number of guesses for
+                     the +-1 + N(0, 4) score release, with the upper bound
+  delta_sweep.csv    experiment-gaussian: eps_lb vs delta and confidence at
+                     1500 guesses
 
 Usage: python scripts/idealized_tables.py [--out-dir results]
 """
 
 import argparse
 import csv
-import math
 import os
+import sys
 
-from dpaudit.estimator import eps_lower_bound, rr_accuracy
-from dpaudit.mechanisms import (expected_correct_gaussian, gaussian_dp_eps)
+from dpaudit import cli
 
-
-def doubling(lo, hi):
-    out, r = [], lo
-    while r <= hi:
-        out.append(r)
-        r *= 2
-    return out
+PURE_GUESSES = sorted([10 * 2 ** k for k in range(11)] + [10000])
+GAUSSIAN_GUESSES = sorted(set([2 ** k for k in range(1, 15)]
+                              + list(range(1400, 1621, 10))))
 
 
-def write_csv(path, fieldnames, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {path} ({len(rows)} rows)")
-
-
-def pure_table(eps=4.0, conf=0.95):
-    q = rr_accuracy(eps)
-    rows = []
-    for r in doubling(10, 10240) + [10000]:
-        v = math.floor(r * q)
-        rows.append({"r": r, "v": v,
-                     "eps_lb": f"{eps_lower_bound(r, r, v, 0.0, 1 - conf):.6g}"})
-    return sorted(rows, key=lambda row: row["r"])
-
-
-def gaussian_table(sigma=2.0, m=100_000, delta=1e-5, conf=0.95):
-    upper = gaussian_dp_eps(2.0 ** 2 / (2 * sigma ** 2), delta)
-    grid = sorted(set(doubling(2, 16384) + list(range(1400, 1621, 10))))
-    rows = []
-    for r in grid:
-        _, v = expected_correct_gaussian(m, r, sigma)
-        lb = eps_lower_bound(m, r, v, delta, 1 - conf)
-        rows.append({"r": r, "v": v, "eps_lb": f"{lb:.6g}",
-                     "eps_upper": f"{upper:.6g}"})
-    best = max(rows, key=lambda row: float(row["eps_lb"]))
-    print(f"  best lower bound {best['eps_lb']} at r={best['r']} "
-          f"(v={best['v']}); upper bound {best['eps_upper']}")
-    return rows
-
-
-def delta_table(sigma=2.0, m=100_000, r=1500):
-    _, v = expected_correct_gaussian(m, r, sigma)
-    rows = []
-    for delta in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
-        upper = gaussian_dp_eps(2.0 ** 2 / (2 * sigma ** 2), delta)
-        for conf in (0.75, 0.95, 0.99):
-            lb = eps_lower_bound(m, r, v, delta, 1 - conf)
-            rows.append({"delta": f"{delta:g}", "confidence": conf,
-                         "v": v, "eps_lb": f"{lb:.6g}",
-                         "eps_upper": f"{upper:.6g}"})
-    return rows
+def run(*argv):
+    code = cli.main([str(arg) for arg in argv])
+    if code:
+        sys.exit(code)
 
 
 def main():
@@ -79,14 +35,26 @@ def main():
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()
     os.makedirs(args.out_dir, exist_ok=True)
+    # absolute paths, so that DPAUDIT_OUTDIR does not redirect the tables
+    pure, gaussian, delta = (os.path.abspath(os.path.join(args.out_dir, name))
+                             for name in ("pure_rr.csv", "gaussian_sweep.csv",
+                                          "delta_sweep.csv"))
+    gaussian_options = ("--sigma", 2.0, "--sensitivity", 2.0, "--m", 100_000)
 
-    write_csv(os.path.join(args.out_dir, "pure_rr.csv"),
-              ["r", "v", "eps_lb"], pure_table())
-    write_csv(os.path.join(args.out_dir, "gaussian_sweep.csv"),
-              ["r", "v", "eps_lb", "eps_upper"], gaussian_table())
-    write_csv(os.path.join(args.out_dir, "delta_sweep.csv"),
-              ["delta", "confidence", "v", "eps_lb", "eps_upper"],
-              delta_table())
+    run("experiment-pure", "--eps", 4.0, "--conf", 0.95,
+        "--guesses", ",".join(map(str, PURE_GUESSES)), "--out", pure)
+    run("experiment-gaussian", *gaussian_options,
+        "--r-grid", ",".join(map(str, GAUSSIAN_GUESSES)),
+        "--delta-grid", "1e-5", "--conf-grid", 0.95, "--out", gaussian)
+    with open(gaussian, newline="", encoding="utf-8") as fh:
+        best = max(csv.DictReader(fh), key=lambda row: float(row["eps_lb"]))
+    print(f"  best lower bound {best['eps_lb']} at r={best['r']} "
+          f"(v={best['v']}); upper bound {best['eps_upper']}")
+    run("experiment-gaussian", *gaussian_options, "--r-grid", 1500,
+        "--delta-grid", "1e-7,1e-6,1e-5,1e-4,1e-3,1e-2",
+        "--conf-grid", "0.75,0.95,0.99", "--out", delta)
+    for path in (pure, gaussian, delta):
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":

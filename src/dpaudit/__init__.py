@@ -28,7 +28,6 @@ from .estimator import (
 from .mechanisms import (
     GaussianReportConfig,
     PathologicalConfig,
-    RRConfig,
     RdpParams,
     ZcdpParams,
     dpsgd_rdp_eps,

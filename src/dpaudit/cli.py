@@ -108,35 +108,29 @@ def _doubling_grid(lo: int, hi: int) -> list[int]:
     return grid
 
 
-def cmd_pvalue(args) -> int:
-    t0 = time.perf_counter()
+# A JSON-lines command returns (row file, row fields): its outputs,
+# confidence and seed, and its inputs when they are not simply its parsed
+# arguments.  main() times the command and adds command, inputs and runtime.
+_Record = tuple[str | None, dict[str, Any]]
+
+
+def cmd_pvalue(args) -> _Record:
     summary = GuessSummary(m=args.m, k_plus=args.r, k_minus=0, v=args.v)
     p = p_value_audit(summary, PrivacyParams(args.eps, args.delta))
     print(f"{p:.6g}")
-    _append_row(
-        args.out, command="pvalue",
-        inputs={"m": args.m, "r": args.r, "v": args.v, "eps": args.eps,
-                "delta": args.delta},
-        outputs={"p_value": p}, confidence=None,
-        runtime_ms=(time.perf_counter() - t0) * 1e3, seed=None)
-    return 0
+    return args.out, {"outputs": {"p_value": p}, "confidence": None,
+                      "seed": None}
 
 
-def cmd_epslb(args) -> int:
-    t0 = time.perf_counter()
+def cmd_epslb(args) -> _Record:
     lb = eps_lower_bound(args.m, args.r, args.v, args.delta,
                          1.0 - args.conf)
     print(f"{lb:.6g}")
-    _append_row(
-        args.out, command="epslb",
-        inputs={"m": args.m, "r": args.r, "v": args.v, "delta": args.delta,
-                "conf": args.conf},
-        outputs={"eps_lb": lb}, confidence=args.conf,
-        runtime_ms=(time.perf_counter() - t0) * 1e3, seed=None)
-    return 0
+    return args.out, {"outputs": {"eps_lb": lb}, "confidence": args.conf,
+                      "seed": None}
 
 
-def cmd_experiment_pure(args) -> int:
+def cmd_experiment_pure(args) -> None:
     guesses = _num_list(args.guesses, int)
     q = rr_accuracy(args.eps)
     rows = []
@@ -145,10 +139,9 @@ def cmd_experiment_pure(args) -> int:
         lb = eps_lower_bound(r, r, v, 0.0, 1.0 - args.conf)
         rows.append({"r": r, "v": v, "eps_lb": f"{lb:.6g}"})
     _emit_csv(["r", "v", "eps_lb"], rows, args.out)
-    return 0
 
 
-def cmd_experiment_gaussian(args) -> int:
+def cmd_experiment_gaussian(args) -> None:
     guesses = _num_list(args.r_grid, int)
     deltas = _num_list(args.delta_grid)
     confs = _num_list(args.conf_grid)
@@ -167,15 +160,13 @@ def cmd_experiment_gaussian(args) -> int:
                 })
     _emit_csv(["r", "v", "delta", "confidence", "eps_lb", "eps_upper"],
               rows, args.out)
-    return 0
 
 
-def cmd_pathological_check(args) -> int:
+def cmd_pathological_check(args) -> _Record:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     cfg = mechanisms.PathologicalConfig(m=args.m, r=args.r, eps=args.eps,
                                         delta=args.delta, beta=args.beta)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     w_samples = np.empty(args.trials, dtype=int)
     for k in range(args.trials):
@@ -198,15 +189,9 @@ def cmd_pathological_check(args) -> int:
         _emit_csv(["v", "mc_tail", "bound", "z"], rows, args.out)
     print(f"trials={args.trials} max_z={worst_z:.3f} "
           f"violations_beyond_3sigma={violations}")
-    _append_row(
-        args.report, command="pathological-check",
-        inputs={"m": args.m, "r": args.r, "eps": args.eps,
-                "delta": args.delta, "beta": args.beta,
-                "trials": args.trials},
-        outputs={"max_z": worst_z, "violations": violations},
-        confidence=None, runtime_ms=(time.perf_counter() - t0) * 1e3,
-        seed=args.seed)
-    return 0
+    return args.report, {
+        "outputs": {"max_z": worst_z, "violations": violations},
+        "confidence": None, "seed": args.seed}
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -339,19 +324,13 @@ def run_dpsgd_audit(config: dict[str, Any]) -> pipeline.AuditReport:
         })
 
 
-def cmd_dpsgd_audit(args) -> int:
+def cmd_dpsgd_audit(args) -> _Record:
     config = parse_dpsgd_config(args.config)
-    t0 = time.perf_counter()
-    report = run_dpsgd_audit(config)
-    runtime_ms = (time.perf_counter() - t0) * 1e3
-    payload = report.to_dict()
+    payload = run_dpsgd_audit(config).to_dict()
     print(json.dumps(payload, sort_keys=True))
-    _append_row(
-        config.get("out") or args.out, command="dpsgd-audit",
-        inputs=dict(config), outputs=payload,
-        confidence=config["confidence"][0], runtime_ms=runtime_ms,
-        seed=config["seed"])
-    return 0
+    return config.get("out") or args.out, {
+        "inputs": dict(config), "outputs": payload,
+        "confidence": config["confidence"][0], "seed": config["seed"]}
 
 
 # the options that shape each mechanism's output, echoed in its result row
@@ -359,8 +338,7 @@ _SIMULATE_OPTIONS = {"rr": ("eps",), "gaussian": ("sigma",),
                      "pathological": ("r", "eps", "mech_delta", "beta")}
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_simulate(args) -> _Record:
     for option, budget in (("--k-plus", args.k_plus),
                            ("--k-minus", args.k_minus)):
         if budget < 0:
@@ -380,16 +358,13 @@ def cmd_simulate(args) -> int:
                                 args.delta, [args.conf], args.seed)
     payload = report.to_dict()
     print(json.dumps(payload, sort_keys=True))
-    _append_row(
-        args.out, command="simulate",
-        inputs={"mechanism": args.mechanism, "m": args.m,
-                "k_plus": args.k_plus, "k_minus": args.k_minus,
-                "delta": args.delta, "conf": args.conf,
-                **{name: getattr(args, name)
-                   for name in _SIMULATE_OPTIONS[args.mechanism]}},
-        outputs=payload, confidence=args.conf,
-        runtime_ms=(time.perf_counter() - t0) * 1e3, seed=args.seed)
-    return 0
+    return args.out, {
+        "inputs": {"mechanism": args.mechanism, "m": args.m,
+                   "k_plus": args.k_plus, "k_minus": args.k_minus,
+                   "delta": args.delta, "conf": args.conf,
+                   **{name: getattr(args, name)
+                      for name in _SIMULATE_OPTIONS[args.mechanism]}},
+        "outputs": payload, "confidence": args.conf, "seed": args.seed}
 
 
 def build_parser() -> _Parser:
@@ -474,6 +449,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+# the parsed arguments that are not a command's inputs: the dispatch, the
+# files written, and the seed, which the row records in its own field
+_NOT_INPUTS = ("command", "func", "out", "report", "seed")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -482,8 +462,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return 1
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        record = args.func(args)
+        if record is not None:
+            out, fields = record
+            fields.setdefault("inputs", {
+                key: value for key, value in vars(args).items()
+                if key not in _NOT_INPUTS})
+            _append_row(out, command=args.command,
+                        runtime_ms=(time.perf_counter() - t0) * 1e3, **fields)
+        return 0
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

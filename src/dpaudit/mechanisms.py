@@ -24,17 +24,6 @@ from .estimator import rr_accuracy
 
 
 @dataclasses.dataclass(frozen=True)
-class RRConfig:
-    """Randomized response flipping each guess with probability 1/(e^eps+1)."""
-
-    eps: float
-
-    def __post_init__(self):
-        if not self.eps >= 0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
-
-
-@dataclasses.dataclass(frozen=True)
 class GaussianReportConfig:
     """Release each selection bit plus N(0, sigma^2) noise.
 
@@ -178,8 +167,10 @@ def gaussian_dp_delta(rho: float, eps: float) -> float:
     delta(eps) = Phibar((eps - rho) / sqrt(2 rho))
                  - e^eps * Phibar((eps + rho) / sqrt(2 rho)),
     where Phibar(x) = ndtr(-x) is the standard normal survival function.
-    The e^eps factor is applied in log space to avoid overflow; the result
-    is clamped to [0, 1] and strictly decreasing in eps.
+    The e^eps factor is applied in log space to avoid overflow; its term is
+    at most 1, so the exponent is clamped at 0 against cancellation at
+    large rho.  The result is clamped to [0, 1] and strictly decreasing in
+    eps.
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
@@ -187,7 +178,7 @@ def gaussian_dp_delta(rho: float, eps: float) -> float:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     scale = math.sqrt(2.0 * rho)
     hi = special.ndtr(-((eps - rho) / scale))
-    lo = math.exp(eps + special.log_ndtr(-((eps + rho) / scale)))
+    lo = math.exp(min(0.0, eps + special.log_ndtr(-((eps + rho) / scale))))
     return min(1.0, max(0.0, hi - lo))
 
 

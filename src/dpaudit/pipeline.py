@@ -18,7 +18,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import mechanisms
-from .estimator import GuessSummary, PrivacyParams, eps_lower_bound, p_value_audit
+from .estimator import (GuessSummary, PrivacyParams, eps_lower_bound,
+                        p_value_audit, rr_accuracy)
 
 DEFAULT_EPS_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -121,7 +122,7 @@ class MechanismAdapter:
 
 
 def adapter_randomized_response(eps: float) -> MechanismAdapter:
-    mechanisms.RRConfig(eps)  # rejects a negative or nan eps up front
+    rr_accuracy(eps)  # rejects a negative or nan eps up front
     return MechanismAdapter(
         name="randomized-response",
         run=lambda s, rng: mechanisms.randomized_response(s, eps, rng),

@@ -8,7 +8,7 @@ import math
 import warnings
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from dpaudit import cli
@@ -185,6 +185,14 @@ def test_experiment_gaussian_delta_sweep_monotone(tmp_path, capsys):
         assert all(a >= b - 1e-9 for a, b in zip(row, row[1:]))
 
 
+def test_experiment_gaussian_huge_rho_upper_bound(capsys):
+    code, out, err = run_cli(capsys, "experiment-gaussian", "--sensitivity",
+                             "1e154", "--sigma", "1", "--r-grid", "2")
+    assert (code, err) == (0, "")
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert math.isfinite(float(row["eps_upper"]))
+
+
 def test_pathological_check_no_violations(tmp_path, capsys):
     out_file = tmp_path / "path.csv"
     code, out, _ = run_cli(capsys, "pathological-check", "--m", "200",
@@ -346,6 +354,19 @@ def test_dpsgd_audit_small_noise_subsampled_accounts(tmp_path, capsys):
     accounting = json.loads(out)["config"]["accounting"]
     assert accounting["eps_check"] == pytest.approx(
         20 * (1 / 0.03 ** 2 + 2 * math.log(0.5)), rel=1e-12)
+
+
+def test_dpsgd_audit_tiny_noise_accounts(tmp_path, capsys):
+    # the noise rule accepts sigma = 1e-10 (rho = 5e20); accounting must not
+    # overflow on it
+    cfg_file = tmp_path / "audit.cfg"
+    write_config(cfg_file, m=20, dim=20, iterations=10, noise_multiplier=1e-10,
+                 learning_rate=0.1)
+    code, out, err = run_cli(capsys, "dpsgd-audit", "--config", str(cfg_file))
+    assert (code, err) == (0, "")
+    config = json.loads(out)["config"]
+    assert config["accounting"]["rho"] == pytest.approx(5e20, rel=1e-12)
+    assert math.isfinite(config["theoretical_eps_upper"])
 
 
 def test_dpsgd_audit_unknown_key_named(tmp_path, capsys):
@@ -598,12 +619,31 @@ _RERUN_ARGV = {
 }
 
 
+def rerun_row(argv, out_option, folder):
+    """(row, rerun row), runtime masked: the row argv writes with out_option,
+    and the row of an argument vector rebuilt from its inputs and seed alone;
+    None when argv does not exit 0."""
+    first, second = folder / "first.jsonl", folder / "second.jsonl"
+    if cli.main([*argv, out_option, str(first)]) != 0:
+        return None
+    row = cli.ResultRow.from_json(first.read_text())
+    rerun = [row.command, out_option, str(second)]
+    if row.seed is not None:
+        rerun += ["--seed", str(row.seed)]
+    for name, value in row.inputs.items():
+        rerun += ["--" + name.replace("_", "-"), str(value)]
+    assert cli.main(rerun) == 0
+    again = cli.ResultRow.from_json(second.read_text())
+    row.runtime_ms = again.runtime_ms = None
+    return row, again
+
+
 @pytest.mark.parametrize("case", [*_RERUN_ARGV, "dpsgd-audit"])
 def test_simulate_row_reruns_from_its_inputs(tmp_path, capsys, case):
     # the row's inputs and seed alone must rebuild an argument vector (or a
     # config file) that writes the same row
-    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
     if case == "dpsgd-audit":
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
         write_config(tmp_path / "first.cfg", mode="blackbox", loss="linear",
                      dim=12, data_examples=15, label_noise=0.3,
                      sample_prob=0.5, confidence="0.9,0.8", seed=5)
@@ -616,18 +656,11 @@ def test_simulate_row_reruns_from_its_inputs(tmp_path, capsys, case):
             "".join(f"{key} = {value}\n" for key, value in config.items()))
         rerun = ["dpsgd-audit", "--config", str(tmp_path / "second.cfg"),
                  "--out", str(second)]
+        assert cli.main(rerun) == 0
+        again = cli.ResultRow.from_json(second.read_text())
+        row.runtime_ms = again.runtime_ms = None
     else:
-        argv, out_option = _RERUN_ARGV[case]
-        assert cli.main([*argv, out_option, str(first)]) == 0
-        row = cli.ResultRow.from_json(first.read_text())
-        rerun = [row.command, out_option, str(second)]
-        if row.seed is not None:
-            rerun += ["--seed", str(row.seed)]
-        for name, value in row.inputs.items():
-            rerun += ["--" + name.replace("_", "-"), str(value)]
-    assert cli.main(rerun) == 0
-    again = cli.ResultRow.from_json(second.read_text())
-    row.runtime_ms = again.runtime_ms = None
+        row, again = rerun_row(*_RERUN_ARGV[case], tmp_path)
     assert again.to_json() == row.to_json()
 
 
@@ -662,12 +695,9 @@ _ARGV_OPTIONS = {
 _LIST_OPTIONS = ("--guesses", "--r-grid", "--delta-grid", "--conf-grid")
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), command=st.sampled_from(sorted(_ARGV_OPTIONS)))
-def test_cli_argv_fuzz(data, command):
-    # typical values except, usually, for one option at a boundary or invalid
-    # value: exit 0 with a silent stderr and no nan in the result, or the
-    # CLI's own usage (1) or runtime (2) error, and no numpy warning
+def draw_argv(data, command):
+    """Typical values except, usually, for one option at a boundary or
+    invalid value."""
     options = _ARGV_OPTIONS[command]
     odd = data.draw(st.sampled_from([None] + sorted(options)), label="odd")
     argv = [command]
@@ -677,6 +707,15 @@ def test_cli_argv_fuzz(data, command):
         else:
             pool = typical
         argv += [option, data.draw(st.sampled_from(pool), label=option)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(_ARGV_OPTIONS)))
+def test_cli_argv_fuzz(data, command):
+    # exit 0 with a silent stderr and no nan in the result, or the CLI's own
+    # usage (1) or runtime (2) error, and no numpy warning
+    argv = draw_argv(data, command)
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -692,3 +731,23 @@ def test_cli_argv_fuzz(data, command):
     else:
         assert out == ""
         assert err.startswith("usage error:" if code == 1 else "error:")
+
+
+# the JSON-lines commands among the fuzzed ones, and their row file option
+_ROW_OPTION = {"pvalue": "--out", "epslb": "--out",
+               "pathological-check": "--report", "simulate": "--out"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(_ROW_OPTION)))
+def test_row_reruns_from_its_inputs_fuzz(tmp_path_factory, data, command):
+    # every exit-0 argument vector of the fuzz writes a row whose inputs and
+    # seed alone rebuild an argument vector that writes the same row
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rows = rerun_row(draw_argv(data, command), _ROW_OPTION[command],
+                         tmp_path_factory.mktemp("rerun"))
+    event("exit 0" if rows else "exit 1 or 2")
+    assume(rows is not None)
+    row, again = rows
+    assert again.to_json() == row.to_json()

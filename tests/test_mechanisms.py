@@ -10,7 +10,6 @@ from dpaudit.estimator import rr_accuracy
 from dpaudit.mechanisms import (
     GaussianReportConfig,
     PathologicalConfig,
-    RRConfig,
     RdpParams,
     ZcdpParams,
     dpsgd_rdp_eps,
@@ -22,6 +21,7 @@ from dpaudit.mechanisms import (
     randomized_response,
     rdp_membership_accuracy,
 )
+from dpaudit.pipeline import adapter_randomized_response
 
 LN3 = math.log(3.0)
 
@@ -82,8 +82,9 @@ def test_rr_equals_where_form_on_same_stream():
 
 
 def test_rr_config_validates():
-    with pytest.raises(ValueError):
-        RRConfig(eps=-0.5)
+    for eps in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            adapter_randomized_response(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +204,14 @@ def test_gaussian_dp_delta_validates_and_clamps():
 def test_gaussian_dp_eps_known_points():
     assert gaussian_dp_eps(0.5, 1e-5) == pytest.approx(4.38, abs=0.01)
     assert gaussian_dp_eps(0.5, 0.0039334) == pytest.approx(2.675, abs=1e-3)
+
+
+def test_gaussian_dp_eps_finite_at_huge_rho():
+    # the e^eps term's exponent cancels to rounding at large rho; it must not
+    # overflow (rho >= 1e20 raised OverflowError)
+    for rho in (1e20, 1e300, 5e307):
+        eps = gaussian_dp_eps(rho, 1e-5)
+        assert math.isfinite(eps) and eps == pytest.approx(rho, rel=1e-6)
 
 
 def test_gaussian_dp_eps_round_trip():

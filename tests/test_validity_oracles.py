@@ -6,7 +6,8 @@ e^eps / (e^eps + 1).  eps_lower_bound is nondecreasing in the count v, so
 the bound overshoots eps exactly when v >= v*, the smallest v whose bound
 exceeds eps, and the overshoot rate is Pr[Binomial(r, q(eps)) >= v*]:
 computed, not sampled.  The worst-case mechanism's count has a known law
-too, so its tail is checked against the p-value at every threshold.
+too, so its tail is checked against the p-value at every threshold, and at
+delta > 0 the overshoot rate is computed under that law.
 """
 
 import itertools
@@ -23,8 +24,9 @@ from dpaudit.estimator import (GuessSummary, PrivacyParams, eps_lower_bound,
 from dpaudit.mechanisms import PathologicalConfig
 
 
-def overshoot_threshold(r: int, eps: float, beta: float, guess: int) -> int:
-    """Smallest v in 0..r+1 with eps_lower_bound(r, r, v, 0, beta) > eps.
+def overshoot_threshold(m: int, r: int, delta: float, eps: float,
+                        beta: float, guess: int) -> int:
+    """Smallest v in 0..r+1 with eps_lower_bound(m, r, v, delta, beta) > eps.
 
     r + 1 stands for "no count overshoots".  The bracket grows outward from
     guess by doubling steps, then bisection over v closes it; only
@@ -37,7 +39,7 @@ def overshoot_threshold(r: int, eps: float, beta: float, guess: int) -> int:
             return False
         if v > r:
             return True
-        return eps_lower_bound(r, r, v, 0.0, beta) > eps
+        return eps_lower_bound(m, r, v, delta, beta) > eps
 
     lo, step = min(max(guess, 0), r + 1) - 1, 1  # want not over(lo)
     while over(lo):
@@ -59,7 +61,7 @@ def overshoot_rate(r: int, eps: float, beta: float) -> tuple[int, float]:
     q = rr_accuracy(eps)
     # the count at which the bound's own test first rejects eps
     guess = int(stats.binom.isf(beta, r, q)) + 1
-    v_star = overshoot_threshold(r, eps, beta, guess)
+    v_star = overshoot_threshold(r, r, 0.0, eps, beta, guess)
     return v_star, float(stats.binom.sf(v_star - 1, r, q))
 
 
@@ -76,6 +78,24 @@ def test_eps_lower_bound_exact_coverage(r):
         for beta in (0.01, 0.05, 0.2):
             v_star, rate = overshoot_rate(r, eps, beta)
             assert rate <= beta, (eps, beta, v_star, rate)
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-3])
+def test_eps_lower_bound_exact_coverage_worst_case(delta):
+    # at delta > 0 W follows the worst-case mechanism's law: the mixture
+    # beta * Bin(r, boosted accuracy) + (1 - beta) * Bin(r, q), with the
+    # rare event's probability equal to the bound's failure probability
+    for m, r, eps, beta in itertools.product(
+            (100, 1000), (10, 100, 1000), (0.0, 0.5, 1.0, 2.0), (0.05, 0.2)):
+        if r > m or m * delta > r * beta:
+            continue
+        cfg = PathologicalConfig(m, r, eps, delta, beta)
+        plain, boosted = cfg.branch_accuracy(False), cfg.branch_accuracy(True)
+        guess = int(stats.binom.isf(beta, r, plain)) + 1
+        v_star = overshoot_threshold(m, r, delta, eps, beta, guess)
+        rate = (beta * stats.binom.sf(v_star - 1, r, boosted)
+                + (1.0 - beta) * stats.binom.sf(v_star - 1, r, plain))
+        assert rate <= beta, (m, r, eps, beta, v_star, rate)
 
 
 # criterion 5's set-up first, then a grid of worst-case configurations
