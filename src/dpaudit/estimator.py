@@ -112,6 +112,28 @@ def binomial_sf(n: int, q: float, v: int) -> float:
     return float(special.betainc(v, n - v + 1, q))
 
 
+def _survival_fill(n: int, w_max: int):
+    """The function q -> S with S[w] = Pr[Binomial(n, q) >= w], w = 0..w_max.
+
+    The index arrays and the table are built once (w_max <= n); each call
+    refills the same table in place with the incomplete-beta tails, clamped
+    to [0, 1], and S[0] = 1, and returns it.
+    """
+    a = np.arange(1.0, w_max + 1)
+    b = n - a + 1
+    table = np.empty(w_max + 1)
+    table[0] = 1.0
+    tail = table[1:]
+
+    def fill(q: float) -> np.ndarray:
+        special.betainc(a, b, q, out=tail)
+        np.maximum(tail, 0.0, out=tail)
+        np.minimum(tail, 1.0, out=tail)
+        return table
+
+    return fill
+
+
 @dataclasses.dataclass(frozen=True)
 class DominatingDistribution:
     """An integer-supported distribution that dominates the correct-guess count.
@@ -127,7 +149,6 @@ class DominatingDistribution:
         table = np.asarray(self.survival_table, dtype=float)
         if table.shape != (self.support_max + 1,):
             raise ValueError("survival table must cover w = 0..support_max")
-        # ndarray methods and ufuncs: this runs once per p-value evaluation
         if (table < -1e-12).any() or (table > 1 + 1e-12).any():
             raise ValueError("survival values must lie in [0, 1]")
         if (table[1:] - table[:-1] > 1e-12).any():
@@ -158,9 +179,7 @@ class DominatingDistribution:
             raise ValueError(f"n must be nonnegative, got {n}")
         if not 0 <= q <= 1:
             raise ValueError(f"q must be in [0, 1], got {q}")
-        w = np.arange(1, n + 1)
-        table = np.concatenate(([1.0], special.betainc(w, n - w + 1, q)))
-        return cls(support_max=n, survival_table=table)
+        return cls(support_max=n, survival_table=_survival_fill(n, n)(q))
 
     @classmethod
     def from_pmf(cls, pmf: np.ndarray) -> "DominatingDistribution":
@@ -197,77 +216,48 @@ def dual_alpha(dist: DominatingDistribution, v: int, m: int) -> float:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    beta = dist.survival(v)
-    # For i >= v the numerator is constant (survival(v - i) = 1), so the
-    # candidate (1 - beta) / i is maximized at i = v; capping the scan at
-    # min(m, max(v, 1)) is exact.  Candidates with v - i above the support
-    # are 0 and are skipped.
-    chunks = _scan_chunks(max(1, v - dist.support_max), min(m, max(v, 1)))
-    return _spill_max(dist.survival_table, v, beta, chunks)
+    return _spill_max(dist.survival_table, v, m, dist.survival(v))
 
 
-def _scan_chunks(first: int, last: int):
-    """The scan's slices of i = first..last, growing by doubling from 64.
+def _spill_max(table: np.ndarray, v: int, m: int, beta: float) -> float:
+    """max(0, max over i = 1..m of (S(v - i) - beta) / i), beta = S(v).
 
-    Yields (i, np.arange(i, j + 1)) for each slice i..j.
+    S(w) = table[w], extended by 1 below 0 and 0 above the table, so only
+    i = max(1, v - len + 1)..min(m, max(v, 1)) is scanned: past i = v the
+    candidate (1 - beta) / i only falls.  The scan runs in slices doubling
+    from 64 and stops at the first slice where fl((1 - beta) / i), a bound
+    on every later candidate, is no more than the best so far: the maximum
+    is bit for bit the full one.
     """
-    i, width = first, 64
-    while i <= last:
-        j = min(last, i + width - 1)
-        yield i, np.arange(i, j + 1)
-        i, width = j + 1, 2 * width
-
-
-def _spill_max(table: np.ndarray, v: int, beta: float, chunks) -> float:
-    """max(0, max over the chunks' i of (table[v - i] - beta) / i).
-
-    Since survival <= 1 and rounding is monotone, every candidate from i on
-    is at most fl((1 - beta) / i), so the scan stops at the first slice
-    where that is no more than the best so far: the maximum is the same,
-    bit for bit, as over every i.
-    """
+    i, last, width = max(1, v - table.size + 1), min(m, max(v, 1)), 64
     best = 0.0
-    for i, divisors in chunks:
-        if (1.0 - beta) / i <= best:
-            break
-        tails = table[v - i - divisors.size + 1:v - i + 1][::-1]
-        best = max(best, float(((tails - beta) / divisors).max()))
+    while i <= last and (1.0 - beta) / i > best:
+        j = min(last, i + width - 1)
+        tails = table[v - j:v - i + 1][::-1]
+        best = max(best, float(((tails - beta) / np.arange(i, j + 1)).max()))
+        i, width = j + 1, 2 * width
     return best
 
 
-def _tail_p_value(dist: DominatingDistribution, v: int, m: int,
-                  delta: float) -> float:
-    return min(1.0, dist.survival(v) + dual_alpha(dist, v, m) * 2.0 * m * delta)
+def _tail_p_value(table: np.ndarray, v: int, m: int, delta: float) -> float:
+    """min(1, beta + alpha * 2 m delta), beta = table[v], alpha its spillover."""
+    beta = float(table[v])
+    return min(1.0, beta + _spill_max(table, v, m, beta) * 2.0 * m * delta)
 
 
 def _p_value_at(m: int, r: int, v: int, delta: float):
     """The function eps -> p-value of v correct out of r guesses on m examples.
 
-    The eps-independent set-up (index arrays, the table buffer, the scan's
-    slices) is done here once.  Each call fills S(w) = Pr[Bin(r, q) >= w]
-    for w = 1..v only, the entries the p-value reads, with the same values
-    and [0, 1] clamp as :meth:`DominatingDistribution.from_binomial`, so it
-    equals ``_tail_p_value(DominatingDistribution.from_binomial(r, q), v, m,
-    delta)`` bit for bit, with q = rr_accuracy(eps).
+    The eps-independent set-up (the survival fill's index arrays and table)
+    is done here once.  Each call fills S(w) = Pr[Bin(r, q) >= w] only for
+    w <= v, the entries the p-value reads, so it equals
+    ``_tail_p_value(DominatingDistribution.from_binomial(r, q).survival_table,
+    v, m, delta)`` bit for bit, with q = rr_accuracy(eps).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    a = np.arange(1.0, v + 1)
-    b = r - a + 1
-    table = np.empty(v + 1)  # table[w] = S(w)
-    table[0] = 1.0
-    tail = table[1:]
-    chunks = tuple(_scan_chunks(1, min(m, max(v, 1))))
-
-    def p_value(eps: float) -> float:
-        special.betainc(a, b, rr_accuracy(eps), out=tail)
-        np.maximum(tail, 0.0, out=tail)
-        np.minimum(tail, 1.0, out=tail)
-        beta = float(table[v])
-        alpha = _spill_max(table, v, beta, chunks)
-        return min(1.0, beta + alpha * 2.0 * m * delta)
-
-    return p_value
+    fill = _survival_fill(r, v)
+    return lambda eps: _tail_p_value(fill(rr_accuracy(eps)), v, m, delta)
 
 
 def p_value_audit(summary: GuessSummary, params: PrivacyParams) -> float:
@@ -362,11 +352,10 @@ def p_value_general_p(m: int, k_plus: int, k_minus: int, v: int,
         raise ValueError(f"v must be in [0, {k_plus + k_minus}], got {v}")
     eps = params.eps
     pmf_plus, pmf_minus = (
-        -np.diff(DominatingDistribution.from_binomial(n, q).survival_table,
-                 append=0.0)
+        -np.diff(_survival_fill(n, n)(q), append=0.0)
         for n, q in ((k_plus, gp.q_plus(eps)), (k_minus, gp.q_minus(eps))))
     dist = DominatingDistribution.from_pmf(np.convolve(pmf_plus, pmf_minus))
-    return _tail_p_value(dist, v, m, params.delta)
+    return _tail_p_value(dist.survival_table, v, m, params.delta)
 
 
 def hoeffding_p_value(m: int, r1: float, r2: float, v: float,
@@ -381,7 +370,9 @@ def hoeffding_p_value(m: int, r1: float, r2: float, v: float,
 
     Unlike the exact binomial routines, v may be non-integer here.
     """
-    if r1 <= 0 or r2 <= 0:
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if not (r1 > 0 and r2 > 0):
         raise ValueError(f"r1 and r2 must be positive, got {r1}, {r2}")
     q = rr_accuracy(params.eps)
     mean = q * r1
@@ -414,13 +405,15 @@ def adaptive_bound(m: int, r_observed: int, params: PrivacyParams,
     Returns:
       (threshold, p) where threshold = w + tau and p is clamped to 1.
     """
+    if not 0 <= r_observed <= m:
+        raise ValueError(
+            f"need 0 <= r_observed <= m, got r_observed={r_observed} m={m}")
     if not 0 <= gamma <= 1:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    q = rr_accuracy(params.eps)
-    dist = DominatingDistribution.from_binomial(r_observed, q)
-    below = np.flatnonzero(dist.survival_table <= gamma)
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    table = _survival_fill(r_observed, r_observed)(rr_accuracy(params.eps))
+    below = np.flatnonzero(table <= gamma)
     g = int(below[0]) if below.size else r_observed + 1
     p = min(1.0, gamma + 2.0 * m * params.delta / tau)
     return float(g) + tau, p
@@ -433,21 +426,27 @@ def generalization_bound(n: int, params: PrivacyParams,
     Three-term bound: S1 + 2 exp(-n eta^2 / 2) + max_i (2 n delta / i)
     (S2(i) - S1), where S1 is the Binomial(n, e^eps/(e^eps+1)) survival at
     (1 + gamma - 1.5 eta) n / 2 and S2(i) the survival at the threshold
-    minus i.  Requires gamma >= 1.5 eta >= 0.
+    minus i.  Requires n >= 1 and finite gamma >= 1.5 eta >= 0.
     """
-    if not gamma >= 1.5 * eta >= 0:
+    if not math.inf > gamma >= 1.5 * eta >= 0:
         raise ValueError(
-            f"need gamma >= 1.5 * eta >= 0, got gamma={gamma} eta={eta}")
-    q = rr_accuracy(params.eps)
-    dist = DominatingDistribution.from_binomial(n, q)
-    return _generalization_bound_from_dist(dist, n, params.delta, gamma, eta)
+            f"need finite gamma >= 1.5 * eta >= 0, got gamma={gamma} eta={eta}")
+    return _generalization_bound_from_table(
+        _binomial_table(n, params.eps), n, params.delta, gamma, eta)
 
 
-def _generalization_bound_from_dist(dist, n, delta, gamma, eta):
+def _binomial_table(n: int, eps: float) -> np.ndarray:
+    """The Binomial(n, rr_accuracy(eps)) survival over 0..n, n >= 1."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return _survival_fill(n, n)(rr_accuracy(eps))
+
+
+def _generalization_bound_from_table(table, n, delta, gamma, eta):
     thr = math.ceil((1.0 + gamma - 1.5 * eta) * n / 2.0)
-    s1 = dist.survival(thr)
+    s1 = float(table[thr]) if thr <= n else 0.0
     hoeffding = 2.0 * math.exp(-n * eta * eta / 2.0)
-    spill = 2.0 * n * delta * dual_alpha(dist, thr, n)
+    spill = 2.0 * n * delta * _spill_max(table, thr, n, s1)
     return min(1.0, s1 + hoeffding + spill)
 
 
@@ -459,33 +458,33 @@ def prior_generalization_bound(alpha_acc: float, beta_acc: float,
     Returns (error, failure) = (alpha_acc + e^eps - 1 + c + 2 d,
     beta_acc / c + delta / d) for free parameters c, d > 0.
     """
-    if c <= 0 or d <= 0:
+    if not (c > 0 and d > 0):
         raise ValueError(f"c and d must be positive, got {c}, {d}")
     error = alpha_acc + math.exp(params.eps) - 1.0 + c + 2.0 * d
     failure = beta_acc / c + params.delta / d
     return error, failure
 
 
+# Points per axis of the width optimizers' log grids.
+_GRID_POINTS = 200
+
+
 def optimize_generalization_width(
         n: int, params: PrivacyParams, beta_acc: float,
-        target_failure: float, grid_points: int = 200,
-        gamma_range: tuple[float, float] = (1e-2, 1.0),
-        eta_range: tuple[float, float] = (1e-2, 1.0),
-) -> tuple[float, float, float]:
+        target_failure: float) -> tuple[float, float, float]:
     """Smallest width gamma with beta_acc + generalization_bound <= target.
 
-    Standardized search: a grid_points x grid_points log grid over
-    (gamma, eta).  Returns (gamma, eta, achieved_failure).
+    Standardized search: a _GRID_POINTS x _GRID_POINTS log grid over
+    (gamma, eta), each from 1e-2 to 1.  Returns (gamma, eta,
+    achieved_failure).
     """
-    q = rr_accuracy(params.eps)
-    dist = DominatingDistribution.from_binomial(n, q)
-    gammas = np.geomspace(*gamma_range, grid_points)
-    etas = np.geomspace(*eta_range, grid_points)
-    for g in gammas:
+    table = _binomial_table(n, params.eps)
+    grid = np.geomspace(1e-2, 1.0, _GRID_POINTS)
+    for g in grid:
         best = None
-        for e in etas[etas <= g / 1.5]:
-            fail = beta_acc + _generalization_bound_from_dist(
-                dist, n, params.delta, g, e)
+        for e in grid[grid <= g / 1.5]:
+            fail = beta_acc + _generalization_bound_from_table(
+                table, n, params.delta, g, e)
             if fail <= target_failure and (best is None or fail < best[2]):
                 best = (float(g), float(e), fail)
         if best is not None:
@@ -495,17 +494,14 @@ def optimize_generalization_width(
 
 def optimize_prior_width(
         params: PrivacyParams, beta_acc: float, target_failure: float,
-        grid_points: int = 200,
-        c_range: tuple[float, float] = (1e-6, 1.0),
-        d_range: tuple[float, float] = (1e-6, 1.0),
 ) -> tuple[float, float, float]:
     """Smallest baseline width e^eps - 1 + c + 2d with failure <= target.
 
     Same standardized log-grid search as
-    :func:`optimize_generalization_width`.  Returns (width, c, d).
+    :func:`optimize_generalization_width`, with c and d each from 1e-6 to
+    1.  Returns (width, c, d).
     """
-    cs = np.geomspace(*c_range, grid_points)
-    ds = np.geomspace(*d_range, grid_points)
+    cs = ds = np.geomspace(1e-6, 1.0, _GRID_POINTS)
     fail = beta_acc / cs[:, None] + params.delta / ds[None, :]
     width = (math.exp(params.eps) - 1.0) + cs[:, None] + 2.0 * ds[None, :]
     feasible = fail <= target_failure
@@ -531,6 +527,8 @@ def mi_bound(n: int, params: PrivacyParams, p_incl: float) -> float:
     with h the natural-log binary entropy.  At p = 1/2 this is at most
     n delta log 2 + n (1-delta) eps^2 / 8.
     """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if not 0 < p_incl < 1:
         raise ValueError(f"p_incl must be in (0, 1), got {p_incl}")
     eps, delta = params.eps, params.delta

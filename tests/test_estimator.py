@@ -409,7 +409,7 @@ def test_p_value_is_probability(m, data, eps, delta):
 def reference_p_value(m, r, v, eps, delta):
     """The p-value through the full dominating distribution over 0..r."""
     dist = DominatingDistribution.from_binomial(r, rr_accuracy(eps))
-    return _tail_p_value(dist, v, m, delta)
+    return _tail_p_value(dist.survival_table, v, m, delta)
 
 
 @settings(max_examples=200, deadline=None)
@@ -487,10 +487,18 @@ def eps_lower_bound_reference(m, r, v, delta, beta):
        delta=st.sampled_from([0.0, 1e-300, 1e-5, 1e-2]),
        beta=st.sampled_from([0.01, 0.05, 0.5]))
 @example(data=None, r=1000, delta=0.0, beta=0.05)
+@example(data=(10**5, 73000), r=10**5, delta=0.0, beta=0.05)
+@example(data=(10**5, 73000), r=10**5, delta=1e-5, beta=0.05)
+@example(data=(10**5, 15000), r=16384, delta=1e-5, beta=0.05)
 def test_eps_lower_bound_equals_full_table_bisection(data, r, delta, beta):
+    # the explicit examples give data as None (m = r, v = 0.731 r) or as
+    # (m, v); the paper-scale ones reach 1e5 guesses
     m_lo = max(r, 1)
-    m = data.draw(st.integers(m_lo, 3 * m_lo)) if data else m_lo
-    v = data.draw(st.integers(0, r)) if data else (731 * r) // 1000
+    if data is None or isinstance(data, tuple):
+        m, v = data or (m_lo, (731 * r) // 1000)
+    else:
+        m = data.draw(st.integers(m_lo, 3 * m_lo))
+        v = data.draw(st.integers(0, r))
     assert eps_lower_bound(m, r, v, delta, beta) == \
         eps_lower_bound_reference(m, r, v, delta, beta)
 
@@ -726,6 +734,63 @@ def test_optimized_prior_width():
         PrivacyParams(1.0 / 3.0, 1e-5), beta_acc=1e-5, target_failure=0.05)
     assert width == pytest.approx(0.3968, abs=2e-3)
     assert 1e-5 / c + 1e-5 / d <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# secondary bounds: exact pins and argument checks
+
+
+def test_secondary_bounds_exact_pins():
+    # values of the per-table implementation, compared bit for bit so a
+    # moved last bit in the survival fill or the spillover scan shows
+    P = PrivacyParams
+    assert p_value_general_p(300, 120, 80, 150, P(0.5, 1e-5),
+                             GeneralPParams(0.3)) == 0.0001215383893352483
+    assert p_value_general_p(100, 40, 30, 55, P(1.0, 0.0),
+                             GeneralPParams(0.8)) == 0.035511509776240846
+    assert adaptive_bound(1000, 200, P(1.0, 1e-5), gamma=0.05,
+                          tau=5.0) == (162.0, 0.054000000000000006)
+    assert adaptive_bound(100, 100, P(LN3, 0.0), gamma=0.05,
+                          tau=2.0) == (85.0, 0.05)
+    assert generalization_bound(400, P(0.3, 1e-5), gamma=0.4,
+                                eta=0.1) == 0.2934595080277333
+    assert generalization_bound(2000, P(1 / 3, 1e-5), gamma=0.3,
+                                eta=0.05) == 0.16804696350984255
+    assert optimize_generalization_width(
+        2000, P(1 / 3, 1e-5), beta_acc=1e-5, target_failure=0.05) == (
+        0.31440354715915, 0.06826071834272389, 0.035113424301548055)
+    assert optimize_generalization_width(
+        500, P(1.0, 1e-4), beta_acc=1e-3, target_failure=0.1) == (
+        0.7232633896483537, 0.12458833642950082, 0.07154980063707136)
+    assert optimize_prior_width(
+        P(1 / 3, 1e-5), beta_acc=1e-5, target_failure=0.05) == (
+        0.39679335746785105, 0.00045005576757004977, 0.0003654383070957254)
+
+
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: adaptive_bound(-100, 10, PrivacyParams(1.0, 1e-3), 0.05, 1.0),
+     "m=-100"),
+    (lambda: adaptive_bound(10, 11, PrivacyParams(1.0, 0.0), 0.05, 1.0),
+     "r_observed=11"),
+    (lambda: adaptive_bound(10, 5, PrivacyParams(1.0, 0.0), 0.05, math.nan),
+     "tau"),
+    (lambda: hoeffding_p_value(0, 10.0, 3.0, 5.0, PrivacyParams(1.0, 1e-5)),
+     "m must be >= 1"),
+    (lambda: mi_bound(-3, PrivacyParams(1.0, 0.0), 0.5), "n must be"),
+    (lambda: prior_generalization_bound(0.0, 0.01, PrivacyParams(0.5, 0.01),
+                                        c=math.nan, d=1.0), "c and d"),
+    (lambda: generalization_bound(100, PrivacyParams(0.5, 0.0),
+                                  gamma=math.inf, eta=0.1), "gamma"),
+    (lambda: generalization_bound(0, PrivacyParams(0.5, 0.0),
+                                  gamma=0.5, eta=0.1), "n must be >= 1"),
+], ids=["adaptive-negative-m", "adaptive-r-above-m", "adaptive-nan-tau",
+        "hoeffding-zero-m", "mi-negative-n", "prior-nan-c",
+        "generalization-inf-gamma", "generalization-zero-n"])
+def test_secondary_bounds_reject_bad_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 # ---------------------------------------------------------------------------
