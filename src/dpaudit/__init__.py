@@ -12,7 +12,6 @@ from .estimator import (
     GuessSummary,
     PrivacyParams,
     adaptive_bound,
-    binomial_sf,
     dual_alpha,
     eps_lower_bound,
     generalization_bound,
@@ -51,7 +50,6 @@ from .pipeline import (
     count_correct,
     k_sweep,
     make_guesses,
-    partition,
     replacement_selection,
     run_mechanism,
     sample_selection,

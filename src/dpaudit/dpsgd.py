@@ -182,8 +182,7 @@ def mislabeled_canaries(model: LossModel, m: int,
 def dpsgd_train(data: LossModel,
                 canaries: np.ndarray | ExampleCanarySet | None,
                 selection: np.ndarray | None, cfg: TrainerConfig,
-                rng: np.random.Generator, w0: np.ndarray | None = None
-                ) -> np.ndarray:
+                rng: np.random.Generator) -> np.ndarray:
     """Train with per-example clipping and Gaussian noise; return the model.
 
     Data examples are always in the training set; canary i participates iff
@@ -191,8 +190,8 @@ def dpsgd_train(data: LossModel,
     coordinate adds c once per canary.  Every element of the training set
     is resampled independently with probability sample_prob at each step
     (at sample_prob = 1 no sampling coins are drawn).  The update is
-    w <- w - lr * (noise + sum of clipped per-example gradients), and the
-    final iterate w^ell is returned; no other iterate is kept.
+    w <- w - lr * (noise + sum of clipped per-example gradients) from w = 0,
+    and the final iterate w^ell is returned; no other iterate is kept.
     """
     d = cfg.dim
     if data.n_examples and data.features.shape[1] != d:
@@ -240,7 +239,7 @@ def dpsgd_train(data: LossModel,
         if dirac_idx is not None:
             np.add.at(fixed_sum, dirac_idx, c)
 
-    w = np.zeros(d) if w0 is None else np.array(w0, dtype=float)
+    w = np.zeros(d)
     # non-finite values flow on to the iterate check, which names the step
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for step in range(1, cfg.ell + 1):

@@ -68,6 +68,7 @@ class GuessSummary:
     v: int
 
     def __post_init__(self):
+        _check_counts(**vars(self))
         if self.m < 1:
             raise ValueError(f"m must be positive, got {self.m}")
         if self.k_plus < 0 or self.k_minus < 0:
@@ -85,31 +86,11 @@ class GuessSummary:
         return self.k_plus + self.k_minus
 
 
-def binomial_sf(n: int, q: float, v: int) -> float:
-    """Exact binomial survival probability Pr[Binomial(n, q) >= v].
-
-    Computed as the regularized incomplete beta function I_q(v, n - v + 1),
-    the same kernel ``scipy.stats.binom.sf`` evaluates, which is
-    numerically stable deep into the tails (relative accuracy better than
-    1e-12 for n up to 1e6).
-
-    Args:
-      n: Number of trials, n >= 0.
-      q: Success probability in [0, 1].
-      v: Threshold (integer).
-
-    Returns:
-      Pr[Binomial(n, q) >= v], exactly 1.0 for v <= 0 and 0.0 for v > n.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if not 0 <= q <= 1:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    if v <= 0:
-        return 1.0
-    if v > n:
-        return 0.0
-    return float(special.betainc(v, n - v + 1, q))
+def _check_counts(**counts) -> None:
+    """Reject a count that is not an integer; numpy integers are integers."""
+    for name, value in counts.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _survival_fill(n: int, w_max: int):
@@ -296,6 +277,7 @@ def eps_lower_bound(m: int, r: int, v: int, delta: float, beta: float) -> float:
     Returns:
       Lower bound on eps; 0.0 when v is consistent with eps = 0.
     """
+    _check_counts(m=m, r=r, v=v)
     if not 0 <= v <= r <= m:
         raise ValueError(f"need 0 <= v <= r <= m, got v={v} r={r} m={m}")
     if not 0 <= delta <= 1:
@@ -372,8 +354,10 @@ def hoeffding_p_value(m: int, r1: float, r2: float, v: float,
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if not (r1 > 0 and r2 > 0):
-        raise ValueError(f"r1 and r2 must be positive, got {r1}, {r2}")
+    if not (0 < r1 < math.inf and 0 < r2 < math.inf):
+        raise ValueError(f"r1 and r2 must be in (0, inf), got {r1}, {r2}")
+    if not -math.inf < v < math.inf:
+        raise ValueError(f"v must be finite, got {v}")
     q = rr_accuracy(params.eps)
     mean = q * r1
 
@@ -450,16 +434,22 @@ def _generalization_bound_from_table(table, n, delta, gamma, eta):
     return min(1.0, s1 + hoeffding + spill)
 
 
+# Largest x with math.exp(x) finite.
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
 def prior_generalization_bound(alpha_acc: float, beta_acc: float,
                                params: PrivacyParams, c: float,
                                d: float) -> tuple[float, float]:
     """Earlier generalization guarantee used as a comparison baseline.
 
     Returns (error, failure) = (alpha_acc + e^eps - 1 + c + 2 d,
-    beta_acc / c + delta / d) for free parameters c, d > 0.
+    beta_acc / c + delta / d) for free parameters c, d > 0, or arrays of them.
     """
-    if not (c > 0 and d > 0):
+    if not (np.all(c > 0) and np.all(d > 0)):
         raise ValueError(f"c and d must be positive, got {c}, {d}")
+    if params.eps > _LOG_MAX:  # no finite width
+        raise ValueError(f"eps must keep e^eps finite, got {params.eps}")
     error = alpha_acc + math.exp(params.eps) - 1.0 + c + 2.0 * d
     failure = beta_acc / c + params.delta / d
     return error, failure
@@ -495,15 +485,15 @@ def optimize_generalization_width(
 def optimize_prior_width(
         params: PrivacyParams, beta_acc: float, target_failure: float,
 ) -> tuple[float, float, float]:
-    """Smallest baseline width e^eps - 1 + c + 2d with failure <= target.
+    """Smallest baseline width, alpha_acc = 0, with failure <= target.
 
-    Same standardized log-grid search as
-    :func:`optimize_generalization_width`, with c and d each from 1e-6 to
-    1.  Returns (width, c, d).
+    Same standardized log-grid search as :func:`optimize_generalization_width`
+    over the c and d of :func:`prior_generalization_bound`, each from 1e-6
+    to 1.  Returns (width, c, d).
     """
     cs = ds = np.geomspace(1e-6, 1.0, _GRID_POINTS)
-    fail = beta_acc / cs[:, None] + params.delta / ds[None, :]
-    width = (math.exp(params.eps) - 1.0) + cs[:, None] + 2.0 * ds[None, :]
+    width, fail = prior_generalization_bound(
+        0.0, beta_acc, params, cs[:, None], ds[None, :])
     feasible = fail <= target_failure
     if not feasible.any():
         raise ValueError("no feasible (c, d) grid point for the target")
@@ -532,6 +522,8 @@ def mi_bound(n: int, params: PrivacyParams, p_incl: float) -> float:
     if not 0 < p_incl < 1:
         raise ValueError(f"p_incl must be in (0, 1), got {p_incl}")
     eps, delta = params.eps, params.delta
+    if eps > _LOG_MAX:  # e^eps overflows: the eps -> inf limit n h(p)
+        return n * _binary_entropy(p_incl)
     mid = (p_incl * math.exp(eps) + 1.0 - p_incl) / (math.exp(eps) + 1.0)
     return (n * delta * _binary_entropy(p_incl)
             + n * (1.0 - delta) * _binary_entropy(mid)

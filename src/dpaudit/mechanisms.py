@@ -142,19 +142,13 @@ def gaussian_report(s: np.ndarray, cfg: GaussianReportConfig,
 
 
 def pathological(s: np.ndarray, cfg: PathologicalConfig,
-                 rng: np.random.Generator,
-                 force_branch: bool | None = None) -> np.ndarray:
-    """Run the boosted-accuracy mechanism; 0 (abstain) outside the guessed set.
-
-    force_branch conditions the rare-event coin (True: boosted branch,
-    False: plain branch) so per-branch accuracy can be tested directly.
-    """
+                 rng: np.random.Generator) -> np.ndarray:
+    """Run the boosted-accuracy mechanism; 0 (abstain) off the guessed set."""
     s = np.asarray(s)
     if s.shape[0] != cfg.m:
         raise ValueError(f"selection length {s.shape[0]} != m = {cfg.m}")
     guessed = rng.choice(cfg.m, size=cfg.r, replace=False)
-    x = bool(rng.random() < cfg.beta) if force_branch is None else force_branch
-    acc = cfg.branch_accuracy(x)
+    acc = cfg.branch_accuracy(bool(rng.random() < cfg.beta))
     t = np.zeros(cfg.m, dtype=s.dtype)
     correct = rng.random(cfg.r) < acc
     t[guessed] = np.where(correct, s[guessed], -s[guessed])
@@ -170,12 +164,14 @@ def gaussian_dp_delta(rho: float, eps: float) -> float:
     The e^eps factor is applied in log space to avoid overflow; its term is
     at most 1, so the exponent is clamped at 0 against cancellation at
     large rho.  The result is clamped to [0, 1] and strictly decreasing in
-    eps.
+    eps, with limit 0 at eps = inf.
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if eps < 0:
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
+    if not eps >= 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
+    if eps == math.inf:
+        return 0.0
     scale = math.sqrt(2.0 * rho)
     hi = special.ndtr(-((eps - rho) / scale))
     lo = math.exp(min(0.0, eps + special.log_ndtr(-((eps + rho) / scale))))
@@ -289,7 +285,7 @@ def rdp_membership_accuracy(eps_check: float) -> float:
     1/2 + 1/2 * sqrt((e^x - 1) / (e^x + 3)), evaluated in the
     overflow-free form (1 - e^-x) / (1 + 3 e^-x).
     """
-    if eps_check < 0:
+    if not eps_check >= 0:
         raise ValueError(f"eps_check must be nonnegative, got {eps_check}")
     ratio = -math.expm1(-eps_check) / (1.0 + 3.0 * math.exp(-eps_check))
     return 0.5 + 0.5 * math.sqrt(ratio)
@@ -308,8 +304,8 @@ def expected_correct_gaussian(m: int, r: int, sigma: float) -> tuple[float, int]
     """
     if not 0 < r <= m:
         raise ValueError(f"need 0 < r <= m, got r={r} m={m}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     target = r / (2.0 * m)
 
     def mixture_tail(c):

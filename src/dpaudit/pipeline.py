@@ -40,21 +40,6 @@ def sample_selection(m: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=m) * 2 - 1
 
 
-def partition(n: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split dataset indices 0..n-1 into included and excluded sets.
-
-    Index i < len(s) is included iff s[i] == +1; indices beyond the
-    randomized prefix are always included.
-    """
-    s = _check_selection(s)
-    m = s.size
-    if m > n:
-        raise ValueError(f"selection length {m} exceeds dataset size {n}")
-    in_idx = np.concatenate([np.flatnonzero(s == 1), np.arange(m, n)])
-    out_idx = np.flatnonzero(s == -1)
-    return in_idx, out_idx
-
-
 def make_guesses(y: np.ndarray, k_plus: int, k_minus: int) -> np.ndarray:
     """Ternary guesses: +1 on the k_plus largest scores, -1 on the k_minus
     smallest, 0 (abstain) elsewhere.
@@ -192,8 +177,8 @@ class AuditReport:
 
 
 def audit_run(adapter: MechanismAdapter, m: int, k_plus: int, k_minus: int,
-              delta: float, confidences: Sequence[float], seed: int,
-              eps_grid: Sequence[float] = DEFAULT_EPS_GRID) -> AuditReport:
+              delta: float, confidences: Sequence[float], seed: int
+              ) -> AuditReport:
     """Run one audit: selection -> mechanism -> guesses -> count -> estimates.
 
     For score-output adapters the guess budget is (k_plus, k_minus); for
@@ -221,7 +206,7 @@ def audit_run(adapter: MechanismAdapter, m: int, k_plus: int, k_minus: int,
     }
     p_values = {
         float(e): p_value_audit(summary, PrivacyParams(e, delta))
-        for e in eps_grid
+        for e in DEFAULT_EPS_GRID
     }
     config = {
         "mechanism": adapter.name,
@@ -288,12 +273,11 @@ class KSweepResult:
 
     Selecting the best of several budgets on the same scores is multiple
     hypothesis testing, so the flagged value is optimistic at the nominal
-    confidence; multiple_testing_caveat records that.
+    confidence.
     """
 
     rows: list[KSweepRow]
     best_index: int
-    multiple_testing_caveat: bool = True
 
     @property
     def best(self) -> KSweepRow:

@@ -1,11 +1,13 @@
-"""Independent per-row references for the DP-SGD tests.
+"""Independent references the tests check the product code against.
 
 The trainer and the batch scorer work on scalar coefficients and whole
-canary sets; these helpers state the same operations row by row, so the
-tests can check one against the other.
+canary sets; the DP-SGD helpers state the same operations row by row.
+The estimator fills whole survival tables at once; :func:`binomial_sf`
+states one entry.
 """
 
 import numpy as np
+from scipy import special
 
 
 def example_grads(model, w: np.ndarray, X: np.ndarray,
@@ -32,3 +34,17 @@ def blackbox_score(example, w0: np.ndarray, w_final: np.ndarray,
     y = np.array([y], dtype=float)
     return float(model.example_losses(w0, x, y)[0]
                  - model.example_losses(w_final, x, y)[0])
+
+
+def binomial_sf(n: int, q: float, v: int) -> float:
+    """Pr[Binomial(n, q) >= v] as the incomplete beta I_q(v, n - v + 1).
+
+    Exactly 1.0 for v <= 0 and 0.0 for v > n; n >= 0 and q in [0, 1].
+    """
+    if n < 0 or not 0 <= q <= 1:
+        raise ValueError(f"need n >= 0 and q in [0, 1], got n={n} q={q}")
+    if v <= 0:
+        return 1.0
+    if v > n:
+        return 0.0
+    return float(special.betainc(v, n - v + 1, q))

@@ -114,8 +114,7 @@ def test_criterion_4_estimator_validity():
     adapter = adapter_randomized_response(eps_true)
     overshoots = 0
     for seed in range(runs):
-        report = audit_run(adapter, 1000, 0, 0, 0.0, [0.95], seed=seed,
-                           eps_grid=())
+        report = audit_run(adapter, 1000, 0, 0, 0.0, [0.95], seed=seed)
         overshoots += report.eps_lb[0.95] > eps_true
     rate = overshoots / runs
     elapsed = time.perf_counter() - t0

@@ -220,11 +220,9 @@ def test_training_error_reports_step():
     model = LossModel.synthetic("linear", n=10, d=3,
                                 rng=np.random.default_rng(8))
     cfg = TrainerConfig(ell=4, clip=1.0, noise_multiplier=0.0,
-                        sample_prob=1.0, learning_rate=0.5, dim=3)
-    bad_start = np.array([np.inf, 0.0, 0.0])
+                        sample_prob=1.0, learning_rate=1e308, dim=3)
     with pytest.raises(RuntimeError, match="step 1"):
-        dpsgd_train(model, None, None, cfg, np.random.default_rng(9),
-                    w0=bad_start)
+        dpsgd_train(model, None, None, cfg, np.random.default_rng(9))
 
 
 def test_trainer_config_validates():

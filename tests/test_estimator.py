@@ -16,7 +16,6 @@ from dpaudit.estimator import (
     GuessSummary,
     PrivacyParams,
     adaptive_bound,
-    binomial_sf,
     dual_alpha,
     eps_lower_bound,
     generalization_bound,
@@ -29,8 +28,10 @@ from dpaudit.estimator import (
     prior_generalization_bound,
     rr_accuracy,
     _p_value_at,
+    _survival_fill,
     _tail_p_value,
 )
+from references import binomial_sf
 
 LN3 = math.log(3.0)
 
@@ -38,6 +39,12 @@ LN3 = math.log(3.0)
 def p_value(m, r, v, eps, delta):
     return p_value_audit(GuessSummary(m=m, k_plus=r, k_minus=0, v=v),
                          PrivacyParams(eps, delta))
+
+
+def kernel_sf(n, q, v):
+    """Pr[Binomial(n, q) >= v], 0 <= v <= n, from a survival fill up to v,
+    the table every product p-value reads."""
+    return float(_survival_fill(n, v)(q)[v])
 
 
 # ---------------------------------------------------------------------------
@@ -81,32 +88,34 @@ def dual_alpha_pmf_loop(r, q, v, m):
 
 
 # ---------------------------------------------------------------------------
-# binomial_sf
+# binomial survival: the survival fill behind every p-value
 
 
 def test_binomial_sf_two_fair_coins():
     # 4 equally likely outcomes, one with two successes
-    assert binomial_sf(2, 0.5, 2) == pytest.approx(0.25, abs=1e-15)
+    assert kernel_sf(2, 0.5, 2) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_binomial_sf_three_biased_coins():
     # enumeration over 8 outcomes gives 27/64 + 3*9/64*... = 0.84375
-    assert binomial_sf(3, 0.75, 2) == pytest.approx(0.84375, abs=1e-15)
+    assert kernel_sf(3, 0.75, 2) == pytest.approx(0.84375, abs=1e-15)
     assert sf_by_enumeration(3, 0.75, 2) == pytest.approx(0.84375, abs=1e-15)
 
 
 @pytest.mark.parametrize("n,q", [(1, 0.5), (4, 0.3), (7, 0.9), (10, 0.75)])
 def test_binomial_sf_matches_enumeration(n, q):
-    for v in range(n + 2):
-        assert binomial_sf(n, q, v) == pytest.approx(
+    table = _survival_fill(n, n)(q)
+    for v in range(n + 1):
+        assert table[v] == pytest.approx(
             sf_by_enumeration(n, q, v), rel=1e-12, abs=1e-300)
 
 
 def test_binomial_sf_support_edges():
-    assert binomial_sf(100, 0.3, 0) == 1.0
-    assert binomial_sf(100, 0.3, -5) == 1.0
-    assert binomial_sf(100, 0.3, 101) == 0.0
-    assert binomial_sf(0, 0.3, 0) == 1.0
+    assert _survival_fill(100, 100)(0.3)[0] == 1.0
+    assert np.array_equal(_survival_fill(0, 0)(0.3), [1.0])
+    dist = DominatingDistribution.from_binomial(100, 0.3)
+    assert dist.survival(-5) == 1.0
+    assert dist.survival(101) == 0.0
 
 
 def test_binomial_sf_matches_mpmath_tails():
@@ -115,7 +124,7 @@ def test_binomial_sf_matches_mpmath_tails():
     for n, q, v in [(100, 0.75, 95), (1000, 0.5, 580), (1000, 0.9, 950),
                     (500, 0.25, 200)]:
         exact = float(mp.betainc(v, n - v + 1, 0, q, regularized=True))
-        assert binomial_sf(n, q, v) == pytest.approx(exact, rel=1e-12)
+        assert kernel_sf(n, q, v) == pytest.approx(exact, rel=1e-12)
 
 
 def mp_survival(mp, n, q):
@@ -151,15 +160,15 @@ def assert_rel_1e12(got, exact, case):
 
 def test_binomial_sf_and_p_value_match_50_digit_oracle():
     # deep tails (S about 1e-300), v = 0, v = r and v just above the mean,
-    # n <= 2000, to the relative 1e-12 of binomial_sf's docstring; p-values
-    # at delta = 0 and delta > 0, with dual_alpha taken over the exact tails
+    # n <= 2000, to a relative 1e-12; p-values at delta = 0 and delta > 0,
+    # with dual_alpha taken over the exact tails
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     for n, q in [(2000, 0.5), (2000, 0.1), (1000, 1e-3), (100, 0.75),
                  (10, float(rr_accuracy(1.0))), (1, 0.3)]:
         sf = mp_survival(mp, n, q)
         for v in {0, n, math.floor(n * q) + 1, first_below(sf, 1e-295)}:
-            assert_rel_1e12(binomial_sf(n, q, v), sf[v], (n, q, v))
+            assert_rel_1e12(kernel_sf(n, q, v), sf[v], (n, q, v))
     for m, r, eps in [(2000, 2000, 0.0), (2000, 1000, 1.0), (100, 100, 0.5)]:
         e = mp.exp(eps)
         sf = mp_survival(mp, r, e / (1 + e))
@@ -179,7 +188,7 @@ def test_binomial_sf_large_n_logspace_oracle():
     # the oracle itself carries ~1e-9 relative error from gammaln at n = 1e6
     for n, q, v in [(10**6, 0.75, 751_000), (10**6, 0.5, 500_000),
                     (10**6, 0.1, 99_000)]:
-        assert binomial_sf(n, q, v) == pytest.approx(
+        assert kernel_sf(n, q, v) == pytest.approx(
             sf_logspace(n, q, v), rel=1e-7)
 
 
@@ -191,13 +200,13 @@ BINOM_ORACLE_Q = [0.0, 0.5, float(special.expit(3.0)), 1.0]
 @pytest.mark.parametrize("q", BINOM_ORACLE_Q)
 def test_binomial_tails_equal_scipy_stats_exactly(n, q):
     # the incomplete-beta form is the kernel binom.sf evaluates, so the
-    # whole table, deep tails included, must match bit for bit
-    w = np.arange(n + 2)
-    expected = stats.binom.sf(w - 1, n, q)
+    # whole table, deep tails included, must match bit for bit, and so must
+    # a fill that stops at v, as a p-value's does
+    expected = stats.binom.sf(np.arange(n + 1) - 1, n, q)
     table = DominatingDistribution.from_binomial(n, q).survival_table
-    assert np.array_equal(table, expected[:n + 1])
-    for v in [-1, 0, 1, n // 2, n - 1, n, n + 1]:
-        assert binomial_sf(n, q, v) == stats.binom.sf(v - 1, n, q)
+    assert np.array_equal(table, expected)
+    for v in {0, min(1, n), n // 2, max(n - 1, 0), n}:
+        assert kernel_sf(n, q, v) == expected[v]
 
 
 def test_binomial_tails_equal_scipy_stats_deep_tails():
@@ -209,18 +218,18 @@ def test_binomial_tails_equal_scipy_stats_deep_tails():
 
 
 def test_binomial_sf_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        binomial_sf(10, 1.5, 3)
-    with pytest.raises(ValueError):
-        binomial_sf(-1, 0.5, 0)
+    with pytest.raises(ValueError, match="q must be"):
+        DominatingDistribution.from_binomial(10, 1.5)
+    with pytest.raises(ValueError, match="n must be"):
+        DominatingDistribution.from_binomial(-1, 0.5)
 
 
-@given(n=st.integers(0, 300), q=st.floats(0.0, 1.0), v=st.integers(-2, 305))
+@given(n=st.integers(0, 300), q=st.floats(0.0, 1.0))
 @settings(max_examples=80, deadline=None)
-def test_binomial_sf_is_probability_and_monotone(n, q, v):
-    p = binomial_sf(n, q, v)
-    assert 0.0 <= p <= 1.0
-    assert p >= binomial_sf(n, q, v + 1) - 1e-15
+def test_binomial_sf_is_probability_and_monotone(n, q):
+    table = _survival_fill(n, n)(q)
+    assert np.all((0.0 <= table) & (table <= 1.0))
+    assert np.all(np.diff(table) <= 1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -785,9 +794,21 @@ def test_secondary_bounds_exact_pins():
                                   gamma=math.inf, eta=0.1), "gamma"),
     (lambda: generalization_bound(0, PrivacyParams(0.5, 0.0),
                                   gamma=0.5, eta=0.1), "n must be >= 1"),
+    (lambda: hoeffding_p_value(10, 10.0, 3.0, math.nan,
+                               PrivacyParams(1.0, 1e-5)), "v must be finite"),
+    (lambda: hoeffding_p_value(10, math.inf, 3.0, 5.0,
+                               PrivacyParams(1.0, 1e-5)), "r1 and r2"),
+    (lambda: prior_generalization_bound(0.0, 0.01, PrivacyParams(800.0, 0.0),
+                                        c=1.0, d=1.0), "eps must keep"),
+    (lambda: optimize_prior_width(PrivacyParams(math.inf, 0.0), 1e-5, 0.05),
+     "eps must keep"),
+    (lambda: GuessSummary(10.5, 2, 2, 1), "m must be an integer"),
+    (lambda: eps_lower_bound(10.5, 4, 2, 0.0, 0.05), "m must be an integer"),
 ], ids=["adaptive-negative-m", "adaptive-r-above-m", "adaptive-nan-tau",
         "hoeffding-zero-m", "mi-negative-n", "prior-nan-c",
-        "generalization-inf-gamma", "generalization-zero-n"])
+        "generalization-inf-gamma", "generalization-zero-n",
+        "hoeffding-nan-v", "hoeffding-inf-r1", "prior-overflowing-eps",
+        "prior-width-inf-eps", "summary-float-m", "lower-bound-float-m"])
 def test_secondary_bounds_reject_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -818,6 +839,14 @@ def test_mi_bound_quadratic_cap_at_half():
                 cap = (n * delta * math.log(2.0)
                        + n * (1 - delta) * eps * eps / 8.0)
                 assert mi_bound(n, PrivacyParams(eps, delta), 0.5) <= cap + 1e-12
+
+
+def test_mi_bound_limit_where_exp_eps_overflows():
+    # the mixing term tends to p and the loss term to 0: n h(p) remains
+    h = -0.3 * math.log(0.3) - 0.7 * math.log(0.7)
+    for eps in (709.0, 710.0, math.inf):
+        got = mi_bound(5, PrivacyParams(eps, 1e-3), 0.3)
+        assert got == pytest.approx(5 * h, rel=1e-12)
 
 
 def test_mi_bound_monotone_and_nonnegative():

@@ -119,12 +119,13 @@ def test_gaussian_report_degenerate_selection():
 
 
 def test_pathological_saturated_boost_all_correct():
-    # m*delta = r*beta makes the boosted branch deterministic
-    cfg = PathologicalConfig(m=100, r=20, eps=0.0, delta=0.01, beta=0.05)
+    # beta = 1 always takes the boosted branch, and m*delta = r*beta makes
+    # it deterministic
+    cfg = PathologicalConfig(m=100, r=20, eps=0.0, delta=0.2, beta=1.0)
     assert cfg.boost == pytest.approx(1.0)
     rng = np.random.default_rng(7)
     s = fixed_selection(100)
-    t = pathological(s, cfg, rng, force_branch=True)
+    t = pathological(s, cfg, rng)
     guessed = t != 0
     assert guessed.sum() == 20
     assert np.all(t[guessed] == s[guessed])
@@ -146,7 +147,8 @@ def test_pathological_delta_zero_is_rr_on_subset():
 
 
 def test_pathological_branch_accuracy_formula():
-    cfg = PathologicalConfig(m=1000, r=100, eps=1.0, delta=1e-4, beta=0.05)
+    # beta = 1 always takes the boosted branch
+    cfg = PathologicalConfig(m=1000, r=100, eps=1.0, delta=0.002, beta=1.0)
     # boost = m delta / (r beta) = 0.02; accuracy = 0.02 + 0.98 * e/(e+1)
     expected = 0.02 + 0.98 * math.e / (math.e + 1.0)
     assert cfg.branch_accuracy(True) == pytest.approx(expected, rel=1e-12)
@@ -156,7 +158,7 @@ def test_pathological_branch_accuracy_formula():
     s = fixed_selection(1000)
     correct = total = 0
     for _ in range(1000):
-        t = pathological(s, cfg, rng, force_branch=True)
+        t = pathological(s, cfg, rng)
         guessed = t != 0
         total += guessed.sum()
         correct += np.count_nonzero(t[guessed] == s[guessed])
@@ -199,6 +201,7 @@ def test_gaussian_dp_delta_validates_and_clamps():
     with pytest.raises(ValueError):
         gaussian_dp_delta(1.0, -0.1)
     assert 0.0 <= gaussian_dp_delta(50.0, 0.0) <= 1.0
+    assert gaussian_dp_delta(1.0, math.inf) == 0.0  # the curve's limit
 
 
 def test_gaussian_dp_eps_known_points():
@@ -404,3 +407,19 @@ def test_expected_correct_gaussian_validates():
         expected_correct_gaussian(100, 200, 2.0)
     with pytest.raises(ValueError):
         expected_correct_gaussian(100, 50, 0.0)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: gaussian_dp_eps(math.inf, 1e-5), "rho"),
+    (lambda: gaussian_dp_eps(math.nan, 1e-5), "rho"),
+    (lambda: gaussian_dp_delta(math.nan, 1.0), "rho"),
+    (lambda: gaussian_dp_delta(1.0, math.nan), "eps"),
+    (lambda: rdp_membership_accuracy(math.nan), "eps_check"),
+    (lambda: expected_correct_gaussian(10, 5, math.nan), "sigma"),
+    (lambda: expected_correct_gaussian(10, 5, math.inf), "sigma"),
+], ids=["dp-eps-inf-rho", "dp-eps-nan-rho", "dp-delta-nan-rho",
+        "dp-delta-nan-eps", "rdp-accuracy-nan", "expected-nan-sigma",
+        "expected-inf-sigma"])
+def test_accounting_rejects_bad_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -21,14 +21,13 @@ from dpaudit.pipeline import (
     count_correct,
     k_sweep,
     make_guesses,
-    partition,
     replacement_selection,
     sample_selection,
 )
 
 
 # ---------------------------------------------------------------------------
-# selection and partition
+# selection
 
 
 def test_sample_selection_is_balanced():
@@ -47,35 +46,6 @@ def test_sample_selection_seed_reproducible():
     a = sample_selection(1000, np.random.default_rng(42))
     b = sample_selection(1000, np.random.default_rng(42))
     assert np.array_equal(a, b)
-
-
-def test_partition_all_included():
-    s = np.ones(4, dtype=int)
-    in_idx, out_idx = partition(6, s)
-    assert np.array_equal(in_idx, np.arange(6))
-    assert out_idx.size == 0
-
-
-def test_partition_all_excluded():
-    s = -np.ones(4, dtype=int)
-    in_idx, out_idx = partition(6, s)
-    assert np.array_equal(in_idx, [4, 5])
-    assert np.array_equal(out_idx, [0, 1, 2, 3])
-
-
-def test_partition_mixed_rule():
-    # randomized prefix of 4 out of 6; non-randomized tail always included
-    s = np.array([1, -1, 1, -1])
-    in_idx, out_idx = partition(6, s)
-    assert np.array_equal(sorted(in_idx), [0, 2, 4, 5])
-    assert np.array_equal(sorted(out_idx), [1, 3])
-
-
-def test_partition_validates():
-    with pytest.raises(ValueError):
-        partition(3, np.array([1, -1, 1, -1]))
-    with pytest.raises(ValueError):
-        partition(5, np.array([1, 0, -1]))
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +126,8 @@ def test_count_correct_mixed():
 def test_count_correct_validates():
     with pytest.raises(ValueError):
         count_correct(np.array([1, -1]), np.array([1, 0, -1]))
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        count_correct(np.array([1, 0, -1]), np.zeros(3, dtype=int))
 
 
 @given(data=st.data())
@@ -293,7 +265,6 @@ def test_k_sweep_single_point_matches_audit_run():
     assert row.v == v
     assert row.eps_lb == eps_lower_bound(m, 200, v, 1e-5, 0.05)
     assert result.best_index == 0
-    assert result.multiple_testing_caveat
 
 
 def test_k_sweep_includes_zero_budget():
