@@ -29,7 +29,6 @@ from .mechanisms import (
     PathologicalConfig,
     RdpParams,
     ZcdpParams,
-    dpsgd_rdp_eps,
     expected_correct_gaussian,
     gaussian_dp_delta,
     gaussian_dp_eps,

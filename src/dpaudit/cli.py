@@ -31,8 +31,8 @@ import numpy as np
 
 from . import dpsgd as dpsgd_mod
 from . import mechanisms, pipeline
-from .estimator import (GuessSummary, PrivacyParams, eps_lower_bound,
-                        p_value_audit, rr_accuracy)
+from .estimator import (GuessSummary, PrivacyParams, check_counts,
+                        eps_lower_bound, p_value_audit, rr_accuracy)
 
 ENV_OUTDIR = "DPAUDIT_OUTDIR"
 
@@ -163,8 +163,7 @@ def cmd_experiment_gaussian(args) -> None:
 
 
 def cmd_pathological_check(args) -> _Record:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    check_counts(1, **{"--trials": args.trials})
     cfg = mechanisms.PathologicalConfig(m=args.m, r=args.r, eps=args.eps,
                                         delta=args.delta, beta=args.beta)
     rng = np.random.default_rng(args.seed)
@@ -339,10 +338,7 @@ _SIMULATE_OPTIONS = {"rr": ("eps",), "gaussian": ("sigma",),
 
 
 def cmd_simulate(args) -> _Record:
-    for option, budget in (("--k-plus", args.k_plus),
-                           ("--k-minus", args.k_minus)):
-        if budget < 0:
-            raise ValueError(f"{option} must be >= 0, got {budget}")
+    check_counts(0, **{"--k-plus": args.k_plus, "--k-minus": args.k_minus})
     if args.mechanism == "rr":
         adapter = pipeline.adapter_randomized_response(args.eps)
     elif args.mechanism == "gaussian":

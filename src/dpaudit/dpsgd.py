@@ -23,7 +23,8 @@ import math
 import numpy as np
 from scipy import special
 
-from .mechanisms import RdpParams, ZcdpParams, dpsgd_rdp_eps, gaussian_dp_eps
+from .estimator import check_counts
+from .mechanisms import RdpParams, ZcdpParams, gaussian_dp_eps
 from .pipeline import MechanismAdapter
 
 
@@ -66,8 +67,10 @@ class TrainerConfig:
     dim: int
 
     def __post_init__(self):
-        for field, _, ok, rule in TRAINER_KEYS.values():
+        for field, kind, ok, rule in TRAINER_KEYS.values():
             value = getattr(self, field)
+            if kind is int:
+                check_counts(**{field: value})
             if not ok(value):
                 raise ValueError(f"{field} must be {rule}, got {value!r}")
 
@@ -97,6 +100,7 @@ class ExampleCanarySet:
 
 def dirac_canaries(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """Coordinates of m Dirac canaries, distinct and uniformly random."""
+    check_counts(0, m=m, d=d)
     if m > d:
         raise ValueError(f"need m <= d for distinct indices, got {m} > {d}")
     return rng.permutation(d)[:m]
@@ -128,6 +132,7 @@ class LossModel:
 
     @classmethod
     def canary_only(cls, d: int) -> "LossModel":
+        check_counts(0, d=d)
         return cls(kind="canary-only", features=np.zeros((0, d)),
                    labels=np.zeros(0))
 
@@ -135,6 +140,8 @@ class LossModel:
     def synthetic(cls, kind: str, n: int, d: int, rng: np.random.Generator,
                   label_noise: float = 0.0) -> "LossModel":
         """Random features with labels from a hidden teacher vector."""
+        check_counts(0, n=n)
+        check_counts(1, d=d)
         teacher = rng.normal(0.0, 1.0, d)
         features = rng.normal(0.0, 1.0 / np.sqrt(d), (n, d))
         with np.errstate(over="ignore"):
@@ -173,6 +180,7 @@ def mislabeled_canaries(model: LossModel, m: int,
     """Fresh in-distribution examples with deliberately flipped labels."""
     if model.teacher is None:
         raise ValueError("model has no teacher to label fresh examples")
+    check_counts(0, m=m)
     d = model.teacher.size
     X = rng.normal(0.0, 1.0 / np.sqrt(d), (m, d))
     truth = np.where(X @ model.teacher >= 0, 1.0, -1.0)
@@ -286,7 +294,7 @@ def privacy_accounting(cfg: TrainerConfig) -> ZcdpParams | RdpParams:
 
     Full-batch runs (sample_prob = 1) compose Gaussian mechanisms, giving
     rho = ell / (2 sigma^2) of concentrated DP; subsampled runs get the
-    order-2 Renyi bound.
+    order-2 Renyi bound of :func:`_rdp2_eps`.
     """
     sigma = cfg.noise_multiplier
     if not noise_rule_ok(sigma, cfg.ell):
@@ -294,8 +302,23 @@ def privacy_accounting(cfg: TrainerConfig) -> ZcdpParams | RdpParams:
                          f", got {sigma!r}")
     if cfg.sample_prob == 1:
         return ZcdpParams(rho=cfg.ell / (2.0 * sigma * sigma))
-    return RdpParams(order=2.0, eps_check=dpsgd_rdp_eps(
+    return RdpParams(order=2.0, eps_check=_rdp2_eps(
         cfg.ell, cfg.sample_prob, sigma))
+
+
+def _rdp2_eps(ell: int, q: float, sigma: float) -> float:
+    """ell * log(1 + q^2 (exp(1/sigma^2) - 1)), the order-2 Renyi privacy of
+    ell noisy-SGD steps at sampling rate q in (0, 1], 1/sigma^2 finite and
+    positive.  Where exp(1/sigma^2) overflows or q^2 underflows, the log
+    term is log(1 + e^y) with y = log(q^2 (e^(1/sigma^2) - 1))."""
+    x = 1.0 / (sigma * sigma)
+    if q * q >= np.finfo(float).tiny:
+        try:
+            return ell * math.log1p(q * q * math.expm1(x))
+        except OverflowError:
+            pass
+    y = 2.0 * math.log(q) + x + math.log(-math.expm1(-x))
+    return ell * float(np.logaddexp(0.0, y))
 
 
 def theoretical_eps_upper(cfg: TrainerConfig, delta: float) -> float:

@@ -68,17 +68,13 @@ class GuessSummary:
     v: int
 
     def __post_init__(self):
-        _check_counts(**vars(self))
-        if self.m < 1:
-            raise ValueError(f"m must be positive, got {self.m}")
-        if self.k_plus < 0 or self.k_minus < 0:
-            raise ValueError("guess counts must be nonnegative")
+        check_counts(1, m=self.m)
+        check_counts(0, k_plus=self.k_plus, k_minus=self.k_minus, v=self.v)
         if self.r > self.m:
             raise ValueError(
                 f"k_plus + k_minus = {self.r} exceeds m = {self.m}")
-        if not 0 <= self.v <= self.r:
-            raise ValueError(
-                f"v must be in [0, {self.r}], got {self.v}")
+        if self.v > self.r:
+            raise ValueError(f"v must be in [0, {self.r}], got {self.v}")
 
     @property
     def r(self) -> int:
@@ -86,11 +82,14 @@ class GuessSummary:
         return self.k_plus + self.k_minus
 
 
-def _check_counts(**counts) -> None:
-    """Reject a count that is not an integer; numpy integers are integers."""
+def check_counts(low: float = -math.inf, **counts) -> None:
+    """The one count rule: each count is an integer (numpy integers are
+    integers) and at least low; the error names the count at fault."""
     for name, value in counts.items():
         if not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _survival_fill(n: int, w_max: int):
@@ -156,8 +155,7 @@ class DominatingDistribution:
     @classmethod
     def from_binomial(cls, n: int, q: float) -> "DominatingDistribution":
         """Survival of Binomial(n, q) over its full support."""
-        if n < 0:
-            raise ValueError(f"n must be nonnegative, got {n}")
+        check_counts(0, n=n)
         if not 0 <= q <= 1:
             raise ValueError(f"q must be in [0, 1], got {q}")
         return cls(support_max=n, survival_table=_survival_fill(n, n)(q))
@@ -192,11 +190,11 @@ def dual_alpha(dist: DominatingDistribution, v: int, m: int) -> float:
 
     Args:
       dist: Dominating distribution of the correct-guess count.
-      v: Observed threshold (integer).
+      v: Observed threshold (any integer).
       m: Number of randomized examples, m >= 1.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    check_counts(1, m=m)
+    check_counts(v=v)  # any integer: S(w) = 1 for w <= 0
     return _spill_max(dist.survival_table, v, m, dist.survival(v))
 
 
@@ -233,10 +231,9 @@ def _p_value_at(m: int, r: int, v: int, delta: float):
     is done here once.  Each call fills S(w) = Pr[Bin(r, q) >= w] only for
     w <= v, the entries the p-value reads, so it equals
     ``_tail_p_value(DominatingDistribution.from_binomial(r, q).survival_table,
-    v, m, delta)`` bit for bit, with q = rr_accuracy(eps).
+    v, m, delta)`` bit for bit, with q = rr_accuracy(eps).  The callers have
+    checked the counts.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     fill = _survival_fill(r, v)
     return lambda eps: _tail_p_value(fill(rr_accuracy(eps)), v, m, delta)
 
@@ -277,8 +274,9 @@ def eps_lower_bound(m: int, r: int, v: int, delta: float, beta: float) -> float:
     Returns:
       Lower bound on eps; 0.0 when v is consistent with eps = 0.
     """
-    _check_counts(m=m, r=r, v=v)
-    if not 0 <= v <= r <= m:
+    check_counts(1, m=m)
+    check_counts(0, r=r, v=v)
+    if not v <= r <= m:
         raise ValueError(f"need 0 <= v <= r <= m, got v={v} r={r} m={m}")
     if not 0 <= delta <= 1:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
@@ -327,11 +325,7 @@ def p_value_general_p(m: int, k_plus: int, k_minus: int, v: int,
     :func:`p_value_audit` when p = 1/2.  Each binomial's pmf is the
     difference of its exact survival table.
     """
-    if k_plus < 0 or k_minus < 0 or k_plus + k_minus > m:
-        raise ValueError(
-            f"need 0 <= k_plus + k_minus <= m, got {k_plus}+{k_minus} vs m={m}")
-    if not 0 <= v <= k_plus + k_minus:
-        raise ValueError(f"v must be in [0, {k_plus + k_minus}], got {v}")
+    GuessSummary(m, k_plus, k_minus, v)  # checks the counts
     eps = params.eps
     pmf_plus, pmf_minus = (
         -np.diff(_survival_fill(n, n)(q), append=0.0)
@@ -348,12 +342,11 @@ def hoeffding_p_value(m: int, r1: float, r2: float, v: float,
     1 below it, where q = e^eps/(e^eps+1), r1 bounds the guess weight
     l1-norm and r2 its l2-norm.  For v >= q r1 + 2 the delta term uses the
     closed form max(2 / (v - q r1), f((v + q r1) / 2)); otherwise it falls
-    back to the discrete max over integer offsets.
+    back to the discrete max over integer offsets i, which lies at i <= 2.
 
     Unlike the exact binomial routines, v may be non-integer here.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    check_counts(1, m=m)
     if not (0 < r1 < math.inf and 0 < r2 < math.inf):
         raise ValueError(f"r1 and r2 must be in (0, inf), got {r1}, {r2}")
     if not -math.inf < v < math.inf:
@@ -371,8 +364,8 @@ def hoeffding_p_value(m: int, r1: float, r2: float, v: float,
         return min(1.0, fv)
     if v >= mean + 2:
         dterm = max(2.0 / (v - mean), f((v + mean) / 2.0))
-    else:
-        i = np.arange(1, m + 1)
+    else:  # v < q r1 + 2: for i >= 2, f(v - i) = 1 and (1 - f(v)) / i falls
+        i = np.arange(1, min(m, 2) + 1)
         dterm = max(0.0, float(np.max((f(v - i) - fv) / i)))
     return min(1.0, fv + 2.0 * m * params.delta * dterm)
 
@@ -389,9 +382,11 @@ def adaptive_bound(m: int, r_observed: int, params: PrivacyParams,
     Returns:
       (threshold, p) where threshold = w + tau and p is clamped to 1.
     """
-    if not 0 <= r_observed <= m:
+    check_counts(0, r_observed=r_observed)
+    if not r_observed <= m:
         raise ValueError(
             f"need 0 <= r_observed <= m, got r_observed={r_observed} m={m}")
+    check_counts(0, m=m)
     if not 0 <= gamma <= 1:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
     if not 0 < tau < math.inf:
@@ -421,8 +416,7 @@ def generalization_bound(n: int, params: PrivacyParams,
 
 def _binomial_table(n: int, eps: float) -> np.ndarray:
     """The Binomial(n, rr_accuracy(eps)) survival over 0..n, n >= 1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_counts(1, n=n)
     return _survival_fill(n, n)(rr_accuracy(eps))
 
 
@@ -517,8 +511,7 @@ def mi_bound(n: int, params: PrivacyParams, p_incl: float) -> float:
     with h the natural-log binary entropy.  At p = 1/2 this is at most
     n delta log 2 + n (1-delta) eps^2 / 8.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    check_counts(0, n=n)
     if not 0 < p_incl < 1:
         raise ValueError(f"p_incl must be in (0, 1), got {p_incl}")
     eps, delta = params.eps, params.delta

@@ -5,9 +5,8 @@ worst-case mechanism that concentrates its delta budget on a rare event)
 are the idealized targets against which the estimator is validated: their
 guess-accuracy laws are known exactly, so audit validity and tightness can
 be checked by Monte Carlo.  The accounting functions give the matching
-upper bounds: the exact Gaussian privacy curve, the order-2 Renyi bound
-for subsampled noisy SGD, and the balanced membership-inference accuracy
-ceiling it implies.
+upper bounds: the exact Gaussian privacy curve and the balanced
+membership-inference accuracy ceiling of an order-2 Renyi bound.
 
 Samplers take an explicit seeded generator; accounting functions are pure.
 """
@@ -20,7 +19,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .estimator import rr_accuracy
+from .estimator import PrivacyParams, check_counts, rr_accuracy
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,12 +68,10 @@ class PathologicalConfig:
     beta: float
 
     def __post_init__(self):
-        if not 0 < self.r <= self.m:
+        check_counts(1, m=self.m, r=self.r)
+        if self.r > self.m:
             raise ValueError(f"need 0 < r <= m, got r={self.r} m={self.m}")
-        if not self.eps >= 0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
-        if not 0 <= self.delta <= 1:
-            raise ValueError(f"delta must be in [0, 1], got {self.delta}")
+        PrivacyParams(self.eps, self.delta)  # checks eps and delta
         if not 0 <= self.beta <= 1:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if self.m * self.delta > self.r * self.beta:
@@ -102,7 +99,7 @@ class ZcdpParams:
     rho: float
 
     def __post_init__(self):
-        if self.rho < 0:
+        if not self.rho >= 0:
             raise ValueError(f"rho must be nonnegative, got {self.rho}")
 
 
@@ -114,9 +111,9 @@ class RdpParams:
     eps_check: float
 
     def __post_init__(self):
-        if self.order <= 1:
+        if not self.order > 1:
             raise ValueError(f"order must exceed 1, got {self.order}")
-        if self.eps_check < 0:
+        if not self.eps_check >= 0:
             raise ValueError(
                 f"eps_check must be nonnegative, got {self.eps_check}")
 
@@ -249,36 +246,6 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
     raise RuntimeError(f"no convergence in {maxiter} iterations")
 
 
-def dpsgd_rdp_eps(ell: int, q: float, sigma: float) -> float:
-    """Order-2 Renyi privacy of ell noisy-SGD steps with sampling rate q.
-
-    eps_check = ell * log(1 + q^2 * (exp(1/sigma^2) - 1)), additive in ell.
-    Where exp(1/sigma^2) overflows or q^2 underflows, the log term is
-    evaluated as log(1 + e^y) with y = log(q^2 (e^(1/sigma^2) - 1)).
-    """
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    if not 0 <= q <= 1:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if q == 0:
-        return 0.0
-    var = sigma * sigma
-    if var == 0 or 1.0 / var == math.inf:
-        raise ValueError(f"sigma must keep 1 / sigma^2 finite, got {sigma!r}")
-    x = 1.0 / var
-    if x == 0:  # sigma^2 overflows: the bound is below every float
-        return 0.0
-    if q * q >= np.finfo(float).tiny:
-        try:
-            return ell * math.log1p(q * q * math.expm1(x))
-        except OverflowError:
-            pass
-    y = 2.0 * math.log(q) + x + math.log(-math.expm1(-x))
-    return ell * float(np.logaddexp(0.0, y))
-
-
 def rdp_membership_accuracy(eps_check: float) -> float:
     """Balanced membership-inference accuracy ceiling under (2, eps_check)-RDP.
 
@@ -302,7 +269,8 @@ def expected_correct_gaussian(m: int, r: int, sigma: float) -> tuple[float, int]
     This is the number of correct guesses an auditor making the r most
     extreme guesses on m examples should expect.
     """
-    if not 0 < r <= m:
+    check_counts(1, m=m, r=r)
+    if r > m:
         raise ValueError(f"need 0 < r <= m, got r={r} m={m}")
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")

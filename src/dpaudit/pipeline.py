@@ -18,8 +18,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import mechanisms
-from .estimator import (GuessSummary, PrivacyParams, eps_lower_bound,
-                        p_value_audit, rr_accuracy)
+from .estimator import (GuessSummary, PrivacyParams, check_counts,
+                        eps_lower_bound, p_value_audit, rr_accuracy)
 
 DEFAULT_EPS_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -35,8 +35,7 @@ def _check_selection(s: np.ndarray) -> np.ndarray:
 
 def sample_selection(m: int, rng: np.random.Generator) -> np.ndarray:
     """m independent uniform +-1 inclusion coins."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    check_counts(1, m=m)
     return rng.integers(0, 2, size=m) * 2 - 1
 
 
@@ -67,7 +66,8 @@ def _guesses(orders: tuple[np.ndarray, np.ndarray], k_plus: int,
     """The guesses of :func:`make_guesses`, built from the score orders."""
     descending, ascending = orders
     m = descending.size
-    if k_plus < 0 or k_minus < 0 or k_plus + k_minus > m:
+    check_counts(0, k_plus=k_plus, k_minus=k_minus)
+    if k_plus + k_minus > m:
         raise ValueError(
             f"need 0 <= k_plus + k_minus <= {m}, got {k_plus} + {k_minus}")
     t = np.zeros(m, dtype=int)

@@ -3,8 +3,12 @@
 The trainer and the batch scorer work on scalar coefficients and whole
 canary sets; the DP-SGD helpers state the same operations row by row.
 The estimator fills whole survival tables at once; :func:`binomial_sf`
-states one entry.
+states one entry.  :func:`hoeffding_p_value_full_scan` takes the Hoeffding
+p-value's offset maximum over every offset, where the product stops early.
 """
+
+import math
+
 
 import numpy as np
 from scipy import special
@@ -48,3 +52,28 @@ def binomial_sf(n: int, q: float, v: int) -> float:
     if v > n:
         return 0.0
     return float(special.betainc(v, n - v + 1, q))
+
+
+def hoeffding_p_value_full_scan(m: int, r1: float, r2: float, v: float,
+                                eps: float, delta: float) -> float:
+    """The Hoeffding p-value with its delta term's max over all i = 1..m.
+
+    f(x) = exp(-2 (x - q r1)^2 / r2^2) above the mean q r1 and 1 below it,
+    q = e^eps / (e^eps + 1); the delta term is the closed form for
+    v >= q r1 + 2 and max(0, max_i (f(v - i) - f(v)) / i) otherwise.
+    """
+    mean = float(special.expit(eps)) * r1
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < mean, 1.0, np.exp(-2.0 / r2 ** 2 * (x - mean) ** 2))
+
+    fv = float(f(v))
+    if delta == 0:
+        return min(1.0, fv)
+    if v >= mean + 2:
+        dterm = max(2.0 / (v - mean), float(f((v + mean) / 2.0)))
+    else:
+        i = np.arange(1, m + 1)
+        dterm = max(0.0, float(np.max((f(v - i) - fv) / i)))
+    return min(1.0, fv + 2.0 * m * delta * dterm)

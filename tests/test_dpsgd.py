@@ -477,8 +477,9 @@ def test_theoretical_upper_calibrated_demo_point():
 def test_theoretical_upper_subsampled_conversion():
     cfg = TrainerConfig(ell=500, clip=1.0, noise_multiplier=1.5,
                         sample_prob=0.1, learning_rate=0.1, dim=4)
-    from dpaudit.mechanisms import dpsgd_rdp_eps
-    expected = dpsgd_rdp_eps(500, 0.1, 1.5) + math.log(1e5)
+    # order-2 Renyi bound 500 log(1 + q^2 (e^(1/sigma^2) - 1)) + log(1/delta)
+    expected = 500 * math.log1p(0.1 * 0.1 * math.expm1(1 / 1.5 ** 2)) \
+        + math.log(1e5)
     assert theoretical_eps_upper(cfg, 1e-5) == pytest.approx(expected,
                                                              rel=1e-12)
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from dpaudit.estimator import (
     _survival_fill,
     _tail_p_value,
 )
-from references import binomial_sf
+from references import binomial_sf, hoeffding_p_value_full_scan
 
 LN3 = math.log(3.0)
 
@@ -650,6 +651,33 @@ def test_hoeffding_dominates_exact_binomial_tail():
                                   PrivacyParams(eps, 0.0))
                 for v in range(r + 1)])
             assert np.all(loose >= exact - 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 5000), r1=st.floats(1e-3, 1e4), r2=st.floats(1e-2, 1e3),
+       below=st.floats(-2.0, 50.0), eps=st.floats(0.0, 5.0),
+       delta=st.floats(1e-12, 1e-2))
+@example(m=10**6, r1=100.0, r2=10.0, below=100.0 * float(special.expit(1.0))
+         - 60.0, eps=1.0, delta=1e-9)
+def test_hoeffding_spill_window_equals_full_scan(m, r1, r2, below, eps, delta):
+    # v = q r1 - below < q r1 + 2: the branch that scans integer offsets
+    v = float(special.expit(eps)) * r1 - below
+    assert hoeffding_p_value(m, r1, r2, v, PrivacyParams(eps, delta)) == \
+        hoeffding_p_value_full_scan(m, r1, r2, v, eps, delta)
+
+
+def test_hoeffding_spill_scan_memory_does_not_grow_with_m():
+    # a bound on 100 guesses among 10^6 examples reads a few offsets only
+    params = PrivacyParams(1.0, 1e-9)
+    tracemalloc.start()
+    try:
+        got = hoeffding_p_value(10**6, 100.0, 10.0, 60.0, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert got == hoeffding_p_value_full_scan(10**6, 100.0, 10.0, 60.0,
+                                              1.0, 1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy import optimize, stats
 
+from dpaudit.dpsgd import TrainerConfig, _rdp2_eps, privacy_accounting
 from dpaudit.estimator import rr_accuracy
 from dpaudit.mechanisms import (
     GaussianReportConfig,
     PathologicalConfig,
     RdpParams,
     ZcdpParams,
-    dpsgd_rdp_eps,
     expected_correct_gaussian,
     gaussian_dp_delta,
     gaussian_dp_eps,
@@ -255,39 +255,48 @@ def test_gaussian_dp_eps_saturated_delta_returns_zero():
 
 
 # ---------------------------------------------------------------------------
-# noisy-SGD accounting
+# noisy-SGD accounting: the order-2 Renyi step of dpsgd.privacy_accounting
+
+
+def subsampled_config(sample_prob=0.5, sigma=1.0):
+    return TrainerConfig(ell=1, clip=1.0, noise_multiplier=sigma,
+                         sample_prob=sample_prob, learning_rate=0.1, dim=4)
 
 
 def test_rdp_eps_zero_sampling():
-    assert dpsgd_rdp_eps(100, 0.0, 1.0) == 0.0
+    # q = 0 is outside the accounting's domain: sample_prob must be > 0
+    with pytest.raises(ValueError, match="sample_prob"):
+        subsampled_config(sample_prob=0.0)
 
 
 @pytest.mark.parametrize("sigma", [1e-300, 1e-160])
 def test_rdp_eps_rejects_infinite_inverse_variance(sigma):
     # sigma^2 underflows to 0 or to a subnormal whose inverse overflows
-    with pytest.raises(ValueError, match="sigma"):
-        dpsgd_rdp_eps(1, 0.5, sigma)
+    with pytest.raises(ValueError, match="noise_multiplier"):
+        privacy_accounting(subsampled_config(sigma=sigma))
 
 
-def test_rdp_eps_vanishing_inverse_variance_is_zero():
-    assert dpsgd_rdp_eps(1, 0.5, 1e300) == 0.0
+def test_rdp_eps_rejects_vanishing_inverse_variance():
+    # sigma^2 overflows, so 1 / sigma^2 underflows to zero
+    with pytest.raises(ValueError, match="noise_multiplier"):
+        privacy_accounting(subsampled_config(sigma=1e300))
 
 
 def test_rdp_eps_closed_form_unit():
-    assert dpsgd_rdp_eps(1, 1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
+    assert _rdp2_eps(1, 1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_rdp_eps_small_rate_high_precision():
-    got = dpsgd_rdp_eps(1000, 0.001, 1.0)
+    got = _rdp2_eps(1000, 0.001, 1.0)
     assert got == pytest.approx(1000 * math.log1p(1e-6 * math.expm1(1.0)),
                                 rel=1e-14)
     assert got == pytest.approx(1.7182e-3, abs=1e-7)
 
 
 def test_rdp_eps_additive_in_steps():
-    a = dpsgd_rdp_eps(300, 0.02, 1.3)
-    b = dpsgd_rdp_eps(700, 0.02, 1.3)
-    assert dpsgd_rdp_eps(1000, 0.02, 1.3) == pytest.approx(a + b, rel=1e-12)
+    a = _rdp2_eps(300, 0.02, 1.3)
+    b = _rdp2_eps(700, 0.02, 1.3)
+    assert _rdp2_eps(1000, 0.02, 1.3) == pytest.approx(a + b, rel=1e-12)
 
 
 @pytest.mark.parametrize("sigma", [1.0, 0.04, 0.0376, 0.0375, 0.03, 1e-3,
@@ -301,7 +310,7 @@ def test_rdp_eps_matches_mpmath(sigma):
     tiny = np.finfo(float).tiny
     for q in (1.0, 0.5, 1e-3, 1e-100, 1e-200, 1e-300):
         for ell in (1, 100):
-            got = dpsgd_rdp_eps(ell, q, sigma)
+            got = _rdp2_eps(ell, q, sigma)
             s, qq = mpmath.mpf(sigma), mpmath.mpf(q)
             exact = ell * mpmath.log1p(qq * qq * mpmath.expm1(1 / (s * s)))
             assert math.isfinite(got)
@@ -417,9 +426,13 @@ def test_expected_correct_gaussian_validates():
     (lambda: rdp_membership_accuracy(math.nan), "eps_check"),
     (lambda: expected_correct_gaussian(10, 5, math.nan), "sigma"),
     (lambda: expected_correct_gaussian(10, 5, math.inf), "sigma"),
+    (lambda: ZcdpParams(math.nan), "rho"),
+    (lambda: RdpParams(math.nan, 1.0), "order"),
+    (lambda: RdpParams(2.0, math.nan), "eps_check"),
 ], ids=["dp-eps-inf-rho", "dp-eps-nan-rho", "dp-delta-nan-rho",
         "dp-delta-nan-eps", "rdp-accuracy-nan", "expected-nan-sigma",
-        "expected-inf-sigma"])
+        "expected-inf-sigma", "zcdp-nan-rho", "rdp-nan-order",
+        "rdp-nan-eps-check"])
 def test_accounting_rejects_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()
