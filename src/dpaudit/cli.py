@@ -31,8 +31,9 @@ import numpy as np
 
 from . import dpsgd as dpsgd_mod
 from . import mechanisms, pipeline
-from .estimator import (GuessSummary, PrivacyParams, check_counts,
-                        eps_lower_bound, p_value_audit, rr_accuracy)
+from .estimator import (REAL_INTERVALS, GuessSummary, PrivacyParams,
+                        check_counts, eps_lower_bound, p_value_audit,
+                        rr_accuracy)
 
 ENV_OUTDIR = "DPAUDIT_OUTDIR"
 
@@ -210,27 +211,27 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 _REQUIRED = object()  # the default of a config key that must be given
 
-# The dpsgd-audit config keys: key -> (type, default, rule, rule text).  A
-# default of None lets a key be absent, a rule of None takes any value; the
-# trainer keys' rows come from dpsgd.TRAINER_KEYS and are required.
+# The dpsgd-audit config keys: key -> (type, default, rule, what a value must
+# do).  A default of None lets a key be absent, a rule of None takes any
+# value; the trainer keys' rows come from dpsgd.TRAINER_KEYS, are required.
 _DPSGD_KEYS = {
     "mode": (str, _REQUIRED, lambda v: v in ("whitebox", "blackbox"),
-             "whitebox or blackbox"),
+             "be whitebox or blackbox"),
     "loss": (str, "canary-only",
              lambda v: v in ("canary-only", "logistic", "linear"),
-             "canary-only, logistic or linear"),
-    "m": (int, _REQUIRED, lambda v: v >= 1, ">= 1"),
-    **{key: (kind, _REQUIRED, ok, rule)
-       for key, (_, kind, ok, rule) in dpsgd_mod.TRAINER_KEYS.items()},
-    "delta": (float, _REQUIRED, lambda v: 0 < v < 1, "in (0, 1)"),
+             "be canary-only, logistic or linear"),
+    "m": (int, _REQUIRED, lambda v: v >= 1, "be >= 1"),
+    **{key: (kind, _REQUIRED, *REAL_INTERVALS[interval])
+       for key, (_, kind, interval) in dpsgd_mod.TRAINER_KEYS.items()},
+    "delta": (float, _REQUIRED, *REAL_INTERVALS["(0, 1)"]),
     "confidence": (_num_list, [0.95],
                    lambda v: v and all(0 < c < 1 for c in v),
-                   "a nonempty list of values in (0, 1)"),
-    "seed": (int, 0, lambda v: v >= 0, ">= 0"),
-    "data_examples": (int, 0, lambda v: v >= 0, ">= 0"),
-    "label_noise": (float, 0.0, None, None),
-    "k_plus": (int, None, lambda v: v >= 0, ">= 0"),
-    "k_minus": (int, None, lambda v: v >= 0, ">= 0"),
+                   "be a nonempty list of values in (0, 1)"),
+    "seed": (int, 0, lambda v: v >= 0, "be >= 0"),
+    "data_examples": (int, 0, lambda v: v >= 0, "be >= 0"),
+    "label_noise": (float, 0.0, *REAL_INTERVALS["finite"]),
+    "k_plus": (int, None, lambda v: v >= 0, "be >= 0"),
+    "k_minus": (int, None, lambda v: v >= 0, "be >= 0"),
     "out": (str, None, None, None),
 }
 
@@ -248,9 +249,6 @@ def parse_dpsgd_config(path: str) -> dict[str, Any]:
             config[key] = kind(value)
         except ValueError as exc:
             raise ValueError(f"bad value for config key {key!r}: {exc}")
-        if kind is float and not math.isfinite(config[key]):
-            raise ValueError(
-                f"config key {key!r} must be finite, got {config[key]!r}")
     missing = [key for key, (_, default, _, _) in _DPSGD_KEYS.items()
                if default is _REQUIRED and key not in config]
     if missing:
@@ -259,7 +257,7 @@ def parse_dpsgd_config(path: str) -> dict[str, Any]:
     for key, (_, _, ok, rule) in _DPSGD_KEYS.items():
         if ok is not None and key in config and not ok(config[key]):
             raise ValueError(
-                f"config key {key!r} must be {rule}, got {config[key]!r}")
+                f"config key {key!r} must {rule}, got {config[key]!r}")
     if config["mode"] == "blackbox" and config["loss"] == "canary-only":
         raise ValueError(
             "config key 'loss' must be logistic or linear in blackbox mode")

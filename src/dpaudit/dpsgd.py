@@ -23,21 +23,20 @@ import math
 import numpy as np
 from scipy import special
 
-from .estimator import check_counts
+from .estimator import check_counts, check_reals
 from .mechanisms import RdpParams, ZcdpParams, gaussian_dp_eps
 from .pipeline import MechanismAdapter
 
 
 # Each noisy-SGD setting once: config key -> (TrainerConfig field, type,
-# rule, rule text).  TrainerConfig checks its fields against these rows, the
-# dpsgd-audit config parser its keys.
+# REAL_INTERVALS interval), checked by TrainerConfig and the config parser.
 TRAINER_KEYS = {
-    "iterations": ("ell", int, lambda v: v >= 1, ">= 1"),
-    "clip": ("clip", float, lambda v: v > 0, "> 0"),
-    "noise_multiplier": ("noise_multiplier", float, lambda v: v >= 0, ">= 0"),
-    "sample_prob": ("sample_prob", float, lambda v: 0 < v <= 1, "in (0, 1]"),
-    "learning_rate": ("learning_rate", float, lambda v: v > 0, "> 0"),
-    "dim": ("dim", int, lambda v: v >= 1, ">= 1"),
+    "iterations": ("ell", int, "[1, inf]"),
+    "clip": ("clip", float, "(0, inf)"),
+    "noise_multiplier": ("noise_multiplier", float, "[0, inf]"),
+    "sample_prob": ("sample_prob", float, "(0, 1]"),
+    "learning_rate": ("learning_rate", float, "(0, inf)"),
+    "dim": ("dim", int, "[1, inf]"),
 }
 
 NOISE_RULE = ("keep 1 / noise_multiplier^2 and {ell} / (2 noise_multiplier^2) "
@@ -53,10 +52,10 @@ def noise_rule_ok(sigma: float, ell: int) -> bool:
 
 @dataclasses.dataclass(frozen=True)
 class TrainerConfig:
-    """Noisy-SGD hyperparameters, each in its range of TRAINER_KEYS.
+    """Noisy-SGD hyperparameters, each in its interval of TRAINER_KEYS.
 
-    noise_multiplier may be zero: deterministic clipped gradient descent, an
-    oracle with no privacy guarantee, which privacy_accounting rejects.
+    noise_multiplier may be zero (clipped gradient descent, an oracle with
+    no privacy guarantee) or inf; privacy_accounting rejects both.
     """
 
     ell: int
@@ -67,12 +66,11 @@ class TrainerConfig:
     dim: int
 
     def __post_init__(self):
-        for field, kind, ok, rule in TRAINER_KEYS.values():
-            value = getattr(self, field)
+        for field, kind, interval in TRAINER_KEYS.values():
+            value = {field: getattr(self, field)}
             if kind is int:
-                check_counts(**{field: value})
-            if not ok(value):
-                raise ValueError(f"{field} must be {rule}, got {value!r}")
+                check_counts(**value)
+            check_reals(interval, **value)
 
     @classmethod
     def from_config(cls, config: dict) -> "TrainerConfig":
@@ -302,8 +300,12 @@ def privacy_accounting(cfg: TrainerConfig) -> ZcdpParams | RdpParams:
                          f", got {sigma!r}")
     if cfg.sample_prob == 1:
         return ZcdpParams(rho=cfg.ell / (2.0 * sigma * sigma))
-    return RdpParams(order=2.0, eps_check=_rdp2_eps(
-        cfg.ell, cfg.sample_prob, sigma))
+    try:
+        return RdpParams(order=2.0, eps_check=_rdp2_eps(
+            cfg.ell, cfg.sample_prob, sigma))
+    except ValueError as exc:  # eps_check overflowed where the rule holds
+        raise ValueError(
+            f"noise_multiplier {sigma!r} overflows: {exc}") from None
 
 
 def _rdp2_eps(ell: int, q: float, sigma: float) -> float:
@@ -328,8 +330,7 @@ def theoretical_eps_upper(cfg: TrainerConfig, delta: float) -> float:
     the exact Gaussian privacy curve.  sample_prob < 1: order-2 Renyi bound
     converted as eps <= eps_check + log(1/delta).
     """
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    check_reals("(0, 1)", delta=delta)
     record = privacy_accounting(cfg)
     if isinstance(record, ZcdpParams):
         return gaussian_dp_eps(record.rho, delta)

@@ -32,23 +32,20 @@ def rr_accuracy(eps: float) -> float:
     This is the largest probability with which any eps-DP mechanism can
     correctly guess an independent fair bit of its input.
     """
-    if not eps >= 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    check_reals("[0, inf]", eps=eps)
     return float(special.expit(eps))
 
 
 @dataclasses.dataclass(frozen=True)
 class PrivacyParams:
-    """An (eps, delta) pair under test. eps is in nats."""
+    """An (eps, delta) null: eps in [0, inf] nats, delta in [0, 1]."""
 
     eps: float
     delta: float = 0.0
 
     def __post_init__(self):
-        if not self.eps >= 0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
-        if not 0 <= self.delta <= 1:
-            raise ValueError(f"delta must be in [0, 1], got {self.delta}")
+        check_reals("[0, inf]", eps=self.eps)
+        check_reals("[0, 1]", delta=self.delta)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,13 +80,35 @@ class GuessSummary:
 
 
 def check_counts(low: float = -math.inf, **counts) -> None:
-    """The one count rule: each count is an integer (numpy integers are
-    integers) and at least low; the error names the count at fault."""
+    """The one count rule: each count is an integer (numpy's too, not a
+    bool) and at least low; the error names the count at fault."""
     for name, value in counts.items():
-        if not isinstance(value, (int, np.integer)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+# interval -> (membership test, what a value must do); nan fails every test
+REAL_INTERVALS = {
+    "[0, 1]": (lambda x: 0 <= x <= 1, "be in [0, 1]"),
+    "(0, 1)": (lambda x: 0 < x < 1, "be in (0, 1)"),
+    "(0, 1]": (lambda x: 0 < x <= 1, "be in (0, 1]"),
+    "[0, inf]": (lambda x: x >= 0, "be nonnegative"),
+    "[0, inf)": (lambda x: 0 <= x < math.inf, "be nonnegative and finite"),
+    "(0, inf)": (lambda x: 0 < x < math.inf, "be positive and finite"),
+    "(1, inf]": (lambda x: x > 1, "exceed 1"),
+    "[1, inf]": (lambda x: x >= 1, "be >= 1"),
+    "finite": (lambda x: -math.inf < x < math.inf, "be finite"),
+}
+
+
+def check_reals(interval: str, **values) -> None:
+    """The one real rule: each value lies in interval; errors name the value."""
+    inside, text = REAL_INTERVALS[interval]
+    for name, value in values.items():
+        if not inside(value):
+            raise ValueError(f"{name} must {text}, got {value}")
 
 
 def _survival_fill(n: int, w_max: int):
@@ -156,8 +175,7 @@ class DominatingDistribution:
     def from_binomial(cls, n: int, q: float) -> "DominatingDistribution":
         """Survival of Binomial(n, q) over its full support."""
         check_counts(0, n=n)
-        if not 0 <= q <= 1:
-            raise ValueError(f"q must be in [0, 1], got {q}")
+        check_reals("[0, 1]", q=q)
         return cls(support_max=n, survival_table=_survival_fill(n, n)(q))
 
     @classmethod
@@ -278,10 +296,8 @@ def eps_lower_bound(m: int, r: int, v: int, delta: float, beta: float) -> float:
     check_counts(0, r=r, v=v)
     if not v <= r <= m:
         raise ValueError(f"need 0 <= v <= r <= m, got v={v} r={r} m={m}")
-    if not 0 <= delta <= 1:
-        raise ValueError(f"delta must be in [0, 1], got {delta}")
-    if not 0 < beta < 1:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
+    check_reals("[0, 1]", delta=delta)
+    check_reals("(0, 1)", beta=beta)
     p_value = _p_value_at(m, r, v, delta)
     eps_min = 0.0  # maintain p_value(eps_min) < beta
     eps_max = 1.0  # maintain p_value(eps_max) >= beta
@@ -303,8 +319,7 @@ class GeneralPParams:
     p_incl: float
 
     def __post_init__(self):
-        if not 0 < self.p_incl < 1:
-            raise ValueError(f"p_incl must be in (0, 1), got {self.p_incl}")
+        check_reals("(0, 1)", p_incl=self.p_incl)
 
     def q_plus(self, eps: float) -> float:
         """Accuracy bound p*e^eps / (p*e^eps + 1 - p) for positive guesses."""
@@ -347,26 +362,25 @@ def hoeffding_p_value(m: int, r1: float, r2: float, v: float,
     Unlike the exact binomial routines, v may be non-integer here.
     """
     check_counts(1, m=m)
-    if not (0 < r1 < math.inf and 0 < r2 < math.inf):
-        raise ValueError(f"r1 and r2 must be in (0, inf), got {r1}, {r2}")
-    if not -math.inf < v < math.inf:
-        raise ValueError(f"v must be finite, got {v}")
-    q = rr_accuracy(params.eps)
-    mean = q * r1
+    check_reals("(0, inf)", r1=r1, r2=r2)
+    check_reals("finite", v=v)
+    mean = rr_accuracy(params.eps) * r1
 
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x < mean, 1.0, np.exp(-2.0 / r2 ** 2 * (x - mean) ** 2))
+    def f(x):  # exp(coef gap^2) <= 1, and 1 where coef gap^2 is 0 * inf
+        gap = np.maximum(np.asarray(x, dtype=float) - mean, 0.0)
+        out = np.fmin(np.exp(coef * gap ** 2), 1.0)
         return float(out) if out.ndim == 0 else out
 
-    fv = f(v)
-    if params.delta == 0:
-        return min(1.0, fv)
-    if v >= mean + 2:
-        dterm = max(2.0 / (v - mean), f((v + mean) / 2.0))
-    else:  # v < q r1 + 2: for i >= 2, f(v - i) = 1 and (1 - f(v)) / i falls
-        i = np.arange(1, min(m, 2) + 1)
-        dterm = max(0.0, float(np.max((f(v - i) - fv) / i)))
+    with np.errstate(all="ignore"):  # r2^2 and gap^2 may leave float range
+        coef = -2.0 / np.float64(r2) ** 2
+        fv = f(v)
+        if params.delta == 0:
+            return min(1.0, fv)
+        if v >= mean + 2:
+            dterm = max(2.0 / (v - mean), f((v + mean) / 2.0))
+        else:  # v < q r1 + 2: for i >= 2, f(v - i) = 1, (1 - f(v)) / i falls
+            i = np.arange(1, min(m, 2) + 1)
+            dterm = max(0.0, float(np.max((f(v - i) - fv) / i)))
     return min(1.0, fv + 2.0 * m * params.delta * dterm)
 
 
@@ -387,10 +401,8 @@ def adaptive_bound(m: int, r_observed: int, params: PrivacyParams,
         raise ValueError(
             f"need 0 <= r_observed <= m, got r_observed={r_observed} m={m}")
     check_counts(0, m=m)
-    if not 0 <= gamma <= 1:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    check_reals("[0, 1]", gamma=gamma)
+    check_reals("(0, inf)", tau=tau)
     table = _survival_fill(r_observed, r_observed)(rr_accuracy(params.eps))
     below = np.flatnonzero(table <= gamma)
     g = int(below[0]) if below.size else r_observed + 1
@@ -440,6 +452,8 @@ def prior_generalization_bound(alpha_acc: float, beta_acc: float,
     Returns (error, failure) = (alpha_acc + e^eps - 1 + c + 2 d,
     beta_acc / c + delta / d) for free parameters c, d > 0, or arrays of them.
     """
+    check_reals("[0, inf)", alpha_acc=alpha_acc)
+    check_reals("[0, 1]", beta_acc=beta_acc)
     if not (np.all(c > 0) and np.all(d > 0)):
         raise ValueError(f"c and d must be positive, got {c}, {d}")
     if params.eps > _LOG_MAX:  # no finite width
@@ -462,6 +476,7 @@ def optimize_generalization_width(
     (gamma, eta), each from 1e-2 to 1.  Returns (gamma, eta,
     achieved_failure).
     """
+    check_reals("[0, 1]", beta_acc=beta_acc, target_failure=target_failure)
     table = _binomial_table(n, params.eps)
     grid = np.geomspace(1e-2, 1.0, _GRID_POINTS)
     for g in grid:
@@ -473,7 +488,7 @@ def optimize_generalization_width(
                 best = (float(g), float(e), fail)
         if best is not None:
             return best
-    raise ValueError("no feasible (gamma, eta) grid point for the target")
+    raise ValueError(f"no grid point meets target_failure {target_failure}")
 
 
 def optimize_prior_width(
@@ -485,12 +500,13 @@ def optimize_prior_width(
     over the c and d of :func:`prior_generalization_bound`, each from 1e-6
     to 1.  Returns (width, c, d).
     """
+    check_reals("[0, 1]", target_failure=target_failure)
     cs = ds = np.geomspace(1e-6, 1.0, _GRID_POINTS)
     width, fail = prior_generalization_bound(
         0.0, beta_acc, params, cs[:, None], ds[None, :])
     feasible = fail <= target_failure
     if not feasible.any():
-        raise ValueError("no feasible (c, d) grid point for the target")
+        raise ValueError(f"no grid point meets target_failure {target_failure}")
     width = np.where(feasible, width, np.inf)
     i, j = np.unravel_index(np.argmin(width), width.shape)
     return float(width[i, j]), float(cs[i]), float(ds[j])
@@ -509,16 +525,15 @@ def mi_bound(n: int, params: PrivacyParams, p_incl: float) -> float:
     n delta h(p) + n (1-delta) h((p e^eps + 1 - p) / (e^eps + 1))
     - n (1-delta) (log(1 + e^-eps) + eps / (e^eps + 1)),
     with h the natural-log binary entropy.  At p = 1/2 this is at most
-    n delta log 2 + n (1-delta) eps^2 / 8.
+    n delta log 2 + n (1-delta) eps^2 / 8; floored at 0 against rounding.
     """
     check_counts(0, n=n)
-    if not 0 < p_incl < 1:
-        raise ValueError(f"p_incl must be in (0, 1), got {p_incl}")
+    check_reals("(0, 1)", p_incl=p_incl)
     eps, delta = params.eps, params.delta
     if eps > _LOG_MAX:  # e^eps overflows: the eps -> inf limit n h(p)
         return n * _binary_entropy(p_incl)
     mid = (p_incl * math.exp(eps) + 1.0 - p_incl) / (math.exp(eps) + 1.0)
-    return (n * delta * _binary_entropy(p_incl)
-            + n * (1.0 - delta) * _binary_entropy(mid)
-            - n * (1.0 - delta) * (math.log1p(math.exp(-eps))
-                                   + eps / (math.exp(eps) + 1.0)))
+    return max(0.0, n * delta * _binary_entropy(p_incl)
+               + n * (1.0 - delta) * _binary_entropy(mid)
+               - n * (1.0 - delta) * (math.log1p(math.exp(-eps))
+                                      + eps / (math.exp(eps) + 1.0)))

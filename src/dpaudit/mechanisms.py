@@ -19,7 +19,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .estimator import PrivacyParams, check_counts, rr_accuracy
+from .estimator import PrivacyParams, check_counts, check_reals, rr_accuracy
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,12 +33,7 @@ class GaussianReportConfig:
     sensitivity: float = 2.0
 
     def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(
-                f"sigma must be positive and finite, got {self.sigma}")
-        if not 0 < self.sensitivity < math.inf:
-            raise ValueError(f"sensitivity must be positive and finite, "
-                             f"got {self.sensitivity}")
+        check_reals("(0, inf)", sigma=self.sigma, sensitivity=self.sensitivity)
         if not 0 < self.rho < math.inf:
             raise ValueError(
                 f"sensitivity^2 / (2 sigma^2) must be positive and finite, "
@@ -72,8 +67,7 @@ class PathologicalConfig:
         if self.r > self.m:
             raise ValueError(f"need 0 < r <= m, got r={self.r} m={self.m}")
         PrivacyParams(self.eps, self.delta)  # checks eps and delta
-        if not 0 <= self.beta <= 1:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
+        check_reals("[0, 1]", beta=self.beta)
         if self.m * self.delta > self.r * self.beta:
             raise ValueError(
                 f"need m*delta <= r*beta, got {self.m * self.delta} > "
@@ -94,28 +88,24 @@ class PathologicalConfig:
 
 @dataclasses.dataclass(frozen=True)
 class ZcdpParams:
-    """Zero-concentrated DP parameter record."""
+    """Zero-concentrated DP parameter record, rho finite and nonnegative."""
 
     rho: float
 
     def __post_init__(self):
-        if not self.rho >= 0:
-            raise ValueError(f"rho must be nonnegative, got {self.rho}")
+        check_reals("[0, inf)", rho=self.rho)
 
 
 @dataclasses.dataclass(frozen=True)
 class RdpParams:
-    """Renyi DP parameter record (order, eps_check)."""
+    """Renyi DP parameter record: order in (1, inf], eps_check finite."""
 
     order: float
     eps_check: float
 
     def __post_init__(self):
-        if not self.order > 1:
-            raise ValueError(f"order must exceed 1, got {self.order}")
-        if not self.eps_check >= 0:
-            raise ValueError(
-                f"eps_check must be nonnegative, got {self.eps_check}")
+        check_reals("(1, inf]", order=self.order)
+        check_reals("[0, inf)", eps_check=self.eps_check)
 
 
 def randomized_response(s: np.ndarray, eps: float,
@@ -163,10 +153,8 @@ def gaussian_dp_delta(rho: float, eps: float) -> float:
     large rho.  The result is clamped to [0, 1] and strictly decreasing in
     eps, with limit 0 at eps = inf.
     """
-    if not 0 < rho < math.inf:
-        raise ValueError(f"rho must be positive and finite, got {rho}")
-    if not eps >= 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    check_reals("(0, inf)", rho=rho)
+    check_reals("[0, inf]", eps=eps)
     if eps == math.inf:
         return 0.0
     scale = math.sqrt(2.0 * rho)
@@ -182,8 +170,7 @@ def gaussian_dp_eps(rho: float, delta: float) -> float:
     to well below 1e-6 in eps.  Returns 0 when even eps = 0 already
     achieves the requested delta.
     """
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    check_reals("(0, 1)", delta=delta)
     if gaussian_dp_delta(rho, 0.0) <= delta:
         return 0.0
     hi = 1.0
@@ -252,8 +239,7 @@ def rdp_membership_accuracy(eps_check: float) -> float:
     1/2 + 1/2 * sqrt((e^x - 1) / (e^x + 3)), evaluated in the
     overflow-free form (1 - e^-x) / (1 + 3 e^-x).
     """
-    if not eps_check >= 0:
-        raise ValueError(f"eps_check must be nonnegative, got {eps_check}")
+    check_reals("[0, inf]", eps_check=eps_check)
     ratio = -math.expm1(-eps_check) / (1.0 + 3.0 * math.exp(-eps_check))
     return 0.5 + 0.5 * math.sqrt(ratio)
 
@@ -272,8 +258,7 @@ def expected_correct_gaussian(m: int, r: int, sigma: float) -> tuple[float, int]
     check_counts(1, m=m, r=r)
     if r > m:
         raise ValueError(f"need 0 < r <= m, got r={r} m={m}")
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    check_reals("(0, inf)", sigma=sigma)
     target = r / (2.0 * m)
 
     def mixture_tail(c):

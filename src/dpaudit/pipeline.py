@@ -19,7 +19,7 @@ import numpy as np
 
 from . import mechanisms
 from .estimator import (GuessSummary, PrivacyParams, check_counts,
-                        eps_lower_bound, p_value_audit, rr_accuracy)
+                        check_reals, eps_lower_bound, p_value_audit)
 
 DEFAULT_EPS_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -91,8 +91,8 @@ class MechanismAdapter:
     """Bridge between a mechanism and the audit loop.
 
     run maps (selection, rng) to either a score vector or a ternary guess
-    vector, per output; eps/delta declare the guarantee the mechanism is
-    supposed to satisfy, used by validity tests.
+    vector, per output; eps (None or >= 0) and delta (in [0, 1]) declare
+    the guarantee the mechanism is supposed to satisfy, for validity tests.
     """
 
     name: str
@@ -104,10 +104,11 @@ class MechanismAdapter:
     def __post_init__(self):
         if self.output not in ("scores", "guesses"):
             raise ValueError(f"unknown adapter output {self.output!r}")
+        check_reals("[0, inf]", eps=0.0 if self.eps is None else self.eps)
+        check_reals("[0, 1]", delta=self.delta)
 
 
 def adapter_randomized_response(eps: float) -> MechanismAdapter:
-    rr_accuracy(eps)  # rejects a negative or nan eps up front
     return MechanismAdapter(
         name="randomized-response",
         run=lambda s, rng: mechanisms.randomized_response(s, eps, rng),
@@ -186,9 +187,8 @@ def audit_run(adapter: MechanismAdapter, m: int, k_plus: int, k_minus: int,
     the budget arguments are ignored.  The report echoes the seed and
     configuration, so an identical call reproduces it exactly.
     """
-    for conf in confidences:
-        if not 0 < conf < 1:
-            raise ValueError(f"confidence must be in (0, 1), got {conf}")
+    for conf in confidences:  # the failure probabilities of the bounds
+        check_reals("(0, 1)", **{"1 - confidence": 1.0 - conf})
     s, out = run_mechanism(adapter, m, seed)
     if adapter.output == "guesses":
         t = np.asarray(out)
@@ -293,8 +293,7 @@ def k_sweep(y: np.ndarray, s: np.ndarray,
     sorted once for the whole grid.
     """
     s = _check_selection(s)
-    if not 0 < confidence < 1:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    check_reals("(0, 1)", **{"1 - confidence": 1.0 - confidence})
     if len(grid) == 0:
         raise ValueError("grid must hold at least one (k_plus, k_minus) budget")
     m = s.size

@@ -369,6 +369,18 @@ def test_dpsgd_audit_tiny_noise_accounts(tmp_path, capsys):
     assert math.isfinite(config["theoretical_eps_upper"])
 
 
+def test_dpsgd_audit_overflowing_accounting_usage_exit(tmp_path, capsys):
+    # the noise rule accepts sigma = 1e-154 (1 / sigma^2 = 1e308), but the
+    # order-2 Renyi eps of two steps at q = 1/2 overflows: no report with an
+    # infinite bound, which JSON cannot hold
+    cfg_file = tmp_path / "audit.cfg"
+    write_config(cfg_file, iterations=2, noise_multiplier=1e-154,
+                 sample_prob=0.5)
+    code, out, err = run_cli(capsys, "dpsgd-audit", "--config", str(cfg_file))
+    assert (code, out) == (1, "")
+    assert "noise_multiplier" in err
+
+
 def test_dpsgd_audit_unknown_key_named(tmp_path, capsys):
     cfg_file = tmp_path / "audit.cfg"
     cfg_file.write_text("mode = whitebox\nmystery_knob = 3\n")
@@ -423,7 +435,7 @@ def test_dpsgd_audit_bad_value_named(tmp_path, capsys, key, overrides):
 _JUST_OUTSIDE = {
     "mode": "whitebox2", "loss": "logistics", "m": 0, "delta": 1.0,
     "confidence": "0.95,1.0", "seed": -1, "data_examples": -1,
-    "k_plus": -1, "k_minus": -1,
+    "k_plus": -1, "k_minus": -1, "label_noise": "inf",
     "iterations": 0, "clip": 0.0, "noise_multiplier": -5e-324,
     "sample_prob": 1.0000000000000002, "learning_rate": 0.0, "dim": 0,
 }

@@ -1,10 +1,11 @@
 """Every exported count argument goes through the one count rule.
 
 A count (m, n, r, v, a guess budget, a step count or a dimension) must be
-an integer at least its lower bound.  Set one count at a time to 2.5, nan,
-+-inf or -1: each exported callable must raise a ValueError that names
-that argument, and emit no warning.  A second test reads the signature of
-every export, so a new count argument cannot skip the table.
+an integer at least its lower bound; a bool is not an integer here.  Set
+one count at a time to 2.5, nan, +-inf, -1, True or False: each exported
+callable must raise a ValueError that names that argument, and emit no
+warning.  A second test reads the signature of every export, so a new
+count argument cannot skip the table.
 """
 
 import inspect
@@ -102,7 +103,7 @@ CASES = {
 # Counts that may be any integer: dual_alpha's threshold v (S(w) = 1 for
 # w <= 0), so -1 is a valid value there.
 SIGNED = {("dual_alpha", "v")}
-BAD_COUNTS = (2.5, math.nan, math.inf, -math.inf, -1)
+BAD_COUNTS = (2.5, math.nan, math.inf, -math.inf, -1, True, False)
 PROBES = [(entry, name, bad) for entry, (_, typical) in CASES.items()
           for name in typical for bad in BAD_COUNTS
           if not (bad == -1 and (entry, name) in SIGNED)]

@@ -234,6 +234,15 @@ def test_trainer_config_validates():
                       learning_rate=0.1, dim=4)
 
 
+@pytest.mark.parametrize("field", ["clip", "learning_rate"])
+def test_trainer_config_rejects_infinite_step_sizes(field):
+    base = dict(ell=1, clip=1.0, noise_multiplier=1.0, sample_prob=1.0,
+                learning_rate=0.1, dim=4)
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be positive and finite"):
+        TrainerConfig(**dict(base, **{field: math.inf}))
+
+
 # ---------------------------------------------------------------------------
 # canaries
 

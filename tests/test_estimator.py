@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -666,6 +667,18 @@ def test_hoeffding_spill_window_equals_full_scan(m, r1, r2, below, eps, delta):
         hoeffding_p_value_full_scan(m, r1, r2, v, eps, delta)
 
 
+@pytest.mark.parametrize("r1,r2,v", [
+    (10.0, 1e-200, 5.0),  # r2^2 underflows: -2 / r2^2 divided by zero
+    (1e300, 3.0, 5.0),    # (v - q r1)^2 overflowed off the taken branch
+    (10.0, 3.0, -1e308),
+], ids=["r2-squared-underflows", "huge-r1", "huge-negative-v"])
+def test_hoeffding_past_float_range_is_one_without_warning(r1, r2, v):
+    # each v lies below the mean q r1, where the survival bound is 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hoeffding_p_value(10, r1, r2, v, PrivacyParams(1.0, 1e-5)) == 1.0
+
+
 def test_hoeffding_spill_scan_memory_does_not_grow_with_m():
     # a bound on 100 guesses among 10^6 examples reads a few offsets only
     params = PrivacyParams(1.0, 1e-9)
@@ -825,18 +838,31 @@ def test_secondary_bounds_exact_pins():
     (lambda: hoeffding_p_value(10, 10.0, 3.0, math.nan,
                                PrivacyParams(1.0, 1e-5)), "v must be finite"),
     (lambda: hoeffding_p_value(10, math.inf, 3.0, 5.0,
-                               PrivacyParams(1.0, 1e-5)), "r1 and r2"),
+                               PrivacyParams(1.0, 1e-5)),
+     "r1 must be positive and finite"),
     (lambda: prior_generalization_bound(0.0, 0.01, PrivacyParams(800.0, 0.0),
                                         c=1.0, d=1.0), "eps must keep"),
     (lambda: optimize_prior_width(PrivacyParams(math.inf, 0.0), 1e-5, 0.05),
      "eps must keep"),
     (lambda: GuessSummary(10.5, 2, 2, 1), "m must be an integer"),
     (lambda: eps_lower_bound(10.5, 4, 2, 0.0, 0.05), "m must be an integer"),
+    (lambda: optimize_prior_width(PrivacyParams(1.0, 1e-5), -1.0, 0.05),
+     "beta_acc must be in"),
+    (lambda: optimize_prior_width(PrivacyParams(1.0, 1e-5), 1e-5, math.nan),
+     "target_failure must be in"),
+    (lambda: optimize_generalization_width(
+        500, PrivacyParams(1.0, 1e-4), 1e-3, math.nan),
+     "target_failure must be in"),
+    (lambda: prior_generalization_bound(math.nan, 0.01,
+                                        PrivacyParams(1.0, 1e-5), 0.1, 0.1),
+     "alpha_acc must be nonnegative and finite"),
 ], ids=["adaptive-negative-m", "adaptive-r-above-m", "adaptive-nan-tau",
         "hoeffding-zero-m", "mi-negative-n", "prior-nan-c",
         "generalization-inf-gamma", "generalization-zero-n",
         "hoeffding-nan-v", "hoeffding-inf-r1", "prior-overflowing-eps",
-        "prior-width-inf-eps", "summary-float-m", "lower-bound-float-m"])
+        "prior-width-inf-eps", "summary-float-m", "lower-bound-float-m",
+        "prior-width-negative-beta", "prior-width-nan-target",
+        "width-nan-target", "prior-nan-alpha"])
 def test_secondary_bounds_reject_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -875,6 +901,11 @@ def test_mi_bound_limit_where_exp_eps_overflows():
     for eps in (709.0, 710.0, math.inf):
         got = mi_bound(5, PrivacyParams(eps, 1e-3), 0.3)
         assert got == pytest.approx(5 * h, rel=1e-12)
+
+
+def test_mi_bound_floors_cancellation_at_zero():
+    # the entropy difference cancels to -1.8e-15 at p = 1e-300
+    assert mi_bound(10, PrivacyParams(1.0, 1e-5), 1e-300) == 0.0
 
 
 def test_mi_bound_monotone_and_nonnegative():

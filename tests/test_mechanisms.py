@@ -429,10 +429,13 @@ def test_expected_correct_gaussian_validates():
     (lambda: ZcdpParams(math.nan), "rho"),
     (lambda: RdpParams(math.nan, 1.0), "order"),
     (lambda: RdpParams(2.0, math.nan), "eps_check"),
+    (lambda: ZcdpParams(math.inf), "rho must be nonnegative and finite"),
+    (lambda: RdpParams(2.0, math.inf),
+     "eps_check must be nonnegative and finite"),
 ], ids=["dp-eps-inf-rho", "dp-eps-nan-rho", "dp-delta-nan-rho",
         "dp-delta-nan-eps", "rdp-accuracy-nan", "expected-nan-sigma",
         "expected-inf-sigma", "zcdp-nan-rho", "rdp-nan-order",
-        "rdp-nan-eps-check"])
+        "rdp-nan-eps-check", "zcdp-inf-rho", "rdp-inf-eps-check"])
 def test_accounting_rejects_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()
