@@ -32,8 +32,8 @@ import numpy as np
 from . import dpsgd as dpsgd_mod
 from . import mechanisms, pipeline
 from .estimator import (REAL_INTERVALS, GuessSummary, PrivacyParams,
-                        check_counts, eps_lower_bound, p_value_audit,
-                        rr_accuracy)
+                        check_counts, check_order, check_reals,
+                        eps_lower_bound, p_value_audit, rr_accuracy)
 
 ENV_OUTDIR = "DPAUDIT_OUTDIR"
 
@@ -116,6 +116,8 @@ _Record = tuple[str | None, dict[str, Any]]
 
 
 def cmd_pvalue(args) -> _Record:
+    check_counts(0, **{"--r": args.r})
+    check_order(**{"--v": args.v, "--r": args.r, "--m": args.m})
     summary = GuessSummary(m=args.m, k_plus=args.r, k_minus=0, v=args.v)
     p = p_value_audit(summary, PrivacyParams(args.eps, args.delta))
     print(f"{p:.6g}")
@@ -124,6 +126,7 @@ def cmd_pvalue(args) -> _Record:
 
 
 def cmd_epslb(args) -> _Record:
+    check_reals("(0, 1)", **{"--conf": args.conf})
     lb = eps_lower_bound(args.m, args.r, args.v, args.delta,
                          1.0 - args.conf)
     print(f"{lb:.6g}")
@@ -136,6 +139,8 @@ def cmd_experiment_pure(args) -> None:
     q = rr_accuracy(args.eps)
     rows = []
     for r in guesses:
+        check_counts(1, **{"--guesses": r})
+        check_reals("(0, 1)", **{"--conf": args.conf})
         v = math.floor(r * q)
         lb = eps_lower_bound(r, r, v, 0.0, 1.0 - args.conf)
         rows.append({"r": r, "v": v, "eps_lb": f"{lb:.6g}"})
@@ -154,6 +159,7 @@ def cmd_experiment_gaussian(args) -> None:
         _, v = mechanisms.expected_correct_gaussian(args.m, r, args.sigma)
         for d in deltas:
             for conf in confs:
+                check_reals("(0, 1)", **{"--conf-grid": conf})
                 lb = eps_lower_bound(args.m, r, v, d, 1.0 - conf)
                 rows.append({
                     "r": r, "v": v, "delta": f"{d:g}", "confidence": conf,
@@ -337,6 +343,7 @@ _SIMULATE_OPTIONS = {"rr": ("eps",), "gaussian": ("sigma",),
 
 def cmd_simulate(args) -> _Record:
     check_counts(0, **{"--k-plus": args.k_plus, "--k-minus": args.k_minus})
+    check_reals("(0, 1)", **{"--conf": args.conf})
     if args.mechanism == "rr":
         adapter = pipeline.adapter_randomized_response(args.eps)
     elif args.mechanism == "gaussian":
@@ -344,6 +351,7 @@ def cmd_simulate(args) -> _Record:
             mechanisms.GaussianReportConfig(sigma=args.sigma),
             delta=args.delta)
     else:  # "pathological"; argparse restricts the choices
+        check_reals("[0, 1]", **{"--mech-delta": args.mech_delta})
         adapter = pipeline.adapter_pathological(
             mechanisms.PathologicalConfig(
                 m=args.m, r=args.r, eps=args.eps,

@@ -23,7 +23,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .estimator import check_counts, check_reals
+from .estimator import check_counts, check_order, check_reals
 from .mechanisms import RdpParams, ZcdpParams, gaussian_dp_eps
 from .pipeline import MechanismAdapter
 
@@ -99,8 +99,7 @@ class ExampleCanarySet:
 def dirac_canaries(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """Coordinates of m Dirac canaries, distinct and uniformly random."""
     check_counts(0, m=m, d=d)
-    if m > d:
-        raise ValueError(f"need m <= d for distinct indices, got {m} > {d}")
+    check_order(m=m, d=d)  # distinct indices
     return rng.permutation(d)[:m]
 
 
@@ -298,12 +297,14 @@ def privacy_accounting(cfg: TrainerConfig) -> ZcdpParams | RdpParams:
     if not noise_rule_ok(sigma, cfg.ell):
         raise ValueError(f"noise_multiplier must {NOISE_RULE.format(ell='ell')}"
                          f", got {sigma!r}")
-    if cfg.sample_prob == 1:
-        return ZcdpParams(rho=cfg.ell / (2.0 * sigma * sigma))
-    try:
+    try:  # the rule holds, but 2 rho or eps_check may still overflow
+        if cfg.sample_prob == 1:
+            rho = cfg.ell / (2.0 * sigma * sigma)
+            check_reals("(0, inf)", **{"2 * rho": 2.0 * rho})
+            return ZcdpParams(rho=rho)
         return RdpParams(order=2.0, eps_check=_rdp2_eps(
             cfg.ell, cfg.sample_prob, sigma))
-    except ValueError as exc:  # eps_check overflowed where the rule holds
+    except ValueError as exc:
         raise ValueError(
             f"noise_multiplier {sigma!r} overflows: {exc}") from None
 

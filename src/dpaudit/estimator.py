@@ -67,11 +67,7 @@ class GuessSummary:
     def __post_init__(self):
         check_counts(1, m=self.m)
         check_counts(0, k_plus=self.k_plus, k_minus=self.k_minus, v=self.v)
-        if self.r > self.m:
-            raise ValueError(
-                f"k_plus + k_minus = {self.r} exceeds m = {self.m}")
-        if self.v > self.r:
-            raise ValueError(f"v must be in [0, {self.r}], got {self.v}")
+        check_order(v=self.v, **{"k_plus + k_minus": self.r}, m=self.m)
 
     @property
     def r(self) -> int:
@@ -109,6 +105,15 @@ def check_reals(interval: str, **values) -> None:
     for name, value in values.items():
         if not inside(value):
             raise ValueError(f"{name} must {text}, got {value}")
+
+
+def check_order(**values) -> None:
+    """The one order rule: the values never decrease in the order given (nan
+    fails); the error names every value."""
+    ordered = list(values.values())
+    if not all(a <= b for a, b in zip(ordered, ordered[1:])):
+        raise ValueError(f"need {' <= '.join(values)}, got " + ", ".join(
+            f"{name}={value}" for name, value in values.items()))
 
 
 def _survival_fill(n: int, w_max: int):
@@ -160,10 +165,6 @@ class DominatingDistribution:
 
     def survival(self, w):
         """Pr[W* >= w] for scalar or array integer w, with tail extension."""
-        if isinstance(w, (int, np.integer)):
-            if w <= 0:
-                return 1.0
-            return float(self.survival_table[w]) if w <= self.support_max else 0.0
         w = np.asarray(w)
         idx = np.clip(w, 0, self.support_max)
         out = np.where(
@@ -294,8 +295,7 @@ def eps_lower_bound(m: int, r: int, v: int, delta: float, beta: float) -> float:
     """
     check_counts(1, m=m)
     check_counts(0, r=r, v=v)
-    if not v <= r <= m:
-        raise ValueError(f"need 0 <= v <= r <= m, got v={v} r={r} m={m}")
+    check_order(v=v, r=r, m=m)
     check_reals("[0, 1]", delta=delta)
     check_reals("(0, 1)", beta=beta)
     p_value = _p_value_at(m, r, v, delta)
@@ -396,11 +396,8 @@ def adaptive_bound(m: int, r_observed: int, params: PrivacyParams,
     Returns:
       (threshold, p) where threshold = w + tau and p is clamped to 1.
     """
-    check_counts(0, r_observed=r_observed)
-    if not r_observed <= m:
-        raise ValueError(
-            f"need 0 <= r_observed <= m, got r_observed={r_observed} m={m}")
-    check_counts(0, m=m)
+    check_counts(0, r_observed=r_observed, m=m)
+    check_order(r_observed=r_observed, m=m)
     check_reals("[0, 1]", gamma=gamma)
     check_reals("(0, inf)", tau=tau)
     table = _survival_fill(r_observed, r_observed)(rr_accuracy(params.eps))
@@ -419,9 +416,8 @@ def generalization_bound(n: int, params: PrivacyParams,
     (1 + gamma - 1.5 eta) n / 2 and S2(i) the survival at the threshold
     minus i.  Requires n >= 1 and finite gamma >= 1.5 eta >= 0.
     """
-    if not math.inf > gamma >= 1.5 * eta >= 0:
-        raise ValueError(
-            f"need finite gamma >= 1.5 * eta >= 0, got gamma={gamma} eta={eta}")
+    check_reals("[0, inf)", gamma=gamma, eta=eta)
+    check_order(**{"1.5 * eta": 1.5 * eta}, gamma=gamma)
     return _generalization_bound_from_table(
         _binomial_table(n, params.eps), n, params.delta, gamma, eta)
 

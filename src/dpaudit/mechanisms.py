@@ -19,7 +19,8 @@ import math
 import numpy as np
 from scipy import special
 
-from .estimator import PrivacyParams, check_counts, check_reals, rr_accuracy
+from .estimator import (PrivacyParams, check_counts, check_order, check_reals,
+                        rr_accuracy)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,14 +65,11 @@ class PathologicalConfig:
 
     def __post_init__(self):
         check_counts(1, m=self.m, r=self.r)
-        if self.r > self.m:
-            raise ValueError(f"need 0 < r <= m, got r={self.r} m={self.m}")
+        check_order(r=self.r, m=self.m)
         PrivacyParams(self.eps, self.delta)  # checks eps and delta
         check_reals("[0, 1]", beta=self.beta)
-        if self.m * self.delta > self.r * self.beta:
-            raise ValueError(
-                f"need m*delta <= r*beta, got {self.m * self.delta} > "
-                f"{self.r * self.beta}")
+        check_order(**{"m * delta": self.m * self.delta,
+                       "r * beta": self.r * self.beta})
 
     @property
     def boost(self) -> float:
@@ -151,9 +149,9 @@ def gaussian_dp_delta(rho: float, eps: float) -> float:
     The e^eps factor is applied in log space to avoid overflow; its term is
     at most 1, so the exponent is clamped at 0 against cancellation at
     large rho.  The result is clamped to [0, 1] and strictly decreasing in
-    eps, with limit 0 at eps = inf.
+    eps, with limit 0 at eps = inf.  2 rho must be finite.
     """
-    check_reals("(0, inf)", rho=rho)
+    check_reals("(0, inf)", rho=rho, **{"2 * rho": 2.0 * rho})
     check_reals("[0, inf]", eps=eps)
     if eps == math.inf:
         return 0.0
@@ -256,8 +254,7 @@ def expected_correct_gaussian(m: int, r: int, sigma: float) -> tuple[float, int]
     extreme guesses on m examples should expect.
     """
     check_counts(1, m=m, r=r)
-    if r > m:
-        raise ValueError(f"need 0 < r <= m, got r={r} m={m}")
+    check_order(r=r, m=m)
     check_reals("(0, inf)", sigma=sigma)
     target = r / (2.0 * m)
 
@@ -266,9 +263,7 @@ def expected_correct_gaussian(m: int, r: int, sigma: float) -> tuple[float, int]
                       + special.ndtr(-((c + 1.0) / sigma)))
 
     lo = 0.0  # mixture_tail(0) = 1/2 >= target since r <= m
-    hi = 1.0 + sigma * -special.ndtri(target)
-    if hi <= lo:
-        hi = lo + 1.0
+    hi = 1.0 + sigma * -special.ndtri(target)  # >= 1, as target <= 1/2
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         t = mixture_tail(mid)

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import mechanisms
 from .estimator import (GuessSummary, PrivacyParams, check_counts,
-                        check_reals, eps_lower_bound, p_value_audit)
+                        check_order, check_reals, eps_lower_bound,
+                        p_value_audit)
 
 DEFAULT_EPS_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -67,9 +68,7 @@ def _guesses(orders: tuple[np.ndarray, np.ndarray], k_plus: int,
     descending, ascending = orders
     m = descending.size
     check_counts(0, k_plus=k_plus, k_minus=k_minus)
-    if k_plus + k_minus > m:
-        raise ValueError(
-            f"need 0 <= k_plus + k_minus <= {m}, got {k_plus} + {k_minus}")
+    check_order(**{"k_plus + k_minus": k_plus + k_minus}, m=m)
     t = np.zeros(m, dtype=int)
     t[descending[:k_plus]] = 1
     minus = ascending[t[ascending] == 0][:k_minus]

@@ -224,6 +224,43 @@ def test_pathological_check_invalid_parameters(capsys):
     assert "beta" in err or "delta" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["epslb", "--m", "10", "--r", "5", "--v", "3", "--conf", "1.5"],
+     "--conf must be in (0, 1), got 1.5"),
+    (["experiment-pure", "--eps", "1", "--conf", "1.5"],
+     "--conf must be in (0, 1), got 1.5"),
+    (["experiment-pure", "--eps", "1", "--guesses", "0"],
+     "--guesses must be >= 1, got 0"),
+    (["experiment-gaussian", "--m", "100", "--r-grid", "10",
+      "--conf-grid", "1.5"], "--conf-grid must be in (0, 1), got 1.5"),
+    (["simulate", "--mechanism", "rr", "--m", "10", "--conf", "1.5"],
+     "--conf must be in (0, 1), got 1.5"),
+    (["simulate", "--mechanism", "pathological", "--m", "10", "--r", "5",
+      "--mech-delta", "2"], "--mech-delta must be in [0, 1], got 2.0"),
+    (["pvalue", "--m", "10", "--r", "12", "--v", "3", "--eps", "1"],
+     "need --v <= --r <= --m, got --v=3, --r=12, --m=10"),
+    (["pvalue", "--m", "10", "--r", "4", "--v", "5", "--eps", "1"],
+     "need --v <= --r <= --m, got --v=5, --r=4, --m=10"),
+    (["pvalue", "--m", "10", "--r", "-1", "--v", "-2", "--eps", "1"],
+     "--r must be >= 0, got -1"),
+], ids=["epslb-conf", "pure-conf", "pure-guesses", "gaussian-conf-grid",
+        "simulate-conf", "simulate-mech-delta", "pvalue-r-over-m",
+        "pvalue-v-over-r", "pvalue-negative-r"])
+def test_usage_error_names_the_option_as_typed(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: {message}\n"
+
+
+def test_experiment_gaussian_overflowing_rho_usage_exit(capsys):
+    # sigma = 1.4e-154 gives rho = 1.02e308, finite, but 2 rho overflows:
+    # eps_upper read 0 next to a positive eps_lb
+    code, out, err = run_cli(capsys, "experiment-gaussian", "--sigma",
+                             "1.4e-154", "--r-grid", "10", "--m", "100")
+    assert (code, out) == (1, "")
+    assert "rho" in err
+
+
 # ---------------------------------------------------------------------------
 # dpsgd-audit
 
@@ -371,14 +408,17 @@ def test_dpsgd_audit_tiny_noise_accounts(tmp_path, capsys):
 
 def test_dpsgd_audit_overflowing_accounting_usage_exit(tmp_path, capsys):
     # the noise rule accepts sigma = 1e-154 (1 / sigma^2 = 1e308), but the
-    # order-2 Renyi eps of two steps at q = 1/2 overflows: no report with an
-    # infinite bound, which JSON cannot hold
+    # order-2 Renyi eps of two steps at q = 1/2 overflows, and at full batch
+    # 2 rho = 2e308 does: no report with an infinite bound, which JSON cannot
+    # hold, or with an upper bound of 0
     cfg_file = tmp_path / "audit.cfg"
-    write_config(cfg_file, iterations=2, noise_multiplier=1e-154,
-                 sample_prob=0.5)
-    code, out, err = run_cli(capsys, "dpsgd-audit", "--config", str(cfg_file))
-    assert (code, out) == (1, "")
-    assert "noise_multiplier" in err
+    for sample_prob in (0.5, 1.0):
+        write_config(cfg_file, iterations=2, noise_multiplier=1e-154,
+                     sample_prob=sample_prob)
+        code, out, err = run_cli(capsys, "dpsgd-audit", "--config",
+                                 str(cfg_file))
+        assert (code, out) == (1, ""), sample_prob
+        assert "noise_multiplier" in err
 
 
 def test_dpsgd_audit_unknown_key_named(tmp_path, capsys):

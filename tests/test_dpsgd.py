@@ -517,3 +517,14 @@ def test_accounting_rejects_noise_outside_float_range(sigma, sample_prob):
         privacy_accounting(cfg)
     with pytest.raises(ValueError, match="noise_multiplier"):
         theoretical_eps_upper(cfg, 1e-5)
+
+
+def test_full_batch_accounting_rejects_overflowing_two_rho():
+    # rho = ell / (2 sigma^2) = 1e308 passes the noise rule, but 2 rho, the
+    # scale of the Gaussian privacy curve, is inf: no upper bound of 0
+    cfg = TrainerConfig(ell=2, clip=1.0, noise_multiplier=1e-154,
+                        sample_prob=1.0, learning_rate=0.1, dim=4)
+    for call in (privacy_accounting, lambda c: theoretical_eps_upper(c, 1e-5)):
+        with pytest.raises(ValueError,
+                           match="^noise_multiplier 1e-154 overflows: 2 "):
+            call(cfg)

@@ -821,7 +821,7 @@ def test_secondary_bounds_exact_pins():
 
 @pytest.mark.parametrize("call,match", [
     (lambda: adaptive_bound(-100, 10, PrivacyParams(1.0, 1e-3), 0.05, 1.0),
-     "m=-100"),
+     "m must be >= 0, got -100"),
     (lambda: adaptive_bound(10, 11, PrivacyParams(1.0, 0.0), 0.05, 1.0),
      "r_observed=11"),
     (lambda: adaptive_bound(10, 5, PrivacyParams(1.0, 0.0), 0.05, math.nan),

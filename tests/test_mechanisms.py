@@ -432,10 +432,17 @@ def test_expected_correct_gaussian_validates():
     (lambda: ZcdpParams(math.inf), "rho must be nonnegative and finite"),
     (lambda: RdpParams(2.0, math.inf),
      "eps_check must be nonnegative and finite"),
+    (lambda: gaussian_dp_eps(1e308, 1e-5), "2 \\* rho must be"),
 ], ids=["dp-eps-inf-rho", "dp-eps-nan-rho", "dp-delta-nan-rho",
         "dp-delta-nan-eps", "rdp-accuracy-nan", "expected-nan-sigma",
         "expected-inf-sigma", "zcdp-nan-rho", "rdp-nan-order",
-        "rdp-nan-eps-check", "zcdp-inf-rho", "rdp-inf-eps-check"])
+        "rdp-nan-eps-check", "zcdp-inf-rho", "rdp-inf-eps-check",
+        "dp-eps-overflowing-rho"])
 def test_accounting_rejects_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_gaussian_dp_eps_keeps_its_bits_where_two_rho_is_finite():
+    # the largest rho the curve takes reads as before; one past it raises
+    assert gaussian_dp_eps(8e307, 1e-5) == 7.999999999999827e+307
