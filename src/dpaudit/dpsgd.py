@@ -24,7 +24,8 @@ import numpy as np
 from scipy import special
 
 from .estimator import check_counts, check_order, check_reals
-from .mechanisms import RdpParams, ZcdpParams, gaussian_dp_eps
+from .mechanisms import (RdpParams, ZcdpParams, gaussian_dp_delta,
+                         gaussian_dp_eps)
 from .pipeline import MechanismAdapter
 
 
@@ -300,7 +301,7 @@ def privacy_accounting(cfg: TrainerConfig) -> ZcdpParams | RdpParams:
     try:  # the rule holds, but 2 rho or eps_check may still overflow
         if cfg.sample_prob == 1:
             rho = cfg.ell / (2.0 * sigma * sigma)
-            check_reals("(0, inf)", **{"2 * rho": 2.0 * rho})
+            gaussian_dp_delta(rho, math.inf)  # the curve needs 2 rho finite
             return ZcdpParams(rho=rho)
         return RdpParams(order=2.0, eps_check=_rdp2_eps(
             cfg.ell, cfg.sample_prob, sigma))

@@ -165,6 +165,10 @@ class DominatingDistribution:
 
     def survival(self, w):
         """Pr[W* >= w] for scalar or array integer w, with tail extension."""
+        if isinstance(w, (int, np.integer)):
+            if w <= 0:
+                return 1.0
+            return float(self.survival_table[w]) if w <= self.support_max else 0.0
         w = np.asarray(w)
         idx = np.clip(w, 0, self.support_max)
         out = np.where(

@@ -1,4 +1,5 @@
-"""Every exported argument goes through one of the three argument rules.
+"""The contract table: every exported argument goes through one of the
+three argument rules.
 
 A count (m, n, r, v, a guess budget, a step count or a dimension) is an
 integer, not a bool, at least its lower bound (``estimator.check_counts``);
@@ -11,9 +12,9 @@ range of what it returns.  A probe sets one count to 2.5, nan, +-inf, -1,
 True or False, one real to 0, -1, nan, +-inf, 1e-300 or 1e300, or breaks
 one order rule.  The call must raise a ValueError that names every
 argument the probe set (a real probe may instead return a value in range),
-and emit no warning.  Every probe runs on every run.  A signature scan
-fails when an export's count or real argument is missing from the table,
-and switching any rule off makes its probes fail.
+and emit no warning.  Every probe runs on every run.  The order rule's
+tests are here; test_count_contract and test_real_contract hold those of
+the other two rules, each with its signature scan and switch-off check.
 """
 
 import inspect
@@ -22,10 +23,9 @@ import re
 import warnings
 
 import numpy as np
-import pytest
 
 import dpaudit
-from dpaudit import dpsgd, estimator
+from dpaudit import estimator
 
 P = dpaudit.PrivacyParams(1.0, 1e-5)
 # a score-output adapter, so audit_run reads its guess budget
@@ -233,9 +233,17 @@ PROBES = {
 }
 
 
-def fault(entry: str, bad: dict, may_return: bool) -> str | None:
+# rule -> how a ValueError names an argument: a count as "name must" or
+# "name=", a real or an order's term as a word (an order names terms such
+# as "k_plus + k_minus")
+NAMING = {"check_counts": r"(?<![\w.]){}( must|=)",
+          "check_reals": r"(?<![\w.]){}(?!\w)",
+          "check_order": r"(?<![\w.]){}(?!\w)"}
+
+
+def fault(rule: str, entry: str, bad: dict) -> str | None:
     """None if the call with the arguments in ``bad`` raises a ValueError
-    that names each of them, or where ``may_return`` returns a value in its
+    that names each of them, or for a real probe returns a value in its
     documented range, with no warning; else what went wrong."""
     call, typical, in_range = CASES[entry]
     probe = f"{entry}({', '.join(f'{k}={v!r}' for k, v in bad.items())})"
@@ -245,62 +253,48 @@ def fault(entry: str, bad: dict, may_return: bool) -> str | None:
             out = call(**dict(typical, **bad))
     except ValueError as exc:
         unnamed = [name for name in bad
-                   if not re.search(rf"(?<![\w.]){name}(?!\w)", str(exc))]
+                   if not re.search(NAMING[rule].format(name), str(exc))]
         return f"{probe}: the ValueError does not name {unnamed}: {exc}" \
             if unnamed else None
     except Exception as exc:  # noqa: BLE001 - any other type breaks the rule
         return f"{probe} raised {type(exc).__name__}: {exc}"
-    if not may_return:
+    if rule != "check_reals":
         return f"{probe} returned without an error"
     return None if in_range(out) else \
         f"{probe} returned a value outside its range: {out!r}"
 
 
-def faults(rule: str, records_only: bool = False) -> list[str]:
-    """The faults of a rule's probes; records_only keeps the probes of the
-    exported classes, whose constructors only check their fields."""
-    return [f for entry, bad in PROBES[rule]
-            if not records_only or inspect.isclass(CASES[entry][0])
-            if (f := fault(entry, bad, rule == "check_reals"))]
+def faults(rule: str, keep=lambda entry, bad: True) -> list[str | None]:
+    """fault() of each of a rule's probes that ``keep`` selects."""
+    return [fault(rule, entry, bad) for entry, bad in PROBES[rule]
+            if keep(entry, bad)]
 
 
-@pytest.mark.parametrize("entry", sorted(CASES))
-def test_typical_arguments_are_accepted(entry):
-    # a probe sets one rule's arguments; every other argument must be valid
+def typical_entries(kind: type) -> list[str]:
+    """The entries with an argument of the kind (int for a count, float for
+    a real), whose probes need every other argument valid."""
+    return sorted(entry for entry, (_, typical, _) in CASES.items()
+                  if kind in map(type, typical.values()))
+
+
+def accepts_typical(entry: str) -> bool:
     call, typical, in_range = CASES[entry]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert in_range(call(**typical))
-
-
-def test_bad_count_is_a_value_error_naming_it():
-    assert faults("check_counts") == []
-
-
-def test_bad_real_is_in_range_or_a_value_error_naming_it():
-    assert faults("check_reals") == []
+        return in_range(call(**typical))
 
 
 def test_broken_order_is_a_value_error_naming_it():
-    assert faults("check_order") == []
-
-
-def switched_off_faults(rebind, rule: str) -> list[str]:
-    # only the records: with a rule off, a computation may run without end
-    rebind(estimator, rule, lambda *args, **values: None)
-    return faults(rule, records_only=True)
-
-
-def test_probes_need_the_count_rule(rebind):
-    assert switched_off_faults(rebind, "check_counts")
-
-
-def test_probes_need_the_real_rule(rebind):
-    assert switched_off_faults(rebind, "check_reals")
+    assert list(filter(None, faults("check_order"))) == []
 
 
 def test_probes_need_the_order_rule(rebind):
-    assert switched_off_faults(rebind, "check_order")
+    # only the records: with a rule off, a computation may run without end
+    rebind(estimator, "check_order", lambda **values: None)
+    found = faults("check_order",
+                   lambda entry, bad: inspect.isclass(CASES[entry][0]))
+    assert found and all(f and "returned without an error" in f
+                         for f in found)
 
 
 def exported_signatures():
@@ -318,21 +312,16 @@ def exported_signatures():
                                                                       attr))
 
 
-# The annotations of a count or real argument, and the int arguments no
-# rule checks: a seed takes whatever numpy's generator does, and
-# support_max and best_index are fields of records the library builds.
-CHECKED = {"int", "float", "float | None"}
+# The int arguments no rule checks: a seed takes whatever numpy's
+# generator does, and support_max and best_index are fields of records the
+# library builds.
 UNCHECKED = {"seed", "support_max", "best_index"}
 
 
-def test_every_exported_argument_is_probed():
-    missing = [(qualname, param) for qualname, sig in exported_signatures()
-               for param, spec in sig.parameters.items()
-               if spec.annotation in CHECKED and param not in UNCHECKED
-               and param not in CASES.get(qualname, (None, {}, None))[1]]
-    assert missing == []
-
-
-def test_trainer_real_rows_name_real_intervals():
-    for field, kind, interval in dpsgd.TRAINER_KEYS.values():
-        assert interval in estimator.REAL_INTERVALS, field
+def unprobed(annotations: set[str]) -> list[tuple[str, str]]:
+    """(export, argument) of each exported argument with one of the
+    annotations that the table does not probe."""
+    return [(qualname, param) for qualname, sig in exported_signatures()
+            for param, spec in sig.parameters.items()
+            if spec.annotation in annotations and param not in UNCHECKED
+            and param not in CASES.get(qualname, (None, {}, None))[1]]

@@ -118,6 +118,10 @@ def test_binomial_sf_support_edges():
     dist = DominatingDistribution.from_binomial(100, 0.3)
     assert dist.survival(-5) == 1.0
     assert dist.survival(101) == 0.0
+    # any Python int, also one past int64, as dual_alpha's v may be
+    assert dist.survival(-10**400) == 1.0
+    assert dist.survival(10**400) == 0.0
+    assert dual_alpha(dist, 10**400, 10) == 0.0
 
 
 def test_binomial_sf_matches_mpmath_tails():
