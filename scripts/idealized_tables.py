@@ -39,7 +39,7 @@ def main():
     pure, gaussian, delta = (os.path.abspath(os.path.join(args.out_dir, name))
                              for name in ("pure_rr.csv", "gaussian_sweep.csv",
                                           "delta_sweep.csv"))
-    gaussian_options = ("--sigma", 2.0, "--sensitivity", 2.0, "--m", 100_000)
+    gaussian_options = ("--sigma", 2.0, "--m", 100_000)
 
     run("experiment-pure", "--eps", 4.0, "--conf", 0.95,
         "--guesses", ",".join(map(str, PURE_GUESSES)), "--out", pure)

@@ -126,7 +126,7 @@ def cmd_pvalue(args) -> _Record:
 
 
 def cmd_epslb(args) -> _Record:
-    check_reals("(0, 1)", **{"--conf": args.conf})
+    check_reals("confidence", **{"--conf": args.conf})
     lb = eps_lower_bound(args.m, args.r, args.v, args.delta,
                          1.0 - args.conf)
     print(f"{lb:.6g}")
@@ -136,11 +136,11 @@ def cmd_epslb(args) -> _Record:
 
 def cmd_experiment_pure(args) -> None:
     guesses = _num_list(args.guesses, int)
+    check_reals("confidence", **{"--conf": args.conf})
     q = rr_accuracy(args.eps)
     rows = []
     for r in guesses:
         check_counts(1, **{"--guesses": r})
-        check_reals("(0, 1)", **{"--conf": args.conf})
         v = math.floor(r * q)
         lb = eps_lower_bound(r, r, v, 0.0, 1.0 - args.conf)
         rows.append({"r": r, "v": v, "eps_lb": f"{lb:.6g}"})
@@ -151,15 +151,15 @@ def cmd_experiment_gaussian(args) -> None:
     guesses = _num_list(args.r_grid, int)
     deltas = _num_list(args.delta_grid)
     confs = _num_list(args.conf_grid)
-    cfg = mechanisms.GaussianReportConfig(sigma=args.sigma,
-                                          sensitivity=args.sensitivity)
+    for conf in confs:
+        check_reals("confidence", **{"--conf-grid": conf})
+    cfg = mechanisms.GaussianReportConfig(sigma=args.sigma)
     uppers = {d: mechanisms.gaussian_dp_eps(cfg.rho, d) for d in deltas}
     rows = []
     for r in guesses:
         _, v = mechanisms.expected_correct_gaussian(args.m, r, args.sigma)
         for d in deltas:
             for conf in confs:
-                check_reals("(0, 1)", **{"--conf-grid": conf})
                 lb = eps_lower_bound(args.m, r, v, d, 1.0 - conf)
                 rows.append({
                     "r": r, "v": v, "delta": f"{d:g}", "confidence": conf,
@@ -218,8 +218,8 @@ def _parse_config_file(path: str) -> dict[str, str]:
 _REQUIRED = object()  # the default of a config key that must be given
 
 # The dpsgd-audit config keys: key -> (type, default, rule, what a value must
-# do).  A default of None lets a key be absent, a rule of None takes any
-# value; the trainer keys' rows come from dpsgd.TRAINER_KEYS, are required.
+# do).  A default of None lets a key be absent; the trainer keys' rows come
+# from dpsgd.TRAINER_KEYS and are required.
 _DPSGD_KEYS = {
     "mode": (str, _REQUIRED, lambda v: v in ("whitebox", "blackbox"),
              "be whitebox or blackbox"),
@@ -230,15 +230,12 @@ _DPSGD_KEYS = {
     **{key: (kind, _REQUIRED, *REAL_INTERVALS[interval])
        for key, (_, kind, interval) in dpsgd_mod.TRAINER_KEYS.items()},
     "delta": (float, _REQUIRED, *REAL_INTERVALS["(0, 1)"]),
-    "confidence": (_num_list, [0.95],
-                   lambda v: v and all(0 < c < 1 for c in v),
-                   "be a nonempty list of values in (0, 1)"),
+    "confidence": (_num_list, [0.95], bool, "be a nonempty list"),
     "seed": (int, 0, lambda v: v >= 0, "be >= 0"),
     "data_examples": (int, 0, lambda v: v >= 0, "be >= 0"),
     "label_noise": (float, 0.0, *REAL_INTERVALS["finite"]),
     "k_plus": (int, None, lambda v: v >= 0, "be >= 0"),
     "k_minus": (int, None, lambda v: v >= 0, "be >= 0"),
-    "out": (str, None, None, None),
 }
 
 
@@ -261,9 +258,11 @@ def parse_dpsgd_config(path: str) -> dict[str, Any]:
         raise ValueError(f"dpsgd-audit experiment missing parameter(s): "
                          f"{', '.join(missing)}")
     for key, (_, _, ok, rule) in _DPSGD_KEYS.items():
-        if ok is not None and key in config and not ok(config[key]):
+        if key in config and not ok(config[key]):
             raise ValueError(
                 f"config key {key!r} must {rule}, got {config[key]!r}")
+    for conf in config["confidence"]:
+        check_reals("confidence", **{"config key 'confidence'": conf})
     if config["mode"] == "blackbox" and config["loss"] == "canary-only":
         raise ValueError(
             "config key 'loss' must be logistic or linear in blackbox mode")
@@ -331,7 +330,7 @@ def cmd_dpsgd_audit(args) -> _Record:
     config = parse_dpsgd_config(args.config)
     payload = run_dpsgd_audit(config).to_dict()
     print(json.dumps(payload, sort_keys=True))
-    return config.get("out") or args.out, {
+    return args.out, {
         "inputs": dict(config), "outputs": payload,
         "confidence": config["confidence"][0], "seed": config["seed"]}
 
@@ -343,10 +342,12 @@ _SIMULATE_OPTIONS = {"rr": ("eps",), "gaussian": ("sigma",),
 
 def cmd_simulate(args) -> _Record:
     check_counts(0, **{"--k-plus": args.k_plus, "--k-minus": args.k_minus})
-    check_reals("(0, 1)", **{"--conf": args.conf})
+    check_reals("confidence", **{"--conf": args.conf})
     if args.mechanism == "rr":
         adapter = pipeline.adapter_randomized_response(args.eps)
-    elif args.mechanism == "gaussian":
+    elif args.mechanism == "gaussian":  # the one that reads the budget
+        check_order(**{"--k-plus + --k-minus": args.k_plus + args.k_minus,
+                       "--m": args.m})
         adapter = pipeline.adapter_gaussian_report(
             mechanisms.GaussianReportConfig(sigma=args.sigma),
             delta=args.delta)
@@ -404,7 +405,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("experiment-gaussian",
                        help="Gaussian score release ideal: eps_lb vs guesses")
     p.add_argument("--sigma", type=float, default=2.0)
-    p.add_argument("--sensitivity", type=float, default=2.0)
     p.add_argument("--m", type=int, default=100_000)
     p.add_argument("--r-grid", default=",".join(
         str(r) for r in _doubling_grid(2, 16384)))

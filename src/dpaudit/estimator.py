@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 from scipy import special
@@ -77,18 +78,23 @@ class GuessSummary:
 
 def check_counts(low: float = -math.inf, **counts) -> None:
     """The one count rule: each count is an integer (numpy's too, not a
-    bool) and at least low; the error names the count at fault."""
+    bool) in [low, largest float]; the error names the count at fault."""
     for name, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
+        if value > sys.float_info.max:
+            raise ValueError(f"{name} must be <= {sys.float_info.max}, "
+                             f"got {value}")
 
 
 # interval -> (membership test, what a value must do); nan fails every test
 REAL_INTERVALS = {
     "[0, 1]": (lambda x: 0 <= x <= 1, "be in [0, 1]"),
     "(0, 1)": (lambda x: 0 < x < 1, "be in (0, 1)"),
+    "confidence": (lambda x: 0 < x < 1 and 0 < 1.0 - x < 1,
+                   "be in (0, 1) with 1 - it in (0, 1)"),
     "(0, 1]": (lambda x: 0 < x <= 1, "be in (0, 1]"),
     "[0, inf]": (lambda x: x >= 0, "be nonnegative"),
     "[0, inf)": (lambda x: 0 <= x < math.inf, "be nonnegative and finite"),

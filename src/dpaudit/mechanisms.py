@@ -25,26 +25,20 @@ from .estimator import (PrivacyParams, check_counts, check_order, check_reals,
 
 @dataclasses.dataclass(frozen=True)
 class GaussianReportConfig:
-    """Release each selection bit plus N(0, sigma^2) noise.
-
-    sensitivity is the score change when one bit flips (2 for a +-1 flip).
-    """
+    """Release each +-1 selection bit plus N(0, sigma^2) noise."""
 
     sigma: float
-    sensitivity: float = 2.0
 
     def __post_init__(self):
-        check_reals("(0, inf)", sigma=self.sigma, sensitivity=self.sensitivity)
-        if not 0 < self.rho < math.inf:
-            raise ValueError(
-                f"sensitivity^2 / (2 sigma^2) must be positive and finite, "
-                f"got sigma={self.sigma}, sensitivity={self.sensitivity}")
+        check_reals("(0, inf)", sigma=self.sigma)
+        check_reals("(0, inf)", **{f"rho at sigma={self.sigma}": self.rho})
 
     @property
     def rho(self) -> float:
-        """Concentrated-DP parameter sensitivity^2 / (2 sigma^2)."""
-        s, var2 = self.sensitivity, 2.0 * self.sigma * self.sigma
-        return s * s / var2 if var2 else math.inf
+        """Concentrated-DP parameter 2^2 / (2 sigma^2): flipping one bit
+        moves its score by 2, the release's sensitivity."""
+        var2 = 2.0 * self.sigma * self.sigma
+        return 4.0 / var2 if var2 else math.inf
 
 
 @dataclasses.dataclass(frozen=True)

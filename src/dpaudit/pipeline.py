@@ -186,8 +186,8 @@ def audit_run(adapter: MechanismAdapter, m: int, k_plus: int, k_minus: int,
     the budget arguments are ignored.  The report echoes the seed and
     configuration, so an identical call reproduces it exactly.
     """
-    for conf in confidences:  # the failure probabilities of the bounds
-        check_reals("(0, 1)", **{"1 - confidence": 1.0 - conf})
+    for conf in confidences:
+        check_reals("confidence", confidence=conf)
     s, out = run_mechanism(adapter, m, seed)
     if adapter.output == "guesses":
         t = np.asarray(out)
@@ -292,7 +292,7 @@ def k_sweep(y: np.ndarray, s: np.ndarray,
     sorted once for the whole grid.
     """
     s = _check_selection(s)
-    check_reals("(0, 1)", **{"1 - confidence": 1.0 - confidence})
+    check_reals("confidence", confidence=confidence)
     if len(grid) == 0:
         raise ValueError("grid must hold at least one (k_plus, k_minus) budget")
     m = s.size

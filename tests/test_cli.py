@@ -1,10 +1,12 @@
 """CLI subcommands: outputs, exit codes, persistence, reproducibility."""
 
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
+import sys
 import warnings
 
 import pytest
@@ -186,11 +188,21 @@ def test_experiment_gaussian_delta_sweep_monotone(tmp_path, capsys):
 
 
 def test_experiment_gaussian_huge_rho_upper_bound(capsys):
-    code, out, err = run_cli(capsys, "experiment-gaussian", "--sensitivity",
-                             "1e154", "--sigma", "1", "--r-grid", "2")
+    # rho = 4 / (2 sigma^2) = 5e307
+    code, out, err = run_cli(capsys, "experiment-gaussian", "--sigma",
+                             "2e-154", "--r-grid", "2")
     assert (code, err) == (0, "")
     row = next(csv.DictReader(io.StringIO(out)))
     assert math.isfinite(float(row["eps_upper"]))
+
+
+def test_experiment_gaussian_has_no_sensitivity_option(capsys):
+    # the +-1 release's sensitivity is 2; no option can contradict it
+    code, out, err = run_cli(capsys, "experiment-gaussian", "--sigma", "2",
+                             "--sensitivity", "0.5", "--r-grid", "1510",
+                             "--m", "100000")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --sensitivity 0.5" in err
 
 
 def test_pathological_check_no_violations(tmp_path, capsys):
@@ -224,17 +236,37 @@ def test_pathological_check_invalid_parameters(capsys):
     assert "beta" in err or "delta" in err
 
 
+_CONF = "must be in (0, 1) with 1 - it in (0, 1), got"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["epslb", "--m", "10", "--r", "5", "--v", "3", "--conf", "1.5"],
-     "--conf must be in (0, 1), got 1.5"),
+     f"--conf {_CONF} 1.5"),
     (["experiment-pure", "--eps", "1", "--conf", "1.5"],
-     "--conf must be in (0, 1), got 1.5"),
+     f"--conf {_CONF} 1.5"),
     (["experiment-pure", "--eps", "1", "--guesses", "0"],
      "--guesses must be >= 1, got 0"),
     (["experiment-gaussian", "--m", "100", "--r-grid", "10",
-      "--conf-grid", "1.5"], "--conf-grid must be in (0, 1), got 1.5"),
+      "--conf-grid", "1.5"], f"--conf-grid {_CONF} 1.5"),
     (["simulate", "--mechanism", "rr", "--m", "10", "--conf", "1.5"],
-     "--conf must be in (0, 1), got 1.5"),
+     f"--conf {_CONF} 1.5"),
+    # 1 - 1e-300 rounds to 1, a failure probability outside (0, 1)
+    (["epslb", "--m", "10", "--r", "5", "--v", "3", "--conf", "1e-300"],
+     f"--conf {_CONF} 1e-300"),
+    (["experiment-pure", "--eps", "1", "--conf", "1e-300"],
+     f"--conf {_CONF} 1e-300"),
+    (["experiment-gaussian", "--m", "100", "--r-grid", "10",
+      "--conf-grid", "0.95,1e-300"], f"--conf-grid {_CONF} 1e-300"),
+    (["simulate", "--mechanism", "rr", "--m", "10", "--conf", "1e-300"],
+     f"--conf {_CONF} 1e-300"),
+    # checked up front, so also with no row to compute
+    (["experiment-pure", "--eps", "1", "--guesses", "", "--conf", "5"],
+     f"--conf {_CONF} 5.0"),
+    (["experiment-gaussian", "--r-grid", "", "--conf-grid", "5"],
+     f"--conf-grid {_CONF} 5.0"),
+    (["simulate", "--mechanism", "gaussian", "--m", "10", "--k-plus", "8",
+      "--k-minus", "8"], "need --k-plus + --k-minus <= --m, got "
+     "--k-plus + --k-minus=16, --m=10"),
     (["simulate", "--mechanism", "pathological", "--m", "10", "--r", "5",
       "--mech-delta", "2"], "--mech-delta must be in [0, 1], got 2.0"),
     (["pvalue", "--m", "10", "--r", "12", "--v", "3", "--eps", "1"],
@@ -244,12 +276,50 @@ def test_pathological_check_invalid_parameters(capsys):
     (["pvalue", "--m", "10", "--r", "-1", "--v", "-2", "--eps", "1"],
      "--r must be >= 0, got -1"),
 ], ids=["epslb-conf", "pure-conf", "pure-guesses", "gaussian-conf-grid",
+        "epslb-conf-tiny", "pure-conf-tiny", "gaussian-conf-grid-tiny",
+        "simulate-conf-tiny", "pure-conf-no-guesses",
+        "gaussian-conf-grid-no-guesses", "simulate-budget-over-m",
         "simulate-conf", "simulate-mech-delta", "pvalue-r-over-m",
         "pvalue-v-over-r", "pvalue-negative-r"])
 def test_usage_error_names_the_option_as_typed(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"usage error: {message}\n"
+
+
+def test_simulate_budget_over_m_is_read_only_by_gaussian(capsys):
+    # rr and pathological emit their own guesses and ignore the budget
+    for mechanism in ("rr", "pathological"):
+        code, _, err = run_cli(capsys, "simulate", "--mechanism", mechanism,
+                               "--m", "10", "--r", "5", "--k-plus", "8",
+                               "--k-minus", "8")
+        assert (code, err) == (0, ""), mechanism
+
+
+# around the two edges of the confidences: 1 - c must round below 1, and
+# c must lie below 1
+@pytest.mark.parametrize("conf", [
+    2.0 ** -54, math.nextafter(2.0 ** -54, 1.0), 2.0 ** -53, 1e-10, 0.5,
+    math.nextafter(1.0, 0.0), 1.0, 0.0, -0.0, 1.5, math.nan])
+def test_confidence_rule_takes_every_valid_failure_probability(capsys, conf):
+    # exactly the confidences whose --conf and whose beta = 1 - conf, which
+    # eps_lower_bound checks, both lie in (0, 1)
+    took = 0 < conf < 1 and 0 < 1.0 - conf < 1
+    code, out, err = run_cli(capsys, "epslb", "--m", "10", "--r", "5",
+                             "--v", "3", "--conf", repr(conf))
+    assert code == (0 if took else 1)
+    if not took:
+        assert err == f"usage error: --conf {_CONF} {conf!r}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["epslb", "--r", "6", "--v", "4"],
+    ["pvalue", "--r", "6", "--v", "4", "--eps", "1"]], ids=["epslb", "pvalue"])
+def test_count_above_the_largest_float_usage_exit(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--m", "1" + "0" * 400)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage error: m must be <= {sys.float_info.max}, "
+                          f"got 1000")
 
 
 def test_experiment_gaussian_overflowing_rho_usage_exit(capsys):
@@ -484,9 +554,8 @@ _JUST_INSIDE = {"iterations": 1, "clip": 5e-324, "noise_multiplier": 0.0,
 
 
 def test_config_rule_probes_cover_the_tables():
-    ruled = [key for key, (_, _, ok, _) in cli._DPSGD_KEYS.items()
-             if ok is not None]
-    assert sorted(_JUST_OUTSIDE) == sorted(ruled)
+    # every config key has a rule
+    assert sorted(_JUST_OUTSIDE) == sorted(cli._DPSGD_KEYS)
     assert sorted(_JUST_INSIDE) == sorted(TRAINER_KEYS)
 
 
@@ -522,6 +591,30 @@ def test_dpsgd_audit_confidence_out_of_range_usage_exit(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "'confidence'" in err
+
+
+def test_dpsgd_audit_tiny_confidence_usage_exit(tmp_path, capsys):
+    # 1 - 1e-300 rounds to 1: named under the key, with the value given
+    cfg_file = tmp_path / "audit.cfg"
+    write_config(cfg_file, confidence="0.95,1e-300")
+    code, out, err = run_cli(capsys, "dpsgd-audit", "--config", str(cfg_file))
+    assert (code, out) == (1, "")
+    assert err == f"usage error: config key 'confidence' {_CONF} 1e-300\n"
+
+
+def test_dpsgd_audit_row_file_is_the_out_option(tmp_path, capsys):
+    # --out alone names the row file; no config key overrides it
+    cfg_file, rows = tmp_path / "audit.cfg", tmp_path / "rows.jsonl"
+    write_config(cfg_file, out=tmp_path / "other.jsonl")
+    code, out, err = run_cli(capsys, "dpsgd-audit", "--config", str(cfg_file),
+                             "--out", str(rows))
+    assert (code, out) == (1, "")
+    assert err == "usage error: unknown config key 'out'\n"
+    write_config(cfg_file)
+    assert run_cli(capsys, "dpsgd-audit", "--config", str(cfg_file),
+                   "--out", str(rows))[0] == 0
+    assert len(rows.read_text().splitlines()) == 1
+    assert not (tmp_path / "other.jsonl").exists()
 
 
 def test_dpsgd_audit_sweep_needs_two_examples(tmp_path, capsys):
@@ -731,8 +824,8 @@ _ARGV_OPTIONS = {
               "--delta": ["0", "1e-5"], "--conf": ["0.95"]},
     "experiment-pure": {"--eps": ["0.5", "1.0"], "--guesses": ["10,20", "8"],
                         "--conf": ["0.95"]},
-    "experiment-gaussian": {"--sigma": ["2.0"], "--sensitivity": ["2.0"],
-                            "--m": ["100"], "--r-grid": ["2,8"],
+    "experiment-gaussian": {"--sigma": ["2.0"], "--m": ["100"],
+                            "--r-grid": ["2,8"],
                             "--delta-grid": ["1e-5"], "--conf-grid": ["0.95"]},
     "pathological-check": {"--m": ["20"], "--r": ["5"], "--eps": ["1.0"],
                            "--delta": ["0", "1e-3"], "--beta": ["0.05"],
@@ -745,6 +838,20 @@ _ARGV_OPTIONS = {
                  "--seed": ["0"]},
 }
 _LIST_OPTIONS = ("--guesses", "--r-grid", "--delta-grid", "--conf-grid")
+# the options that name output files, which the fuzz leaves unset
+_FILE_OPTIONS = {"--out", "--report"}
+
+
+def test_argv_options_are_the_parser_options():
+    # every option of each fuzzed command, so none is left unexercised, and
+    # no stale one, which would turn every draw into a usage error
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for command, options in _ARGV_OPTIONS.items():
+        defined = {option for action in subparsers.choices[command]._actions
+                   for option in action.option_strings
+                   if option.startswith("--") and option != "--help"}
+        assert sorted(options) == sorted(defined - _FILE_OPTIONS), command
 
 
 def draw_argv(data, command):

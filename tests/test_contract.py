@@ -2,17 +2,18 @@
 three argument rules.
 
 A count (m, n, r, v, a guess budget, a step count or a dimension) is an
-integer, not a bool, at least its lower bound (``estimator.check_counts``);
-a real lies in its interval of ``estimator.REAL_INTERVALS``
-(``estimator.check_reals``); arguments with an order between them, such as
-v <= r <= m, do not decrease in that order (``estimator.check_order``).
+integer, not a bool, at least its lower bound and at most the largest
+float (``estimator.check_counts``); a real lies in its interval of
+``estimator.REAL_INTERVALS`` (``estimator.check_reals``); arguments with
+an order between them, such as v <= r <= m, do not decrease in that order
+(``estimator.check_order``).
 
 One table holds each exported callable, its typical arguments and the
 range of what it returns.  A probe sets one count to 2.5, nan, +-inf, -1,
-True or False, one real to 0, -1, nan, +-inf, 1e-300 or 1e300, or breaks
-one order rule.  The call must raise a ValueError that names every
-argument the probe set (a real probe may instead return a value in range),
-and emit no warning.  Every probe runs on every run.  The order rule's
+True, False or 10**400, one real to 0, -1, nan, +-inf, 1e-300 or 1e300,
+or breaks one order rule.  The call must raise a ValueError that names
+every argument the probe set (a real probe may instead return a value in
+range), and emit no warning.  Every probe runs on every run.  The order rule's
 tests are here; test_count_contract and test_real_contract hold those of
 the other two rules, each with its signature scan and switch-off check.
 """
@@ -121,8 +122,7 @@ CASES = {
         dict(beta_acc=1e-5, target_failure=0.05), lambda out: finite(*out)),
     "mi_bound": (lambda n, p_incl: dpaudit.mi_bound(n, P, p_incl),
                  dict(n=10, p_incl=0.5), bound),
-    "GaussianReportConfig": (dpaudit.GaussianReportConfig,
-                             dict(sigma=1.0, sensitivity=2.0),
+    "GaussianReportConfig": (dpaudit.GaussianReportConfig, dict(sigma=1.0),
                              lambda cfg: 0 < cfg.rho < math.inf),
     "PathologicalConfig": (
         dpaudit.PathologicalConfig,
@@ -202,7 +202,8 @@ CASES = {
         dict(delta=1e-5), lambda a: adapter_ok(a) and bound(a.eps)),
 }
 
-BAD_COUNTS = (2.5, math.nan, math.inf, -math.inf, -1, True, False)
+# 10**400 is above the largest float, which the bounds compute with
+BAD_COUNTS = (2.5, math.nan, math.inf, -math.inf, -1, True, False, 10**400)
 BAD_REALS = (0.0, -1.0, math.nan, math.inf, -math.inf, 1e-300, 1e300)
 # dual_alpha's threshold v may be any integer (S(w) = 1 for w <= 0)
 SIGNED = {("dual_alpha", "v")}

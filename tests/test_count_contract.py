@@ -1,9 +1,9 @@
 """The count rule over the contract table of test_contract.
 
-Each count of the table is set in turn to 2.5, nan, +-inf, -1, True or
-False: the call must raise a ValueError that says ``name must`` or
-``name=``, and emit no warning.  The signature scan fails when an export's
-int argument is missing from the table.
+Each count of the table is set in turn to 2.5, nan, +-inf, -1, True,
+False or 10**400: the call must raise a ValueError that says
+``name must`` or ``name=``, and emit no warning.  The signature scan
+fails when an export's int argument is missing from the table.
 """
 
 import math

@@ -121,7 +121,11 @@ def test_binomial_sf_support_edges():
     # any Python int, also one past int64, as dual_alpha's v may be
     assert dist.survival(-10**400) == 1.0
     assert dist.survival(10**400) == 0.0
-    assert dual_alpha(dist, 10**400, 10) == 0.0
+    assert dual_alpha(dist, -10**400, 10) == 0.0
+    assert dual_alpha(dist, 10**300, 10) == 0.0
+    # a count above the largest float is outside the count rule's domain
+    with pytest.raises(ValueError, match="^v must be <= "):
+        dual_alpha(dist, 10**400, 10)
 
 
 def test_binomial_sf_matches_mpmath_tails():

@@ -1,6 +1,8 @@
 """Mechanism sampler laws and closed-form accounting."""
 
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,6 +106,33 @@ def test_gaussian_report_clt_mean():
     y = gaussian_report(s, GaussianReportConfig(sigma=2.0), rng)
     included = y[s == 1]
     assert included.mean() == pytest.approx(1.0, abs=0.02)
+
+
+def test_gaussian_report_rho_keeps_its_bits_at_sensitivity_two():
+    # rho is s * s / (2 sigma^2) at s = 2, the +-1 release's sensitivity,
+    # and inf where 2 sigma^2 underflows to 0, for every sigma; the record
+    # takes exactly the sigmas where that rho is positive and finite
+    def rho_at_sensitivity_two(sigma):
+        var2 = 2.0 * sigma * sigma
+        return 2.0 * 2.0 / var2 if var2 else math.inf
+
+    rho = GaussianReportConfig.rho.fget
+    rng = np.random.default_rng(0)
+    sigmas = [5e-324, 1e-300, 1e-155, 1e-154, 1.4e-154, 2e-154, 0.5, 2.0,
+              1e153, 1e154, 1e160, 1.7e308,
+              *map(float, 10.0 ** rng.uniform(-160.0, 160.0, 1000))]
+    seen = set()
+    for sigma in sigmas:
+        expected = rho_at_sensitivity_two(sigma)
+        assert rho(SimpleNamespace(sigma=sigma)).hex() == expected.hex()
+        if 0 < expected < math.inf:
+            assert GaussianReportConfig(sigma).rho.hex() == expected.hex()
+            seen.add("finite")
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"sigma={sigma}")):
+                GaussianReportConfig(sigma)
+            seen.add(expected)
+    assert seen == {"finite", 0.0, math.inf}
 
 
 def test_gaussian_report_degenerate_selection():

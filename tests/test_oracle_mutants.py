@@ -6,15 +6,17 @@ the spillover coefficient alpha halved, a survival table one entry short,
 a spillover scan that starts at i = 2, and a scan that stops one slice too
 soon.  At least one of the exact oracles (the coverage oracle, the
 worst-case tail oracle, the primal LP and the 50-digit oracle) must fail
-on each, by an assertion.
+on each, by an assertion.  In the same way, an unstable score sort in
+``dpaudit.pipeline`` must fail the tie-order test of test_pipeline.
 """
 
 import numpy as np
 import pytest
 
 import test_estimator
+import test_pipeline
 import test_validity_oracles
-from dpaudit import estimator
+from dpaudit import estimator, pipeline
 
 EPS_LOWER_BOUND = estimator.eps_lower_bound
 SPILL_MAX = estimator._spill_max
@@ -97,6 +99,20 @@ def test_an_oracle_rejects_the_mutant(mutant, rebind):
         except AssertionError:
             return
     pytest.fail(f"no oracle of {list(oracles)} rejects {mutant!r}")
+
+
+def quicksort_orders(y):
+    """pipeline._score_orders with numpy's default sort, which is unstable."""
+    y = np.asarray(y, dtype=float)
+    return np.argsort(-y, kind="quicksort"), np.argsort(y, kind="quicksort")
+
+
+def test_the_tie_order_test_rejects_an_unstable_sort(rebind):
+    # the guesses and the sweep share the orders, so only an independent
+    # tie order can tell
+    rebind(pipeline, "_score_orders", quicksort_orders)
+    with pytest.raises(AssertionError):
+        test_pipeline.test_guesses_break_score_ties_by_index()
 
 
 def test_spill_max_copy_equals_the_product():

@@ -308,6 +308,27 @@ def test_k_sweep_rows_equal_per_row_guesses(data, m):
         assert row.eps_lb == eps_lower_bound(m, k_plus + k_minus, v, 1e-5, 0.1)
 
 
+def test_guesses_break_score_ties_by_index():
+    # scores from five values, so the budgets cut through ties: +1 on the
+    # first k_plus of the (-y, index) order, -1 on the first k_minus of the
+    # (y, index) order among the rest, in make_guesses and in k_sweep's rows
+    rng = np.random.default_rng(7)
+    m = 1000
+    y = rng.integers(-2, 3, size=m).astype(float)
+    s = rng.choice([-1, 1], size=m)
+    down = sorted(range(m), key=lambda i: (-y[i], i))
+    up = sorted(range(m), key=lambda i: (y[i], i))
+    grid = [(k_plus, k_minus) for k_plus in (0, 1, 150, 333, 500)
+            for k_minus in (0, 1, 250, 499)]
+    rows = k_sweep(y, s, grid, delta=0.0, confidence=0.95).rows
+    for (k_plus, k_minus), row in zip(grid, rows, strict=True):
+        expected = np.zeros(m, dtype=int)
+        expected[down[:k_plus]] = 1
+        expected[[i for i in up if expected[i] == 0][:k_minus]] = -1
+        assert np.array_equal(make_guesses(y, k_plus, k_minus), expected)
+        assert row.v == count_correct(s, expected)
+
+
 def test_k_sweep_rejects_empty_grid():
     s = np.array([1, -1, 1])
     with pytest.raises(ValueError, match="grid"):
