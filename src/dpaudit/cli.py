@@ -127,6 +127,8 @@ def cmd_pvalue(args) -> _Record:
 
 def cmd_epslb(args) -> _Record:
     check_reals("confidence", **{"--conf": args.conf})
+    check_order(**{"--v": args.v, "--r": args.r, "--m": args.m})
+    check_reals("[0, 1]", **{"--delta": args.delta})
     lb = eps_lower_bound(args.m, args.r, args.v, args.delta,
                          1.0 - args.conf)
     print(f"{lb:.6g}")
@@ -151,6 +153,11 @@ def cmd_experiment_gaussian(args) -> None:
     guesses = _num_list(args.r_grid, int)
     deltas = _num_list(args.delta_grid)
     confs = _num_list(args.conf_grid)
+    check_reals("(0, inf)", **{"--sigma": args.sigma})
+    for r in guesses:
+        check_order(**{"--r-grid": r, "--m": args.m})
+    for d in deltas:
+        check_reals("(0, 1)", **{"--delta-grid": d})
     for conf in confs:
         check_reals("confidence", **{"--conf-grid": conf})
     cfg = mechanisms.GaussianReportConfig(sigma=args.sigma)
@@ -171,6 +178,7 @@ def cmd_experiment_gaussian(args) -> None:
 
 def cmd_pathological_check(args) -> _Record:
     check_counts(1, **{"--trials": args.trials})
+    check_order(**{"--r": args.r, "--m": args.m})
     cfg = mechanisms.PathologicalConfig(m=args.m, r=args.r, eps=args.eps,
                                         delta=args.delta, beta=args.beta)
     rng = np.random.default_rng(args.seed)

@@ -336,7 +336,10 @@ def theoretical_eps_upper(cfg: TrainerConfig, delta: float) -> float:
     record = privacy_accounting(cfg)
     if isinstance(record, ZcdpParams):
         return gaussian_dp_eps(record.rho, delta)
-    return record.eps_check + np.log(1.0 / delta)
+    # log(1/delta), read as -log(delta) where 1/delta overflows
+    inverse = 1.0 / delta
+    return record.eps_check + (np.log(inverse) if inverse < math.inf
+                               else -np.log(delta))
 
 
 def audit_adapter(model: LossModel, canaries: np.ndarray | ExampleCanarySet,

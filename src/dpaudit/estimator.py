@@ -439,7 +439,9 @@ def _binomial_table(n: int, eps: float) -> np.ndarray:
 
 
 def _generalization_bound_from_table(table, n, delta, gamma, eta):
-    thr = math.ceil((1.0 + gamma - 1.5 * eta) * n / 2.0)
+    # past 2n + 1 neither S1 nor the spillover reads the table; the clamp
+    # keeps every bit and the threshold finite
+    thr = math.ceil(min((1.0 + gamma - 1.5 * eta) * n / 2.0, 2.0 * n + 1))
     s1 = float(table[thr]) if thr <= n else 0.0
     hoeffding = 2.0 * math.exp(-n * eta * eta / 2.0)
     spill = 2.0 * n * delta * _spill_max(table, thr, n, s1)
@@ -466,6 +468,9 @@ def prior_generalization_bound(alpha_acc: float, beta_acc: float,
         raise ValueError(f"eps must keep e^eps finite, got {params.eps}")
     error = alpha_acc + math.exp(params.eps) - 1.0 + c + 2.0 * d
     failure = beta_acc / c + params.delta / d
+    if not np.all(failure < math.inf):
+        raise ValueError(f"beta_acc / c + delta / d must be finite, "
+                         f"got c={c}, d={d}")
     return error, failure
 
 

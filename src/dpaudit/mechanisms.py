@@ -158,71 +158,24 @@ def gaussian_dp_delta(rho: float, eps: float) -> float:
 def gaussian_dp_eps(rho: float, delta: float) -> float:
     """Invert the Gaussian privacy curve: smallest eps with delta(eps) <= delta.
 
-    The curve is strictly decreasing in eps so the root is unique; solved
-    to well below 1e-6 in eps.  Returns 0 when even eps = 0 already
-    achieves the requested delta.
+    Bracket search, as in ``eps_lower_bound``: double the upper end until
+    it meets delta, then bisect until the midpoint is one of the two ends
+    and return the upper end.  The result is conservative and tight in
+    floats: delta(eps) <= delta < delta(the float below eps).  Returns 0
+    when even eps = 0 already achieves the requested delta.
     """
     check_reals("(0, 1)", delta=delta)
     if gaussian_dp_delta(rho, 0.0) <= delta:
         return 0.0
-    hi = 1.0
+    lo, hi = 0.0, 1.0  # maintain delta(lo) > delta >= delta(hi)
     while gaussian_dp_delta(rho, hi) > delta:
-        hi *= 2.0
-    return _brentq(lambda e: gaussian_dp_delta(rho, e) - delta, 0.0, hi,
-                   xtol=1e-9)
-
-
-def _brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """Root of f on the sign-changing bracket [xa, xb] by Brent's method.
-
-    Step for step the algorithm of ``scipy.optimize.brentq`` with its
-    default rtol and maxiter, so it returns the same root without importing
-    scipy.optimize (about 23 MB and 0.2 s of import).
-    """
-    rtol, maxiter = 4 * np.finfo(float).eps, 100
-    xpre, xcur = xa, xb
-    # float64 values as in scipy's C code: a zero denominator in a step gives
-    # inf or nan, which fails the step test and falls back to bisection
-    fpre, fcur = np.float64(f(xpre)), np.float64(f(xcur))
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(xa) and f(xb) must have opposite signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        tol = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < tol:
-            return float(xcur)
-        if abs(spre) > tol and abs(fcur) < abs(fpre):
-            with np.errstate(divide="ignore", over="ignore",
-                             invalid="ignore"):
-                if xpre == xblk:  # secant step
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic interpolation
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - tol):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if gaussian_dp_delta(rho, mid) > delta:
+            lo = mid
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > tol else (tol if sbis > 0 else -tol)
-        fcur = np.float64(f(xcur))
-    raise RuntimeError(f"no convergence in {maxiter} iterations")
+            hi = mid
+    return hi
 
 
 def rdp_membership_accuracy(eps_check: float) -> float:
@@ -257,7 +210,8 @@ def expected_correct_gaussian(m: int, r: int, sigma: float) -> tuple[float, int]
                       + special.ndtr(-((c + 1.0) / sigma)))
 
     lo = 0.0  # mixture_tail(0) = 1/2 >= target since r <= m
-    hi = 1.0 + sigma * -special.ndtri(target)  # >= 1, as target <= 1/2
+    # Python floats: an overflow gives inf, not a warning
+    hi = 1.0 + sigma * -float(special.ndtri(target))  # >= 1, as target <= 1/2
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         t = mixture_tail(mid)
@@ -269,6 +223,7 @@ def expected_correct_gaussian(m: int, r: int, sigma: float) -> tuple[float, int]
         else:
             hi = mid
     c = 0.5 * (lo + hi)
+    check_reals("finite", **{f"threshold c at sigma={sigma}": c})
     plus = special.ndtr(-((c - 1.0) / sigma))
     minus = special.ndtr(-((c + 1.0) / sigma))
     accuracy = plus / (plus + minus)

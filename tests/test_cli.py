@@ -248,8 +248,6 @@ _CONF = "must be in (0, 1) with 1 - it in (0, 1), got"
      "--guesses must be >= 1, got 0"),
     (["experiment-gaussian", "--m", "100", "--r-grid", "10",
       "--conf-grid", "1.5"], f"--conf-grid {_CONF} 1.5"),
-    (["simulate", "--mechanism", "rr", "--m", "10", "--conf", "1.5"],
-     f"--conf {_CONF} 1.5"),
     # 1 - 1e-300 rounds to 1, a failure probability outside (0, 1)
     (["epslb", "--m", "10", "--r", "5", "--v", "3", "--conf", "1e-300"],
      f"--conf {_CONF} 1e-300"),
@@ -267,6 +265,8 @@ _CONF = "must be in (0, 1) with 1 - it in (0, 1), got"
     (["simulate", "--mechanism", "gaussian", "--m", "10", "--k-plus", "8",
       "--k-minus", "8"], "need --k-plus + --k-minus <= --m, got "
      "--k-plus + --k-minus=16, --m=10"),
+    (["simulate", "--mechanism", "rr", "--m", "10", "--conf", "1.5"],
+     f"--conf {_CONF} 1.5"),
     (["simulate", "--mechanism", "pathological", "--m", "10", "--r", "5",
       "--mech-delta", "2"], "--mech-delta must be in [0, 1], got 2.0"),
     (["pvalue", "--m", "10", "--r", "12", "--v", "3", "--eps", "1"],
@@ -275,12 +275,27 @@ _CONF = "must be in (0, 1) with 1 - it in (0, 1), got"
      "need --v <= --r <= --m, got --v=5, --r=4, --m=10"),
     (["pvalue", "--m", "10", "--r", "-1", "--v", "-2", "--eps", "1"],
      "--r must be >= 0, got -1"),
+    (["experiment-gaussian", "--sigma", "0", "--r-grid", "2"],
+     "--sigma must be positive and finite, got 0.0"),
+    (["experiment-gaussian", "--delta-grid", "2", "--r-grid", "2"],
+     "--delta-grid must be in (0, 1), got 2.0"),
+    (["experiment-gaussian", "--m", "5", "--r-grid", "10"],
+     "need --r-grid <= --m, got --r-grid=10, --m=5"),
+    (["pathological-check", "--m", "10", "--r", "20", "--eps", "1",
+      "--delta", "0", "--beta", "0.05"],
+     "need --r <= --m, got --r=20, --m=10"),
+    (["epslb", "--m", "10", "--r", "12", "--v", "3"],
+     "need --v <= --r <= --m, got --v=3, --r=12, --m=10"),
+    (["epslb", "--m", "10", "--r", "5", "--v", "3", "--delta", "2"],
+     "--delta must be in [0, 1], got 2.0"),
 ], ids=["epslb-conf", "pure-conf", "pure-guesses", "gaussian-conf-grid",
         "epslb-conf-tiny", "pure-conf-tiny", "gaussian-conf-grid-tiny",
         "simulate-conf-tiny", "pure-conf-no-guesses",
         "gaussian-conf-grid-no-guesses", "simulate-budget-over-m",
         "simulate-conf", "simulate-mech-delta", "pvalue-r-over-m",
-        "pvalue-v-over-r", "pvalue-negative-r"])
+        "pvalue-v-over-r", "pvalue-negative-r", "gaussian-sigma",
+        "gaussian-delta-grid", "gaussian-r-over-m", "pathological-r-over-m",
+        "epslb-r-over-m", "epslb-delta"])
 def test_usage_error_names_the_option_as_typed(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")

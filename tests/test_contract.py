@@ -10,17 +10,19 @@ an order between them, such as v <= r <= m, do not decrease in that order
 
 One table holds each exported callable, its typical arguments and the
 range of what it returns.  A probe sets one count to 2.5, nan, +-inf, -1,
-True, False or 10**400, one real to 0, -1, nan, +-inf, 1e-300 or 1e300,
-or breaks one order rule.  The call must raise a ValueError that names
-every argument the probe set (a real probe may instead return a value in
-range), and emit no warning.  Every probe runs on every run.  The order rule's
-tests are here; test_count_contract and test_real_contract hold those of
-the other two rules, each with its signature scan and switch-off check.
+True, False or 10**400, one real to 0, -1, nan, +-inf, 1e-300, 1e300, the
+largest float or the smallest subnormal, or breaks one order rule.  The
+call must raise a ValueError that names every argument the probe set (a
+real probe may instead return a value in range), and emit no warning.
+Every probe runs on every run.  The order rule's tests are here;
+test_count_contract and test_real_contract hold those of the other two
+rules, each with its signature scan and switch-off check.
 """
 
 import inspect
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -204,7 +206,9 @@ CASES = {
 
 # 10**400 is above the largest float, which the bounds compute with
 BAD_COUNTS = (2.5, math.nan, math.inf, -math.inf, -1, True, False, 10**400)
-BAD_REALS = (0.0, -1.0, math.nan, math.inf, -math.inf, 1e-300, 1e300)
+# the largest float and the smallest subnormal are the float extremes
+BAD_REALS = (0.0, -1.0, math.nan, math.inf, -math.inf, 1e-300, 1e300,
+             sys.float_info.max, 5e-324)
 # dual_alpha's threshold v may be any integer (S(w) = 1 for w <= 0)
 SIGNED = {("dual_alpha", "v")}
 

@@ -1,8 +1,10 @@
-"""Byte-for-byte `dpsgd-audit` reports for fixed configs and seeds.
+"""Byte-for-byte outputs for fixed inputs and seeds.
 
-`golden_dpsgd_audit.json` holds the exact stdout line of each run.  A
-change meant to keep every reported number must keep these lines equal.
-When a report is meant to change, regenerate the file with
+`golden_dpsgd_audit.json` holds the exact stdout line of each
+`dpsgd-audit` run, and `golden_stdout.json` the exact stdout of the demo
+script and of the three `simulate` mechanisms.  A change meant to keep
+every reported number must keep these outputs equal.  When an output is
+meant to change, regenerate both files with
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in the change.
 """
 
@@ -10,12 +12,17 @@ import contextlib
 import io
 import json
 import pathlib
+import runpy
+import sys
+from unittest import mock
 
 import pytest
 
 from dpaudit import cli
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_dpsgd_audit.json")
+STDOUT = pathlib.Path(__file__).with_name("golden_stdout.json")
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 _COMMON = {"clip": 1.0, "learning_rate": 0.1, "delta": 1e-5}
 
@@ -52,10 +59,39 @@ def run_report(config: dict, path: pathlib.Path) -> str:
     return out.getvalue()
 
 
+# Command lines, a script's or dpaudit's: the demo, and each simulated
+# mechanism at its defaults (the Gaussian also with a declared delta)
+COMMANDS = [
+    "dpsgd_audit_demo.py --m 300 --seed 1",
+    "simulate --mechanism rr --m 1000",
+    "simulate --mechanism gaussian --m 1000 --k-plus 100 --k-minus 100",
+    "simulate --mechanism gaussian --m 1000 --k-plus 100 --k-minus 100 "
+    "--delta 1e-5",
+    "simulate --mechanism pathological --m 1000 --r 100",
+]
+
+
+def command_stdout(line: str) -> str:
+    name, *args = line.split()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if name.endswith(".py"):
+            with mock.patch.object(sys, "argv", [name, *args]):
+                runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+        else:
+            assert cli.main([name, *args]) == 0
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_dpsgd_audit_report_is_byte_identical(name, tmp_path):
     golden = json.loads(GOLDEN.read_text())
     assert run_report(CONFIGS[name], tmp_path / "audit.cfg") == golden[name]
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_command_stdout_is_byte_identical(line):
+    assert command_stdout(line) == json.loads(STDOUT.read_text())[line]
 
 
 if __name__ == "__main__":
@@ -65,3 +101,5 @@ if __name__ == "__main__":
         reports = {name: run_report(cfg, pathlib.Path(tmp) / "audit.cfg")
                    for name, cfg in CONFIGS.items()}
     GOLDEN.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
+    STDOUT.write_text(json.dumps({line: command_stdout(line)
+                                  for line in COMMANDS}, indent=1) + "\n")

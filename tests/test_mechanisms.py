@@ -279,6 +279,45 @@ def test_gaussian_dp_eps_matches_brentq_reference():
             assert abs(gaussian_dp_eps(rho, delta) - expected) <= 1e-9
 
 
+def test_gaussian_dp_eps_is_the_float_where_the_curve_crosses_delta():
+    # the upper bound is certified as the lower one is: delta(eps) <= delta,
+    # and the float below eps misses it
+    rng = np.random.default_rng(7)
+    grid = [(0.5, 1e-5), (1.0, 1e-5)] + list(zip(
+        10.0 ** rng.uniform(-4.0, 6.0, 1200),
+        10.0 ** rng.uniform(-300.0, math.log10(0.3), 1200)))
+    positive = 0
+    for rho, delta in grid:
+        rho, delta = float(rho), float(delta)
+        eps = gaussian_dp_eps(rho, delta)
+        if eps > 0:
+            positive += 1
+            assert (gaussian_dp_delta(rho, eps) <= delta
+                    < gaussian_dp_delta(rho, math.nextafter(eps, 0.0))), \
+                (rho, delta, eps)
+    assert positive >= 1000
+
+
+def test_gaussian_dp_delta_matches_60_digit_oracle_at_the_upper_bound():
+    mpmath = pytest.importorskip("mpmath")
+
+    def exact(rho, eps):
+        with mpmath.workdps(60):
+            rho, eps = mpmath.mpf(rho), mpmath.mpf(eps)
+            scale = mpmath.sqrt(2 * rho)
+            return (mpmath.ncdf(-(eps - rho) / scale)
+                    - mpmath.exp(eps) * mpmath.ncdf(-(eps + rho) / scale))
+
+    for rho in np.geomspace(1e-3, 100.0, 15):
+        for delta in [1e-300, 1e-100, 1e-20, 1e-10, 1e-5, 1e-3, 0.05, 0.3]:
+            eps = gaussian_dp_eps(float(rho), delta)
+            if eps == 0:
+                continue
+            truth = exact(float(rho), eps)
+            assert abs(gaussian_dp_delta(float(rho), eps) - truth) \
+                <= 1e-9 * truth, (rho, delta, eps)
+
+
 def test_gaussian_dp_eps_saturated_delta_returns_zero():
     assert gaussian_dp_eps(0.5, 0.9) == 0.0
 
@@ -474,4 +513,4 @@ def test_accounting_rejects_bad_arguments(call, match):
 
 def test_gaussian_dp_eps_keeps_its_bits_where_two_rho_is_finite():
     # the largest rho the curve takes reads as before; one past it raises
-    assert gaussian_dp_eps(8e307, 1e-5) == 7.999999999999827e+307
+    assert gaussian_dp_eps(8e307, 1e-5) == 7.999999999999998e+307

@@ -7,20 +7,24 @@ a spillover scan that starts at i = 2, and a scan that stops one slice too
 soon.  At least one of the exact oracles (the coverage oracle, the
 worst-case tail oracle, the primal LP and the 50-digit oracle) must fail
 on each, by an assertion.  In the same way, an unstable score sort in
-``dpaudit.pipeline`` must fail the tie-order test of test_pipeline.
+``dpaudit.pipeline`` must fail the tie-order test of test_pipeline, and a
+trainer in ``dpaudit.dpsgd`` that draws each step's canary coins before its
+data coins must fail the per-row clipping reference of test_dpsgd.
 """
 
 import numpy as np
 import pytest
 
+import test_dpsgd
 import test_estimator
 import test_pipeline
 import test_validity_oracles
-from dpaudit import estimator, pipeline
+from dpaudit import dpsgd, estimator, pipeline
 
 EPS_LOWER_BOUND = estimator.eps_lower_bound
 SPILL_MAX = estimator._spill_max
 SURVIVAL_FILL = estimator._survival_fill
+DPSGD_TRAIN = dpsgd.dpsgd_train
 
 
 def bisection_against_twice_beta(m, r, v, delta, beta):
@@ -113,6 +117,40 @@ def test_the_tie_order_test_rejects_an_unstable_sort(rebind):
     rebind(pipeline, "_score_orders", quicksort_orders)
     with pytest.raises(AssertionError):
         test_pipeline.test_guesses_break_score_ties_by_index()
+
+
+class CanaryCoinsFirst:
+    """A generator for a trainer with data rows and example canaries that
+    draws each step's canary coins (size n_canaries) before its data coins:
+    the data block's request draws the canaries' coins first and keeps them
+    for the canary block's request, which comes next."""
+
+    def __init__(self, rng, n_canaries):
+        self.rng, self.n_canaries, self.kept = rng, n_canaries, None
+
+    def random(self, size=None):
+        if self.kept is None:
+            self.kept = self.rng.random(self.n_canaries)
+            return self.rng.random(size)
+        coins, self.kept = self.kept, None
+        return coins
+
+    def normal(self, *args, **kwargs):
+        return self.rng.normal(*args, **kwargs)
+
+
+def canary_coins_first(data, canaries, selection, cfg, rng):
+    n_canaries = int((np.asarray(selection) == 1).sum())
+    return DPSGD_TRAIN(data, canaries, selection, cfg,
+                       CanaryCoinsFirst(rng, n_canaries))
+
+
+@pytest.mark.parametrize("kind", ["logistic", "linear"])
+def test_the_clipping_reference_rejects_swapped_coin_order(kind, rebind):
+    # coins are drawn only under sampling, so only sample_prob < 1 can tell
+    rebind(dpsgd, "dpsgd_train", canary_coins_first)
+    with pytest.raises(AssertionError):
+        test_dpsgd.test_trainer_matches_per_row_clipping_reference(kind, 0.5)
 
 
 def test_spill_max_copy_equals_the_product():

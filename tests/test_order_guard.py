@@ -24,7 +24,6 @@ ALLOWED = {
     "dpsgd.ExampleCanarySet.__post_init__",  # labels of length m
     "dpsgd.dpsgd_train",  # data dimension, canary indices, selection length
     "estimator.DominatingDistribution.__post_init__",  # table length
-    "mechanisms._brentq",  # a sign change over the bracket
     "mechanisms.pathological",  # selection length
     "pipeline.count_correct",  # guess and selection lengths
 }
