@@ -25,15 +25,15 @@ import math
 import os
 import sys
 import time
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import dpsgd as dpsgd_mod
 from . import mechanisms, pipeline
-from .estimator import (REAL_INTERVALS, GuessSummary, PrivacyParams,
-                        check_counts, check_order, check_reals,
-                        eps_lower_bound, p_value_audit, rr_accuracy)
+from .estimator import (GuessSummary, PrivacyParams, check_counts,
+                        check_order, check_reals, eps_lower_bound,
+                        p_value_audit, rr_accuracy)
 
 ENV_OUTDIR = "DPAUDIT_OUTDIR"
 
@@ -97,16 +97,49 @@ def _emit_csv(fieldnames: Sequence[str], rows: Sequence[dict],
             sink.close()
 
 
-def _num_list(text: str, kind: type = float) -> list:
-    return [kind(x) for x in text.split(",") if x.strip()]
+def _value(kind: type, rule: Any) -> Callable[[str], Any]:
+    """The one parser of an option's or config key's text: kind(text), checked
+    by the rule (a count's least value, a check_reals interval, or the words
+    allowed); a bad value raises ArgumentTypeError('must ..., got ...')."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be {kind.__name__}, got {text!r}") from None
+        if isinstance(rule, tuple) and value not in rule:
+            raise argparse.ArgumentTypeError(
+                f"must be {', '.join(rule[:-1])} or {rule[-1]}, got {value!r}")
+        try:  # the rule helpers' messages, with the value's name left blank
+            if kind is int:  # a count: an integer up to the largest float
+                check_counts(rule if isinstance(rule, int) else -math.inf,
+                             **{"": value})
+            if isinstance(rule, str):
+                check_reals(rule, **{"": value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc).lstrip()) from None
+        return value
+
+    return parse
+
+
+def _values(kind: type, rule: Any, nonempty: bool = False) -> Callable:
+    """The parser of a comma-separated list of _value(kind, rule) items."""
+    parse = _value(kind, rule)
+
+    def parse_list(text: str) -> list:
+        values = [parse(item) for item in text.split(",") if item.strip()]
+        if nonempty and not values:
+            raise argparse.ArgumentTypeError(
+                f"must be a nonempty list, got {text!r}")
+        return values
+
+    return parse_list
 
 
 def _doubling_grid(lo: int, hi: int) -> list[int]:
-    grid, r = [], lo
-    while r <= hi:
-        grid.append(r)
-        r *= 2
-    return grid
+    return [lo << k for k in range((hi // lo).bit_length())]  # lo 2^k <= hi
 
 
 # A JSON-lines command returns (row file, row fields): its outputs,
@@ -116,7 +149,6 @@ _Record = tuple[str | None, dict[str, Any]]
 
 
 def cmd_pvalue(args) -> _Record:
-    check_counts(0, **{"--r": args.r})
     check_order(**{"--v": args.v, "--r": args.r, "--m": args.m})
     summary = GuessSummary(m=args.m, k_plus=args.r, k_minus=0, v=args.v)
     p = p_value_audit(summary, PrivacyParams(args.eps, args.delta))
@@ -126,23 +158,17 @@ def cmd_pvalue(args) -> _Record:
 
 
 def cmd_epslb(args) -> _Record:
-    check_reals("confidence", **{"--conf": args.conf})
     check_order(**{"--v": args.v, "--r": args.r, "--m": args.m})
-    check_reals("[0, 1]", **{"--delta": args.delta})
-    lb = eps_lower_bound(args.m, args.r, args.v, args.delta,
-                         1.0 - args.conf)
+    lb = eps_lower_bound(args.m, args.r, args.v, args.delta, 1.0 - args.conf)
     print(f"{lb:.6g}")
     return args.out, {"outputs": {"eps_lb": lb}, "confidence": args.conf,
                       "seed": None}
 
 
 def cmd_experiment_pure(args) -> None:
-    guesses = _num_list(args.guesses, int)
-    check_reals("confidence", **{"--conf": args.conf})
     q = rr_accuracy(args.eps)
     rows = []
-    for r in guesses:
-        check_counts(1, **{"--guesses": r})
+    for r in args.guesses:
         v = math.floor(r * q)
         lb = eps_lower_bound(r, r, v, 0.0, 1.0 - args.conf)
         rows.append({"r": r, "v": v, "eps_lb": f"{lb:.6g}"})
@@ -150,23 +176,16 @@ def cmd_experiment_pure(args) -> None:
 
 
 def cmd_experiment_gaussian(args) -> None:
-    guesses = _num_list(args.r_grid, int)
-    deltas = _num_list(args.delta_grid)
-    confs = _num_list(args.conf_grid)
-    check_reals("(0, inf)", **{"--sigma": args.sigma})
-    for r in guesses:
+    for r in args.r_grid:
         check_order(**{"--r-grid": r, "--m": args.m})
-    for d in deltas:
-        check_reals("(0, 1)", **{"--delta-grid": d})
-    for conf in confs:
-        check_reals("confidence", **{"--conf-grid": conf})
     cfg = mechanisms.GaussianReportConfig(sigma=args.sigma)
-    uppers = {d: mechanisms.gaussian_dp_eps(cfg.rho, d) for d in deltas}
+    uppers = {d: mechanisms.gaussian_dp_eps(cfg.rho, d)
+              for d in args.delta_grid}
     rows = []
-    for r in guesses:
+    for r in args.r_grid:
         _, v = mechanisms.expected_correct_gaussian(args.m, r, args.sigma)
-        for d in deltas:
-            for conf in confs:
+        for d in args.delta_grid:
+            for conf in args.conf_grid:
                 lb = eps_lower_bound(args.m, r, v, d, 1.0 - conf)
                 rows.append({
                     "r": r, "v": v, "delta": f"{d:g}", "confidence": conf,
@@ -177,7 +196,6 @@ def cmd_experiment_gaussian(args) -> None:
 
 
 def cmd_pathological_check(args) -> _Record:
-    check_counts(1, **{"--trials": args.trials})
     check_order(**{"--r": args.r, "--m": args.m})
     cfg = mechanisms.PathologicalConfig(m=args.m, r=args.r, eps=args.eps,
                                         delta=args.delta, beta=args.beta)
@@ -208,69 +226,59 @@ def cmd_pathological_check(args) -> _Record:
         "confidence": None, "seed": args.seed}
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    raw = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            raw[key] = value
-    return raw
-
-
 _REQUIRED = object()  # the default of a config key that must be given
 
-# The dpsgd-audit config keys: key -> (type, default, rule, what a value must
-# do).  A default of None lets a key be absent; the trainer keys' rows come
-# from dpsgd.TRAINER_KEYS and are required.
+# The dpsgd-audit config keys: key -> (parser, default); a default of None lets
+# a key be absent.  The trainer keys come from dpsgd.TRAINER_KEYS, required.
 _DPSGD_KEYS = {
-    "mode": (str, _REQUIRED, lambda v: v in ("whitebox", "blackbox"),
-             "be whitebox or blackbox"),
-    "loss": (str, "canary-only",
-             lambda v: v in ("canary-only", "logistic", "linear"),
-             "be canary-only, logistic or linear"),
-    "m": (int, _REQUIRED, lambda v: v >= 1, "be >= 1"),
-    **{key: (kind, _REQUIRED, *REAL_INTERVALS[interval])
+    "mode": (_value(str, ("whitebox", "blackbox")), _REQUIRED),
+    "loss": (_value(str, ("canary-only", "logistic", "linear")), "canary-only"),
+    "m": (_value(int, 1), _REQUIRED),
+    **{key: (_value(kind, interval), _REQUIRED)
        for key, (_, kind, interval) in dpsgd_mod.TRAINER_KEYS.items()},
-    "delta": (float, _REQUIRED, *REAL_INTERVALS["(0, 1)"]),
-    "confidence": (_num_list, [0.95], bool, "be a nonempty list"),
-    "seed": (int, 0, lambda v: v >= 0, "be >= 0"),
-    "data_examples": (int, 0, lambda v: v >= 0, "be >= 0"),
-    "label_noise": (float, 0.0, *REAL_INTERVALS["finite"]),
-    "k_plus": (int, None, lambda v: v >= 0, "be >= 0"),
-    "k_minus": (int, None, lambda v: v >= 0, "be >= 0"),
+    "delta": (_value(float, "(0, 1)"), _REQUIRED),
+    "confidence": (_values(float, "confidence", nonempty=True), [0.95]),
+    "seed": (_value(int, 0), 0),
+    "data_examples": (_value(int, 0), 0),
+    "label_noise": (_value(float, "finite"), 0.0),
+    "k_plus": (_value(int, 0), None),
+    "k_minus": (_value(int, 0), None),
 }
 
 
 def parse_dpsgd_config(path: str) -> dict[str, Any]:
-    """Parse and type-check a flat key=value config; errors name the key."""
-    config: dict[str, Any] = {
-        key: default for key, (_, default, _, _) in _DPSGD_KEYS.items()
-        if default is not None and default is not _REQUIRED}
-    for key, value in _parse_config_file(path).items():
+    """Parse and check a flat key = value config; errors name the key."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"argument --config: cannot read {path!r}: "
+                         f"{getattr(exc, 'strerror', None) or exc}") from None
+    config: dict[str, Any] = {key: default for key, (_, default)
+                              in _DPSGD_KEYS.items() if default is not None}
+    set_on = {}  # key -> the line that sets it
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ValueError(
+                f"{path}:{lineno}: expected 'key = value', got {line!r}")
         if key not in _DPSGD_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        kind = _DPSGD_KEYS[key][0]
+        if key in set_on:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} is "
+                             f"already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
-            config[key] = kind(value)
-        except ValueError as exc:
-            raise ValueError(f"bad value for config key {key!r}: {exc}")
-    missing = [key for key, (_, default, _, _) in _DPSGD_KEYS.items()
-               if default is _REQUIRED and key not in config]
+            config[key] = _DPSGD_KEYS[key][0](value)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"config key {key!r} {exc}") from None
+    missing = [key for key, value in config.items() if value is _REQUIRED]
     if missing:
         raise ValueError(f"dpsgd-audit experiment missing parameter(s): "
                          f"{', '.join(missing)}")
-    for key, (_, _, ok, rule) in _DPSGD_KEYS.items():
-        if key in config and not ok(config[key]):
-            raise ValueError(
-                f"config key {key!r} must {rule}, got {config[key]!r}")
-    for conf in config["confidence"]:
-        check_reals("confidence", **{"config key 'confidence'": conf})
     if config["mode"] == "blackbox" and config["loss"] == "canary-only":
         raise ValueError(
             "config key 'loss' must be logistic or linear in blackbox mode")
@@ -349,8 +357,6 @@ _SIMULATE_OPTIONS = {"rr": ("eps",), "gaussian": ("sigma",),
 
 
 def cmd_simulate(args) -> _Record:
-    check_counts(0, **{"--k-plus": args.k_plus, "--k-minus": args.k_minus})
-    check_reals("confidence", **{"--conf": args.conf})
     if args.mechanism == "rr":
         adapter = pipeline.adapter_randomized_response(args.eps)
     elif args.mechanism == "gaussian":  # the one that reads the budget
@@ -359,8 +365,8 @@ def cmd_simulate(args) -> _Record:
         adapter = pipeline.adapter_gaussian_report(
             mechanisms.GaussianReportConfig(sigma=args.sigma),
             delta=args.delta)
-    else:  # "pathological"; argparse restricts the choices
-        check_reals("[0, 1]", **{"--mech-delta": args.mech_delta})
+    else:  # "pathological", the one that reads --r (argparse's choices)
+        check_order(**{"1": 1, "--r": args.r, "--m": args.m})
         adapter = pipeline.adapter_pathological(
             mechanisms.PathologicalConfig(
                 m=args.m, r=args.r, eps=args.eps,
@@ -370,11 +376,9 @@ def cmd_simulate(args) -> _Record:
     payload = report.to_dict()
     print(json.dumps(payload, sort_keys=True))
     return args.out, {
-        "inputs": {"mechanism": args.mechanism, "m": args.m,
-                   "k_plus": args.k_plus, "k_minus": args.k_minus,
-                   "delta": args.delta, "conf": args.conf,
-                   **{name: getattr(args, name)
-                      for name in _SIMULATE_OPTIONS[args.mechanism]}},
+        "inputs": {name: getattr(args, name) for name in (
+            "mechanism", "m", "k_plus", "k_minus", "delta", "conf",
+            *_SIMULATE_OPTIONS[args.mechanism])},
         "outputs": payload, "confidence": args.conf, "seed": args.seed}
 
 
@@ -384,52 +388,53 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pvalue", help="p-value under an (eps, delta)-DP null")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--m", type=_value(int, 1), required=True)
+    p.add_argument("--r", type=_value(int, 0), required=True)
+    p.add_argument("--v", type=_value(int, 0), required=True)
+    p.add_argument("--eps", type=_value(float, "[0, inf]"), required=True)
+    p.add_argument("--delta", type=_value(float, "[0, 1]"), default=0.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pvalue)
 
     p = sub.add_parser("epslb", help="epsilon lower bound at a confidence")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--delta", type=float, default=1e-5)
-    p.add_argument("--conf", type=float, default=0.95)
+    p.add_argument("--m", type=_value(int, 1), required=True)
+    p.add_argument("--r", type=_value(int, 0), required=True)
+    p.add_argument("--v", type=_value(int, 0), required=True)
+    p.add_argument("--delta", type=_value(float, "[0, 1]"), default=1e-5)
+    p.add_argument("--conf", type=_value(float, "confidence"), default=0.95)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_epslb)
 
     p = sub.add_parser("experiment-pure",
                        help="randomized-response ideal: eps_lb vs guesses")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--guesses", default=",".join(
+    p.add_argument("--eps", type=_value(float, "[0, inf]"), required=True)
+    p.add_argument("--guesses", type=_values(int, 1), default=",".join(
         str(r) for r in _doubling_grid(10, 10240)))
-    p.add_argument("--conf", type=float, default=0.95)
+    p.add_argument("--conf", type=_value(float, "confidence"), default=0.95)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_experiment_pure)
 
     p = sub.add_parser("experiment-gaussian",
                        help="Gaussian score release ideal: eps_lb vs guesses")
-    p.add_argument("--sigma", type=float, default=2.0)
-    p.add_argument("--m", type=int, default=100_000)
-    p.add_argument("--r-grid", default=",".join(
+    p.add_argument("--sigma", type=_value(float, "(0, inf)"), default=2.0)
+    p.add_argument("--m", type=_value(int, 1), default=100_000)
+    p.add_argument("--r-grid", type=_values(int, 1), default=",".join(
         str(r) for r in _doubling_grid(2, 16384)))
-    p.add_argument("--delta-grid", default="1e-5")
-    p.add_argument("--conf-grid", default="0.95")
+    p.add_argument("--delta-grid", type=_values(float, "(0, 1)"), default="1e-5")
+    p.add_argument("--conf-grid", type=_values(float, "confidence"),
+                   default="0.95")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_experiment_gaussian)
 
     p = sub.add_parser("pathological-check",
                        help="Monte-Carlo validation of the tail bound")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--m", type=_value(int, 1), required=True)
+    p.add_argument("--r", type=_value(int, 1), required=True)
+    p.add_argument("--eps", type=_value(float, "[0, inf]"), required=True)
+    p.add_argument("--delta", type=_value(float, "[0, 1]"), required=True)
+    p.add_argument("--beta", type=_value(float, "[0, 1]"), required=True)
+    p.add_argument("--trials", type=_value(int, 1), default=100_000)
+    p.add_argument("--seed", type=_value(int, 0), default=0)
     p.add_argument("--out", default=None, help="CSV of per-threshold tails")
     p.add_argument("--report", default=None, help="JSONL result row")
     p.set_defaults(func=cmd_pathological_check)
@@ -443,17 +448,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="one audit run of a toy mechanism")
     p.add_argument("--mechanism", choices=("rr", "gaussian", "pathological"),
                    required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k-plus", type=int, default=0)
-    p.add_argument("--k-minus", type=int, default=0)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=2.0)
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--mech-delta", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=0.05)
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--conf", type=float, default=0.95)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--m", type=_value(int, 1), required=True)
+    p.add_argument("--k-plus", type=_value(int, 0), default=0)
+    p.add_argument("--k-minus", type=_value(int, 0), default=0)
+    p.add_argument("--eps", type=_value(float, "[0, inf]"), default=1.0)
+    p.add_argument("--sigma", type=_value(float, "(0, inf)"), default=2.0)
+    p.add_argument("--r", type=_value(int, 0), default=0)
+    p.add_argument("--mech-delta", type=_value(float, "[0, 1]"), default=0.0)
+    p.add_argument("--beta", type=_value(float, "[0, 1]"), default=0.05)
+    p.add_argument("--delta", type=_value(float, "[0, 1]"), default=0.0)
+    p.add_argument("--conf", type=_value(float, "confidence"), default=0.95)
+    p.add_argument("--seed", type=_value(int, 0), default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
     return parser
@@ -468,12 +473,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), file=sys.stderr, end="")
-        return 1
-    t0 = time.perf_counter()
-    try:
+        t0 = time.perf_counter()
         record = args.func(args)
         if record is not None:
             out, fields = record
@@ -483,8 +483,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             _append_row(out, command=args.command,
                         runtime_ms=(time.perf_counter() - t0) * 1e3, **fields)
         return 0
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:  # argparse's ones show the usage
         print(f"usage error: {exc}", file=sys.stderr)
+        if isinstance(exc, _UsageError):
+            print(parser.format_usage(), file=sys.stderr, end="")
         return 1
     except Exception as exc:  # noqa: BLE001 - runtime failures exit 2
         print(f"error: {exc}", file=sys.stderr)

@@ -170,8 +170,14 @@ def gaussian_dp_eps(rho: float, delta: float) -> float:
     lo, hi = 0.0, 1.0  # maintain delta(lo) > delta >= delta(hi)
     while gaussian_dp_delta(rho, hi) > delta:
         lo, hi = hi, 2.0 * hi
+    return _bisect(lambda eps: gaussian_dp_delta(rho, eps) > delta, lo, hi)
+
+
+def _bisect(above, lo: float, hi: float) -> float:
+    """Halve [lo, hi], where above(lo) holds and above(hi) does not, until
+    the midpoint is one of the ends; return hi, the conservative end."""
     while lo < (mid := (lo + hi) / 2) < hi:
-        if gaussian_dp_delta(rho, mid) > delta:
+        if above(mid):
             lo = mid
         else:
             hi = mid
@@ -194,8 +200,8 @@ def expected_correct_gaussian(m: int, r: int, sigma: float) -> tuple[float, int]
 
     Solves for the score threshold c with Pr[S + xi > c] = r / (2m), where
     S is uniform on {-1, +1} and xi ~ N(0, sigma^2) (the two-component
-    mixture tail is strictly decreasing, solved by bisection to 1e-12), and
-    returns c together with v = ceil(r * Pr[S = +1 | S + xi > c]).
+    mixture tail is strictly decreasing, bisected down to adjacent floats),
+    and returns c together with v = ceil(r * Pr[S = +1 | S + xi > c]).
 
     This is the number of correct guesses an auditor making the r most
     extreme guesses on m examples should expect.
@@ -209,20 +215,10 @@ def expected_correct_gaussian(m: int, r: int, sigma: float) -> tuple[float, int]
         return 0.5 * (special.ndtr(-((c - 1.0) / sigma))
                       + special.ndtr(-((c + 1.0) / sigma)))
 
-    lo = 0.0  # mixture_tail(0) = 1/2 >= target since r <= m
-    # Python floats: an overflow gives inf, not a warning
-    hi = 1.0 + sigma * -float(special.ndtri(target))  # >= 1, as target <= 1/2
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        t = mixture_tail(mid)
-        if abs(t - target) <= 1e-12:
-            lo = hi = mid
-            break
-        if t >= target:
-            lo = mid
-        else:
-            hi = mid
-    c = 0.5 * (lo + hi)
+    # mixture_tail(0) = 1/2 >= target since r <= m, and the tail at hi is
+    # below target; Python floats: an overflow gives inf, not a warning
+    hi = 1.0 + sigma * -float(special.ndtri(target))
+    c = _bisect(lambda x: mixture_tail(x) >= target, 0.0, hi)
     check_reals("finite", **{f"threshold c at sigma={sigma}": c})
     plus = special.ndtr(-((c - 1.0) / sigma))
     minus = special.ndtr(-((c + 1.0) / sigma))

@@ -25,6 +25,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(message):
+    """The stderr of a usage error: argparse's message about one option's
+    value is followed by the usage line; a rule across options is not."""
+    usage = cli.build_parser().format_usage()
+    return f"usage error: {message}\n" + (
+        usage if message.startswith("argument ") else "")
+
+
 # ---------------------------------------------------------------------------
 # pvalue / epslb
 
@@ -241,44 +249,45 @@ _CONF = "must be in (0, 1) with 1 - it in (0, 1), got"
 
 @pytest.mark.parametrize("argv, message", [
     (["epslb", "--m", "10", "--r", "5", "--v", "3", "--conf", "1.5"],
-     f"--conf {_CONF} 1.5"),
+     f"argument --conf: {_CONF} 1.5"),
     (["experiment-pure", "--eps", "1", "--conf", "1.5"],
-     f"--conf {_CONF} 1.5"),
+     f"argument --conf: {_CONF} 1.5"),
     (["experiment-pure", "--eps", "1", "--guesses", "0"],
-     "--guesses must be >= 1, got 0"),
+     "argument --guesses: must be >= 1, got 0"),
     (["experiment-gaussian", "--m", "100", "--r-grid", "10",
-      "--conf-grid", "1.5"], f"--conf-grid {_CONF} 1.5"),
+      "--conf-grid", "1.5"], f"argument --conf-grid: {_CONF} 1.5"),
     # 1 - 1e-300 rounds to 1, a failure probability outside (0, 1)
     (["epslb", "--m", "10", "--r", "5", "--v", "3", "--conf", "1e-300"],
-     f"--conf {_CONF} 1e-300"),
+     f"argument --conf: {_CONF} 1e-300"),
     (["experiment-pure", "--eps", "1", "--conf", "1e-300"],
-     f"--conf {_CONF} 1e-300"),
+     f"argument --conf: {_CONF} 1e-300"),
     (["experiment-gaussian", "--m", "100", "--r-grid", "10",
-      "--conf-grid", "0.95,1e-300"], f"--conf-grid {_CONF} 1e-300"),
+      "--conf-grid", "0.95,1e-300"], f"argument --conf-grid: {_CONF} 1e-300"),
     (["simulate", "--mechanism", "rr", "--m", "10", "--conf", "1e-300"],
-     f"--conf {_CONF} 1e-300"),
+     f"argument --conf: {_CONF} 1e-300"),
     # checked up front, so also with no row to compute
     (["experiment-pure", "--eps", "1", "--guesses", "", "--conf", "5"],
-     f"--conf {_CONF} 5.0"),
+     f"argument --conf: {_CONF} 5.0"),
     (["experiment-gaussian", "--r-grid", "", "--conf-grid", "5"],
-     f"--conf-grid {_CONF} 5.0"),
+     f"argument --conf-grid: {_CONF} 5.0"),
     (["simulate", "--mechanism", "gaussian", "--m", "10", "--k-plus", "8",
       "--k-minus", "8"], "need --k-plus + --k-minus <= --m, got "
      "--k-plus + --k-minus=16, --m=10"),
     (["simulate", "--mechanism", "rr", "--m", "10", "--conf", "1.5"],
-     f"--conf {_CONF} 1.5"),
+     f"argument --conf: {_CONF} 1.5"),
     (["simulate", "--mechanism", "pathological", "--m", "10", "--r", "5",
-      "--mech-delta", "2"], "--mech-delta must be in [0, 1], got 2.0"),
+      "--mech-delta", "2"],
+     "argument --mech-delta: must be in [0, 1], got 2.0"),
     (["pvalue", "--m", "10", "--r", "12", "--v", "3", "--eps", "1"],
      "need --v <= --r <= --m, got --v=3, --r=12, --m=10"),
     (["pvalue", "--m", "10", "--r", "4", "--v", "5", "--eps", "1"],
      "need --v <= --r <= --m, got --v=5, --r=4, --m=10"),
     (["pvalue", "--m", "10", "--r", "-1", "--v", "-2", "--eps", "1"],
-     "--r must be >= 0, got -1"),
+     "argument --r: must be >= 0, got -1"),
     (["experiment-gaussian", "--sigma", "0", "--r-grid", "2"],
-     "--sigma must be positive and finite, got 0.0"),
+     "argument --sigma: must be positive and finite, got 0.0"),
     (["experiment-gaussian", "--delta-grid", "2", "--r-grid", "2"],
-     "--delta-grid must be in (0, 1), got 2.0"),
+     "argument --delta-grid: must be in (0, 1), got 2.0"),
     (["experiment-gaussian", "--m", "5", "--r-grid", "10"],
      "need --r-grid <= --m, got --r-grid=10, --m=5"),
     (["pathological-check", "--m", "10", "--r", "20", "--eps", "1",
@@ -287,7 +296,20 @@ _CONF = "must be in (0, 1) with 1 - it in (0, 1), got"
     (["epslb", "--m", "10", "--r", "12", "--v", "3"],
      "need --v <= --r <= --m, got --v=3, --r=12, --m=10"),
     (["epslb", "--m", "10", "--r", "5", "--v", "3", "--delta", "2"],
-     "--delta must be in [0, 1], got 2.0"),
+     "argument --delta: must be in [0, 1], got 2.0"),
+    (["pvalue", "--m", "10", "--r", "5", "--v", "3", "--eps", "-1"],
+     "argument --eps: must be nonnegative, got -1.0"),
+    (["experiment-gaussian", "--delta-grid", "1e-5,x"],
+     "argument --delta-grid: must be float, got 'x'"),
+    (["experiment-gaussian", "--r-grid", "1e5"],
+     "argument --r-grid: must be int, got '1e5'"),
+    (["simulate", "--mechanism", "rr", "--m", "10", "--seed", "-3"],
+     "argument --seed: must be >= 0, got -3"),
+    (["simulate", "--mechanism", "pathological", "--m", "2", "--r", "10"],
+     "need 1 <= --r <= --m, got 1=1, --r=10, --m=2"),
+    # --r defaults to 0, which rr and gaussian never read
+    (["simulate", "--mechanism", "pathological", "--m", "2"],
+     "need 1 <= --r <= --m, got 1=1, --r=0, --m=2"),
 ], ids=["epslb-conf", "pure-conf", "pure-guesses", "gaussian-conf-grid",
         "epslb-conf-tiny", "pure-conf-tiny", "gaussian-conf-grid-tiny",
         "simulate-conf-tiny", "pure-conf-no-guesses",
@@ -295,11 +317,13 @@ _CONF = "must be in (0, 1) with 1 - it in (0, 1), got"
         "simulate-conf", "simulate-mech-delta", "pvalue-r-over-m",
         "pvalue-v-over-r", "pvalue-negative-r", "gaussian-sigma",
         "gaussian-delta-grid", "gaussian-r-over-m", "pathological-r-over-m",
-        "epslb-r-over-m", "epslb-delta"])
+        "epslb-r-over-m", "epslb-delta", "pvalue-eps",
+        "gaussian-delta-grid-word", "gaussian-r-grid-float", "simulate-seed",
+        "simulate-pathological-r-over-m", "simulate-pathological-r-unset"])
 def test_usage_error_names_the_option_as_typed(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == f"usage error: {message}\n"
+    assert err == usage_error(message)
 
 
 def test_simulate_budget_over_m_is_read_only_by_gaussian(capsys):
@@ -324,7 +348,7 @@ def test_confidence_rule_takes_every_valid_failure_probability(capsys, conf):
                              "--v", "3", "--conf", repr(conf))
     assert code == (0 if took else 1)
     if not took:
-        assert err == f"usage error: --conf {_CONF} {conf!r}\n"
+        assert err == usage_error(f"argument --conf: {_CONF} {conf!r}")
 
 
 @pytest.mark.parametrize("command", [
@@ -333,8 +357,8 @@ def test_confidence_rule_takes_every_valid_failure_probability(capsys, conf):
 def test_count_above_the_largest_float_usage_exit(capsys, command):
     code, out, err = run_cli(capsys, *command, "--m", "1" + "0" * 400)
     assert (code, out) == (1, "")
-    assert err.startswith(f"usage error: m must be <= {sys.float_info.max}, "
-                          f"got 1000")
+    assert err.startswith(f"usage error: argument --m: must be <= "
+                          f"{sys.float_info.max}, got 1000")
 
 
 def test_experiment_gaussian_overflowing_rho_usage_exit(capsys):
@@ -541,10 +565,15 @@ def test_dpsgd_audit_missing_key_named(tmp_path, capsys):
     # 1 / sigma^2 overflows; sigma^2 overflows, so rho underflows to zero
     ("noise_multiplier", {"noise_multiplier": 1e-300}),
     ("noise_multiplier", {"noise_multiplier": 1e300}),
+    # counts above the largest float, where iterations / (2 sigma^2) would
+    # overflow in the noise rule
+    ("iterations", {"iterations": 10 ** 320}),
+    ("dim", {"dim": 10 ** 320}),
 ], ids=["clip-nan", "noise-inf", "lr-nan", "label-noise-nan", "loss-hinge",
         "data-negative", "blackbox-canary-only", "iterations-zero",
         "noise-zero", "delta-one", "seed-negative", "k-minus-negative",
-        "budget-over-m", "whitebox-m-over-dim", "noise-tiny", "noise-huge"])
+        "budget-over-m", "whitebox-m-over-dim", "noise-tiny", "noise-huge",
+        "iterations-above-float", "dim-above-float"])
 def test_dpsgd_audit_bad_value_named(tmp_path, capsys, key, overrides):
     cfg_file = tmp_path / "audit.cfg"
     write_config(cfg_file, **overrides)
@@ -645,11 +674,50 @@ def test_dpsgd_audit_sweep_needs_two_examples(tmp_path, capsys):
     assert "'m'" in err and "argmax" not in err
 
 
-def test_dpsgd_audit_missing_file_runtime_exit(capsys):
-    code, _, err = run_cli(capsys, "dpsgd-audit", "--config",
-                           "/nonexistent/audit.cfg")
-    assert code == 2
-    assert "error" in err.lower()
+@pytest.mark.parametrize("case, reason", [
+    ("missing", "No such file or directory"), ("directory", "Is a directory"),
+    ("undecodable", "'utf-8' codec can't decode byte 0xff")],
+    ids=["missing", "directory", "undecodable"])
+def test_dpsgd_audit_unreadable_config_usage_exit(tmp_path, capsys, case,
+                                                  reason):
+    # the user named a file that cannot be read: exit 1 naming the option
+    # and the path, as for any other bad option value
+    path = tmp_path / "audit.cfg"
+    if case == "directory":
+        path.mkdir()
+    elif case == "undecodable":
+        path.write_bytes(b"\xffmode = whitebox\n")
+    code, out, err = run_cli(capsys, "dpsgd-audit", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        f"usage error: argument --config: cannot read {str(path)!r}: {reason}")
+
+
+def test_dpsgd_audit_repeated_key_usage_exit(tmp_path, capsys):
+    # a second value of a key is not silently taken over the first
+    cfg_file = tmp_path / "audit.cfg"
+    write_config(cfg_file)  # m = 40 on line 2
+    last = len(cfg_file.read_text().splitlines())
+    with cfg_file.open("a") as fh:
+        fh.write("m = 30\n")
+    code, out, err = run_cli(capsys, "dpsgd-audit", "--config", str(cfg_file))
+    assert (code, out) == (1, "")
+    assert err == (f"usage error: {cfg_file}:{last + 1}: config key 'm' is "
+                   f"already set on line 2\n")
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("m", "x", "int"), ("seed", "1.5", "int"), ("clip", "one", "float"),
+    ("iterations", "1e3", "int"), ("confidence", "0.95,x", "float")])
+def test_dpsgd_audit_malformed_value_names_key_and_text(tmp_path, capsys, key,
+                                                        value, kind):
+    cfg_file = tmp_path / "audit.cfg"
+    write_config(cfg_file, **{key: value})
+    code, out, err = run_cli(capsys, "dpsgd-audit", "--config", str(cfg_file))
+    assert (code, out) == (1, "")
+    typed = value.split(",")[-1]
+    assert err == f"usage error: config key {key!r} must be {kind}, " \
+        f"got {typed!r}\n"
 
 
 NAN, INF = float("nan"), float("inf")
@@ -857,16 +925,100 @@ _LIST_OPTIONS = ("--guesses", "--r-grid", "--delta-grid", "--conf-grid")
 _FILE_OPTIONS = {"--out", "--report"}
 
 
+def parser_options():
+    """command -> {option: its argparse action}, --help left out."""
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {command: {option: action for action in parser._actions
+                      for option in action.option_strings
+                      if option.startswith("--") and option != "--help"}
+            for command, parser in subparsers.choices.items()}
+
+
 def test_argv_options_are_the_parser_options():
     # every option of each fuzzed command, so none is left unexercised, and
     # no stale one, which would turn every draw into a usage error
-    subparsers = next(action for action in cli.build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
     for command, options in _ARGV_OPTIONS.items():
-        defined = {option for action in subparsers.choices[command]._actions
-                   for option in action.option_strings
-                   if option.startswith("--") and option != "--help"}
+        defined = set(parser_options()[command])
         assert sorted(options) == sorted(defined - _FILE_OPTIONS), command
+
+
+# per command, an argument vector that passes; and per (command, option), a
+# value just outside the option's rule, the counts' and reals' from their
+# type= parsers, the mechanism's from its choices and the config file's from
+# reading it
+_PROBE_ARGV = {
+    "pvalue": ["--m", "20", "--r", "10", "--v", "5", "--eps", "1"],
+    "epslb": ["--m", "20", "--r", "10", "--v", "5"],
+    "experiment-pure": ["--eps", "1", "--guesses", "10"],
+    "experiment-gaussian": ["--m", "100", "--r-grid", "2"],
+    "pathological-check": ["--m", "20", "--r", "5", "--eps", "1", "--delta",
+                           "0", "--beta", "0.05", "--trials", "5"],
+    "dpsgd-audit": [],
+    "simulate": ["--mechanism", "pathological", "--m", "20", "--r", "5"],
+}
+_ABOVE_ONE = "1.0000000000000002"
+_BELOW_ZERO = "-5e-324"
+_OPTION_JUST_OUTSIDE = {
+    "pvalue": {"--m": "0", "--r": "-1", "--v": "-1", "--eps": _BELOW_ZERO,
+               "--delta": _ABOVE_ONE},
+    "epslb": {"--m": "0", "--r": "-1", "--v": "-1", "--delta": _BELOW_ZERO,
+              "--conf": "1"},
+    "experiment-pure": {"--eps": _BELOW_ZERO, "--guesses": "10,0",
+                        "--conf": "0"},
+    "experiment-gaussian": {"--sigma": "0", "--m": "0", "--r-grid": "2,0",
+                            "--delta-grid": "0", "--conf-grid": "0.95,1"},
+    "pathological-check": {"--m": "0", "--r": "0", "--eps": _BELOW_ZERO,
+                           "--delta": _ABOVE_ONE, "--beta": _ABOVE_ONE,
+                           "--trials": "0", "--seed": "-1"},
+    "dpsgd-audit": {"--config": "/nonexistent/audit.cfg"},
+    "simulate": {"--mechanism": "laplace", "--m": "0", "--k-plus": "-1",
+                 "--k-minus": "-1", "--eps": _BELOW_ZERO, "--sigma": "0",
+                 "--r": "-1", "--mech-delta": _ABOVE_ONE,
+                 "--beta": _ABOVE_ONE, "--delta": _BELOW_ZERO, "--conf": "1",
+                 "--seed": "-1"},
+}
+_PROBES = sorted((command, option)
+                 for command, options in _OPTION_JUST_OUTSIDE.items()
+                 for option in options)
+
+
+def test_every_value_option_has_a_rule_and_a_probe():
+    # a new option fails here until it has a parser with a rule (argparse's
+    # bare int or float takes -1, nan and inf alike) and a probe above
+    bare = [(command, option)
+            for command, options in parser_options().items()
+            for option, action in options.items()
+            if action.type in (int, float)]
+    assert bare == []
+    valued = sorted((command, option)
+                    for command, options in parser_options().items()
+                    for option, action in options.items()
+                    if action.nargs != 0 and option not in _FILE_OPTIONS)
+    assert _PROBES == valued
+    assert sorted(_PROBE_ARGV) == sorted(parser_options())
+
+
+@pytest.mark.parametrize("command, option", _PROBES,
+                         ids=[" ".join(probe) for probe in _PROBES])
+def test_option_rejects_value_just_outside(capsys, command, option):
+    # the last occurrence of an option wins, but each one is parsed; the
+    # message names the option and the value (of a list, the bad item)
+    value = _OPTION_JUST_OUTSIDE[command][option]
+    code, out, err = run_cli(capsys, command, *_PROBE_ARGV[command],
+                             f"{option}={value}")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage error: argument {option}: ")
+    assert value.split(",")[-1] in err
+
+
+@pytest.mark.parametrize("command",
+                         sorted(set(_PROBE_ARGV) - {"dpsgd-audit"}))
+def test_option_probe_argv_passes(capsys, command):
+    # so a probe's exit 1 comes from its value alone (dpsgd-audit's one
+    # value option is the config file)
+    code, _, err = run_cli(capsys, command, *_PROBE_ARGV[command])
+    assert (code, err) == (0, "")
 
 
 def draw_argv(data, command):

@@ -455,17 +455,12 @@ def expected_correct_gaussian_norm_form(m, r, sigma):
     lo, hi = 0.0, 1.0 + sigma * stats.norm.isf(target)
     if hi <= lo:
         hi = lo + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        t = mixture_tail(mid)
-        if abs(t - target) <= 1e-12:
-            lo = hi = mid
-            break
-        if t >= target:
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if mixture_tail(mid) >= target:
             lo = mid
         else:
             hi = mid
-    c = 0.5 * (lo + hi)
+    c = hi
     plus = stats.norm.sf((c - 1.0) / sigma)
     minus = stats.norm.sf((c + 1.0) / sigma)
     return float(c), int(math.ceil(r * plus / (plus + minus)))
@@ -477,6 +472,22 @@ def expected_correct_gaussian_norm_form(m, r, sigma):
 def test_expected_correct_gaussian_equals_scipy_stats_norm_form(m, r, sigma):
     assert expected_correct_gaussian(m, r, sigma) == \
         expected_correct_gaussian_norm_form(m, r, sigma)
+
+
+def test_expected_correct_gaussian_finds_a_tiny_tail_root():
+    # target r / (2m) = 5e-21: an absolute stop such as
+    # |tail - target| <= 1e-12 would end at c = 9.044, where the tail is
+    # 2.2e-16
+    m, sigma = 10 ** 20, 1.0
+    c, v = expected_correct_gaussian(m, 1, sigma)
+
+    def excess(x):
+        return 0.5 * (stats.norm.sf((x - 1.0) / sigma)
+                      + stats.norm.sf((x + 1.0) / sigma)) - 1 / (2.0 * m)
+
+    assert c == pytest.approx(optimize.brentq(excess, 0.0, 50.0, xtol=1e-14),
+                              rel=1e-14)
+    assert v == 1
 
 
 def test_expected_correct_gaussian_validates():

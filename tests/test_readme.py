@@ -38,7 +38,7 @@ def test_readme_config_keys_are_known():
     block = README.read_text(encoding="utf-8").split("```ini\n", 1)[1]
     block = block.split("```", 1)[0]
     keys = re.findall(r"^#?\s*(\w+)\s*=", block, flags=re.MULTILINE)
-    required = [key for key, (_, default, _, _) in cli._DPSGD_KEYS.items()
+    required = [key for key, (_, default) in cli._DPSGD_KEYS.items()
                 if default is cli._REQUIRED]
     assert [k for k in required if k not in keys] == []
     assert [k for k in keys if k not in cli._DPSGD_KEYS] == []
