@@ -35,8 +35,7 @@ def main():
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()
     os.makedirs(args.out_dir, exist_ok=True)
-    # absolute paths, so that DPAUDIT_OUTDIR does not redirect the tables
-    pure, gaussian, delta = (os.path.abspath(os.path.join(args.out_dir, name))
+    pure, gaussian, delta = (os.path.join(args.out_dir, name)
                              for name in ("pure_rr.csv", "gaussian_sweep.csv",
                                           "delta_sweep.csv"))
     gaussian_options = ("--sigma", 2.0, "--m", 100_000)

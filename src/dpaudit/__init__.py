@@ -8,7 +8,6 @@ trainer end to end.
 
 from .estimator import (
     DominatingDistribution,
-    GeneralPParams,
     GuessSummary,
     PrivacyParams,
     adaptive_bound,

@@ -11,8 +11,7 @@ Subcommands:
 
 Tables are CSV; reports are line-delimited JSON records that echo their
 inputs and seed, so every row can be reproduced.  Exit codes: 0 success,
-1 usage error, 2 runtime failure.  DPAUDIT_OUTDIR sets the default output
-directory for relative --out paths.
+1 usage error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from typing import Any, Callable, Sequence
@@ -34,8 +32,6 @@ from . import mechanisms, pipeline
 from .estimator import (GuessSummary, PrivacyParams, check_counts,
                         check_order, check_reals, eps_lower_bound,
                         p_value_audit, rr_accuracy)
-
-ENV_OUTDIR = "DPAUDIT_OUTDIR"
 
 
 @dataclasses.dataclass
@@ -52,10 +48,6 @@ class ResultRow:
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, line: str) -> "ResultRow":
-        return cls(**json.loads(line))
-
 
 class _UsageError(Exception):
     pass
@@ -63,21 +55,10 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 for usage problems, not argparse's 2
-        raise _UsageError(message)
-
-
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    outdir = os.environ.get(ENV_OUTDIR)
-    if outdir and not os.path.isabs(path):
-        os.makedirs(outdir, exist_ok=True)
-        return os.path.join(outdir, path)
-    return path
+        raise _UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 def _append_row(out: str | None, **fields: Any) -> None:
-    out = _resolve_out(out)
     if out is None:
         return
     with open(out, "a", encoding="utf-8") as fh:
@@ -86,7 +67,6 @@ def _append_row(out: str | None, **fields: Any) -> None:
 
 def _emit_csv(fieldnames: Sequence[str], rows: Sequence[dict],
               out: str | None) -> None:
-    out = _resolve_out(out)
     sink = open(out, "w", newline="", encoding="utf-8") if out else sys.stdout
     try:
         writer = csv.DictWriter(sink, fieldnames=fieldnames)
@@ -178,6 +158,8 @@ def cmd_experiment_pure(args) -> None:
 def cmd_experiment_gaussian(args) -> None:
     for r in args.r_grid:
         check_order(**{"--r-grid": r, "--m": args.m})
+    check_reals("(0, inf)", **{f"rho at --sigma={args.sigma}":
+                               mechanisms.gaussian_rho(args.sigma)})
     cfg = mechanisms.GaussianReportConfig(sigma=args.sigma)
     uppers = {d: mechanisms.gaussian_dp_eps(cfg.rho, d)
               for d in args.delta_grid}
@@ -197,6 +179,8 @@ def cmd_experiment_gaussian(args) -> None:
 
 def cmd_pathological_check(args) -> _Record:
     check_order(**{"--r": args.r, "--m": args.m})
+    check_order(**{"--m * --delta": args.m * args.delta,
+                   "--r * --beta": args.r * args.beta})
     cfg = mechanisms.PathologicalConfig(m=args.m, r=args.r, eps=args.eps,
                                         delta=args.delta, beta=args.beta)
     rng = np.random.default_rng(args.seed)
@@ -362,11 +346,15 @@ def cmd_simulate(args) -> _Record:
     elif args.mechanism == "gaussian":  # the one that reads the budget
         check_order(**{"--k-plus + --k-minus": args.k_plus + args.k_minus,
                        "--m": args.m})
+        check_reals("(0, inf)", **{f"rho at --sigma={args.sigma}":
+                                   mechanisms.gaussian_rho(args.sigma)})
         adapter = pipeline.adapter_gaussian_report(
             mechanisms.GaussianReportConfig(sigma=args.sigma),
             delta=args.delta)
     else:  # "pathological", the one that reads --r (argparse's choices)
         check_order(**{"1": 1, "--r": args.r, "--m": args.m})
+        check_order(**{"--m * --mech-delta": args.m * args.mech_delta,
+                       "--r * --beta": args.r * args.beta})
         adapter = pipeline.adapter_pathological(
             mechanisms.PathologicalConfig(
                 m=args.m, r=args.r, eps=args.eps,
@@ -470,9 +458,8 @@ _NOT_INPUTS = ("command", "func", "out", "report", "seed")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         t0 = time.perf_counter()
         record = args.func(args)
         if record is not None:
@@ -483,10 +470,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             _append_row(out, command=args.command,
                         runtime_ms=(time.perf_counter() - t0) * 1e3, **fields)
         return 0
-    except (_UsageError, ValueError) as exc:  # argparse's ones show the usage
+    except (_UsageError, ValueError) as exc:  # argparse's end in the usage
         print(f"usage error: {exc}", file=sys.stderr)
-        if isinstance(exc, _UsageError):
-            print(parser.format_usage(), file=sys.stderr, end="")
         return 1
     except Exception as exc:  # noqa: BLE001 - runtime failures exit 2
         print(f"error: {exc}", file=sys.stderr)

@@ -185,9 +185,8 @@ def mislabeled_canaries(model: LossModel, m: int,
     return ExampleCanarySet(features=X, labels=-truth)
 
 
-def dpsgd_train(data: LossModel,
-                canaries: np.ndarray | ExampleCanarySet | None,
-                selection: np.ndarray | None, cfg: TrainerConfig,
+def dpsgd_train(data: LossModel, canaries: np.ndarray | ExampleCanarySet,
+                selection: np.ndarray, cfg: TrainerConfig,
                 rng: np.random.Generator) -> np.ndarray:
     """Train with per-example clipping and Gaussian noise; return the model.
 
@@ -204,9 +203,7 @@ def dpsgd_train(data: LossModel,
         raise ValueError(
             f"data dimension {data.features.shape[1]} != cfg.dim {d}")
     dirac_idx = None
-    if canaries is None:
-        n_canaries = 0
-    elif isinstance(canaries, ExampleCanarySet):
+    if isinstance(canaries, ExampleCanarySet):
         n_canaries = len(canaries)
     else:
         dirac_idx = np.asarray(canaries, dtype=int)

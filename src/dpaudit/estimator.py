@@ -322,39 +322,23 @@ def eps_lower_bound(m: int, r: int, v: int, delta: float, beta: float) -> float:
     return eps_min
 
 
-@dataclasses.dataclass(frozen=True)
-class GeneralPParams:
-    """Per-example inclusion probability for the uneven-coin variant."""
-
-    p_incl: float
-
-    def __post_init__(self):
-        check_reals("(0, 1)", p_incl=self.p_incl)
-
-    def q_plus(self, eps: float) -> float:
-        """Accuracy bound p*e^eps / (p*e^eps + 1 - p) for positive guesses."""
-        return float(special.expit(eps + special.logit(self.p_incl)))
-
-    def q_minus(self, eps: float) -> float:
-        """Accuracy bound (1-p)*e^eps / ((1-p)*e^eps + p) for negative guesses."""
-        return float(special.expit(eps - special.logit(self.p_incl)))
-
-
 def p_value_general_p(m: int, k_plus: int, k_minus: int, v: int,
-                      params: PrivacyParams, gp: GeneralPParams) -> float:
+                      params: PrivacyParams, p_incl: float) -> float:
     """p-value when each example is included with probability p != 1/2.
 
     The dominating distribution is the exact integer-support convolution of
-    Binomial(k_plus, q_plus) and Binomial(k_minus, q_minus) where the two
-    Bernoulli accuracies depend on the inclusion probability.  Collapses to
-    :func:`p_value_audit` when p = 1/2.  Each binomial's pmf is the
-    difference of its exact survival table.
+    Binomial(k_plus, q_plus), q_plus = p e^eps / (p e^eps + 1 - p), and
+    Binomial(k_minus, q_minus), q_minus = (1-p) e^eps / ((1-p) e^eps + p),
+    p = p_incl.  Collapses to :func:`p_value_audit` when p = 1/2.  Each
+    binomial's pmf is the difference of its exact survival table.
     """
     GuessSummary(m, k_plus, k_minus, v)  # checks the counts
-    eps = params.eps
+    check_reals("(0, 1)", p_incl=p_incl)
+    eps, logit_p = params.eps, special.logit(p_incl)
     pmf_plus, pmf_minus = (
         -np.diff(_survival_fill(n, n)(q), append=0.0)
-        for n, q in ((k_plus, gp.q_plus(eps)), (k_minus, gp.q_minus(eps))))
+        for n, q in ((k_plus, float(special.expit(eps + logit_p))),
+                     (k_minus, float(special.expit(eps - logit_p)))))
     dist = DominatingDistribution.from_pmf(np.convolve(pmf_plus, pmf_minus))
     return _tail_p_value(dist.survival_table, v, m, params.delta)
 

@@ -35,10 +35,14 @@ class GaussianReportConfig:
 
     @property
     def rho(self) -> float:
-        """Concentrated-DP parameter 2^2 / (2 sigma^2): flipping one bit
-        moves its score by 2, the release's sensitivity."""
-        var2 = 2.0 * self.sigma * self.sigma
-        return 4.0 / var2 if var2 else math.inf
+        return gaussian_rho(self.sigma)
+
+
+def gaussian_rho(sigma: float) -> float:
+    """Concentrated-DP parameter 2^2 / (2 sigma^2) of the release at sigma:
+    flipping one bit moves its score by 2, the release's sensitivity."""
+    var2 = 2.0 * sigma * sigma
+    return 4.0 / var2 if var2 else math.inf
 
 
 @dataclasses.dataclass(frozen=True)

@@ -25,10 +25,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def usage_error(message):
+def command_parsers():
+    """command -> its argparse subparser."""
+    return next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def usage_error(command, message):
     """The stderr of a usage error: argparse's message about one option's
-    value is followed by the usage line; a rule across options is not."""
-    usage = cli.build_parser().format_usage()
+    value is followed by the command's usage line; a rule across options
+    is not."""
+    usage = command_parsers()[command].format_usage()
     return f"usage error: {message}\n" + (
         usage if message.startswith("argument ") else "")
 
@@ -90,22 +97,24 @@ def test_epslb_persists_result_row(tmp_path, capsys):
                          "--out", str(out_file))
     assert code == 0
     line = out_file.read_text().strip()
-    row = cli.ResultRow.from_json(line)
+    row = cli.ResultRow(**json.loads(line))
     assert row.command == "epslb"
     assert row.inputs == {"m": 100, "r": 100, "v": 75, "delta": 0.0,
                           "conf": 0.95}
     assert row.outputs["eps_lb"] == pytest.approx(0.702, abs=1e-3)
     # round trip: emit(parse(emit(x))) is identical
-    assert cli.ResultRow.from_json(row.to_json()) == row
+    assert cli.ResultRow(**json.loads(row.to_json())) == row
 
 
 def test_outdir_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_OUTDIR, str(tmp_path / "results"))
+    # DPAUDIT_OUTDIR is no input: the row file is where --out says
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DPAUDIT_OUTDIR", str(tmp_path / "results"))
     code, _, _ = run_cli(capsys, "epslb", "--m", "10", "--r", "10",
                          "--v", "9", "--delta", "0", "--conf", "0.9",
-                         "--out", "rows.jsonl")
+                         "--out", "row.jsonl")
     assert code == 0
-    assert (tmp_path / "results" / "rows.jsonl").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["row.jsonl"]
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +219,9 @@ def test_experiment_gaussian_has_no_sensitivity_option(capsys):
                              "--sensitivity", "0.5", "--r-grid", "1510",
                              "--m", "100000")
     assert (code, out) == (1, "")
-    assert "unrecognized arguments: --sensitivity 0.5" in err
+    # the top-level parser raises it, so the top-level usage follows
+    assert err == ("usage error: unrecognized arguments: --sensitivity 0.5\n"
+                   + cli.build_parser().format_usage())
 
 
 def test_pathological_check_no_violations(tmp_path, capsys):
@@ -310,6 +321,18 @@ _CONF = "must be in (0, 1) with 1 - it in (0, 1), got"
     # --r defaults to 0, which rr and gaussian never read
     (["simulate", "--mechanism", "pathological", "--m", "2"],
      "need 1 <= --r <= --m, got 1=1, --r=0, --m=2"),
+    (["simulate", "--mechanism", "gaussian", "--m", "10", "--sigma", "1e-300"],
+     "rho at --sigma=1e-300 must be positive and finite, got inf"),
+    (["experiment-gaussian", "--sigma", "1e-300", "--r-grid", "2"],
+     "rho at --sigma=1e-300 must be positive and finite, got inf"),
+    (["simulate", "--mechanism", "pathological", "--m", "10", "--r", "5",
+      "--mech-delta", "0.5", "--beta", "0.01"],
+     "need --m * --mech-delta <= --r * --beta, got --m * --mech-delta=5.0, "
+     "--r * --beta=0.05"),
+    (["pathological-check", "--m", "10", "--r", "5", "--eps", "1", "--delta",
+      "0.5", "--beta", "0.01", "--trials", "10"],
+     "need --m * --delta <= --r * --beta, got --m * --delta=5.0, "
+     "--r * --beta=0.05"),
 ], ids=["epslb-conf", "pure-conf", "pure-guesses", "gaussian-conf-grid",
         "epslb-conf-tiny", "pure-conf-tiny", "gaussian-conf-grid-tiny",
         "simulate-conf-tiny", "pure-conf-no-guesses",
@@ -319,11 +342,13 @@ _CONF = "must be in (0, 1) with 1 - it in (0, 1), got"
         "gaussian-delta-grid", "gaussian-r-over-m", "pathological-r-over-m",
         "epslb-r-over-m", "epslb-delta", "pvalue-eps",
         "gaussian-delta-grid-word", "gaussian-r-grid-float", "simulate-seed",
-        "simulate-pathological-r-over-m", "simulate-pathological-r-unset"])
+        "simulate-pathological-r-over-m", "simulate-pathological-r-unset",
+        "simulate-gaussian-rho", "gaussian-rho",
+        "simulate-pathological-budget", "pathological-budget"])
 def test_usage_error_names_the_option_as_typed(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == usage_error(message)
+    assert err == usage_error(argv[0], message)
 
 
 def test_simulate_budget_over_m_is_read_only_by_gaussian(capsys):
@@ -348,7 +373,8 @@ def test_confidence_rule_takes_every_valid_failure_probability(capsys, conf):
                              "--v", "3", "--conf", repr(conf))
     assert code == (0 if took else 1)
     if not took:
-        assert err == usage_error(f"argument --conf: {_CONF} {conf!r}")
+        assert err == usage_error("epslb",
+                                  f"argument --conf: {_CONF} {conf!r}")
 
 
 @pytest.mark.parametrize("command", [
@@ -854,14 +880,14 @@ def rerun_row(argv, out_option, folder):
     first, second = folder / "first.jsonl", folder / "second.jsonl"
     if cli.main([*argv, out_option, str(first)]) != 0:
         return None
-    row = cli.ResultRow.from_json(first.read_text())
+    row = cli.ResultRow(**json.loads(first.read_text()))
     rerun = [row.command, out_option, str(second)]
     if row.seed is not None:
         rerun += ["--seed", str(row.seed)]
     for name, value in row.inputs.items():
         rerun += ["--" + name.replace("_", "-"), str(value)]
     assert cli.main(rerun) == 0
-    again = cli.ResultRow.from_json(second.read_text())
+    again = cli.ResultRow(**json.loads(second.read_text()))
     row.runtime_ms = again.runtime_ms = None
     return row, again
 
@@ -877,7 +903,7 @@ def test_simulate_row_reruns_from_its_inputs(tmp_path, capsys, case):
                      sample_prob=0.5, confidence="0.9,0.8", seed=5)
         assert cli.main(["dpsgd-audit", "--config",
                          str(tmp_path / "first.cfg"), "--out", str(first)]) == 0
-        row = cli.ResultRow.from_json(first.read_text())
+        row = cli.ResultRow(**json.loads(first.read_text()))
         config = dict(row.inputs, seed=row.seed)
         config["confidence"] = ",".join(map(str, config["confidence"]))
         (tmp_path / "second.cfg").write_text(
@@ -885,7 +911,7 @@ def test_simulate_row_reruns_from_its_inputs(tmp_path, capsys, case):
         rerun = ["dpsgd-audit", "--config", str(tmp_path / "second.cfg"),
                  "--out", str(second)]
         assert cli.main(rerun) == 0
-        again = cli.ResultRow.from_json(second.read_text())
+        again = cli.ResultRow(**json.loads(second.read_text()))
         row.runtime_ms = again.runtime_ms = None
     else:
         row, again = rerun_row(*_RERUN_ARGV[case], tmp_path)
@@ -927,12 +953,10 @@ _FILE_OPTIONS = {"--out", "--report"}
 
 def parser_options():
     """command -> {option: its argparse action}, --help left out."""
-    subparsers = next(action for action in cli.build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
     return {command: {option: action for action in parser._actions
                       for option in action.option_strings
                       if option.startswith("--") and option != "--help"}
-            for command, parser in subparsers.choices.items()}
+            for command, parser in command_parsers().items()}
 
 
 def test_argv_options_are_the_parser_options():

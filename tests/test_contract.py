@@ -89,12 +89,10 @@ CASES = {
         dict(v=4, m=10), bound),
     "eps_lower_bound": (dpaudit.eps_lower_bound,
                         dict(m=10, r=6, v=4, delta=1e-5, beta=0.05), bound),
-    "GeneralPParams": (dpaudit.GeneralPParams, dict(p_incl=0.3),
-                       lambda g: 0 < g.p_incl < 1),
     "p_value_general_p": (
-        lambda m, k_plus, k_minus, v: dpaudit.p_value_general_p(
-            m, k_plus, k_minus, v, P, dpaudit.GeneralPParams(0.3)),
-        dict(m=10, k_plus=3, k_minus=3, v=4), prob),
+        lambda m, k_plus, k_minus, v, p_incl: dpaudit.p_value_general_p(
+            m, k_plus, k_minus, v, P, p_incl),
+        dict(m=10, k_plus=3, k_minus=3, v=4, p_incl=0.3), prob),
     "hoeffding_p_value": (
         lambda m, r1, r2, v: dpaudit.hoeffding_p_value(m, r1, r2, v, P),
         dict(m=10, r1=10.0, r2=3.0, v=5.0), prob),

@@ -24,6 +24,9 @@ from dpaudit.mechanisms import ZcdpParams, gaussian_dp_delta, gaussian_dp_eps
 from dpaudit.pipeline import sample_selection
 from references import blackbox_score, clip_rows, example_grads
 
+# no canaries: an empty coordinate array, and its empty selection
+NO_CANARIES = np.zeros(0, dtype=int)
+
 
 def plain_clipped_gd(model, w0, ell, clip, lr):
     """Independent full-batch clipped gradient descent oracle."""
@@ -56,17 +59,15 @@ def reference_train(data, canaries, selection, cfg, rng):
     coins, then the noise.
     """
     q, c, d = cfg.sample_prob, cfg.clip, cfg.dim
-    dirac = canaries is not None and not isinstance(canaries, ExampleCanarySet)
-    included = np.asarray(selection) == 1 if canaries is not None else None
+    dirac = not isinstance(canaries, ExampleCanarySet)
+    included = np.asarray(selection) == 1
     if dirac:  # each included coordinate's gradient is c there
         idx = np.asarray(canaries)[included]
         n_inc = idx.size
-    elif canaries is not None:
+    else:
         inc_X = canaries.features[included]
         inc_y = canaries.labels[included]
         n_inc = inc_X.shape[0]
-    else:
-        n_inc = 0
     w = np.zeros(d)
     iterates = [w]
     for _ in range(cfg.ell):
@@ -157,7 +158,7 @@ def test_noiseless_full_batch_matches_plain_gd(kind):
     model = LossModel.synthetic(kind, n=25, d=6, rng=rng)
     cfg = TrainerConfig(ell=30, clip=0.5, noise_multiplier=0.0,
                         sample_prob=1.0, learning_rate=0.2, dim=6)
-    iterates = trajectory(model, None, None, cfg, 1)
+    iterates = trajectory(model, NO_CANARIES, NO_CANARIES, cfg, 1)
     oracle = plain_clipped_gd(model, np.zeros(6), 30, 0.5, 0.2)
     np.testing.assert_allclose(iterates, oracle, atol=1e-10)
 
@@ -174,7 +175,7 @@ def test_clip_invariant_enforced():
     # the independent clipped gradient descent oracle
     cfg = TrainerConfig(ell=10, clip=0.05, noise_multiplier=0.0,
                         sample_prob=1.0, learning_rate=0.1, dim=5)
-    iterates = trajectory(model, None, None, cfg, 3)
+    iterates = trajectory(model, NO_CANARIES, NO_CANARIES, cfg, 3)
     oracle = plain_clipped_gd(model, np.zeros(5), 10, 0.05, 0.1)
     np.testing.assert_allclose(iterates, oracle, atol=1e-10)
 
@@ -222,7 +223,8 @@ def test_training_error_reports_step():
     cfg = TrainerConfig(ell=4, clip=1.0, noise_multiplier=0.0,
                         sample_prob=1.0, learning_rate=1e308, dim=3)
     with pytest.raises(RuntimeError, match="step 1"):
-        dpsgd_train(model, None, None, cfg, np.random.default_rng(9))
+        dpsgd_train(model, NO_CANARIES, NO_CANARIES, cfg,
+                    np.random.default_rng(9))
 
 
 def test_trainer_config_validates():
@@ -345,7 +347,7 @@ def test_blackbox_trained_examples_score_positive():
         model = LossModel.synthetic("logistic", n=30, d=4, rng=run_rng)
         cfg = TrainerConfig(ell=40, clip=1.0, noise_multiplier=0.3,
                             sample_prob=1.0, learning_rate=0.4, dim=4)
-        w_final = dpsgd_train(model, None, None, cfg, run_rng)
+        w_final = dpsgd_train(model, NO_CANARIES, NO_CANARIES, cfg, run_rng)
         scores = [blackbox_score((x, y), np.zeros(4), w_final, model)
                   for x, y in zip(model.features, model.labels)]
         data_means.append(np.mean(scores))

@@ -14,7 +14,6 @@ from scipy import special, stats
 from dpaudit import estimator
 from dpaudit.estimator import (
     DominatingDistribution,
-    GeneralPParams,
     GuessSummary,
     PrivacyParams,
     adaptive_bound,
@@ -589,7 +588,6 @@ def test_eps_lower_bound_rejects_bad_args():
 
 
 def test_general_p_collapses_to_audit_p_value():
-    gp = GeneralPParams(p_incl=0.5)
     rng = np.random.default_rng(2)
     for _ in range(30):
         k_plus = int(rng.integers(0, 251))
@@ -602,33 +600,32 @@ def test_general_p_collapses_to_audit_p_value():
         eps = float(rng.uniform(0, 3))
         delta = float(rng.choice([0.0, 1e-5, 1e-3]))
         params = PrivacyParams(eps, delta)
-        a = p_value_general_p(m, k_plus, k_minus, v, params, gp)
+        a = p_value_general_p(m, k_plus, k_minus, v, params, 0.5)
         b = p_value(m, r, v, eps, delta)
         assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_general_p_single_positive_guess():
-    gp = GeneralPParams(p_incl=0.5)
-    assert p_value_general_p(1, 1, 0, 1, PrivacyParams(0.0, 0.0), gp) == \
+    assert p_value_general_p(1, 1, 0, 1, PrivacyParams(0.0, 0.0), 0.5) == \
         pytest.approx(0.5, abs=1e-14)
 
 
 def test_general_p_uneven_inclusion_product():
     # q_plus = 0.75, q_minus = 0.25 at eps = 0, p = 3/4; both must succeed
-    gp = GeneralPParams(p_incl=0.75)
-    got = p_value_general_p(2, 1, 1, 2, PrivacyParams(0.0, 0.0), gp)
+    got = p_value_general_p(2, 1, 1, 2, PrivacyParams(0.0, 0.0), 0.75)
     assert got == pytest.approx(0.1875, abs=1e-14)
 
 
 def test_general_p_accuracies():
-    gp = GeneralPParams(p_incl=0.75)
+    # one guess, correct, at delta = 0: the p-value is that guess's accuracy
     e = 1.3
-    assert gp.q_plus(e) == pytest.approx(
+    params = PrivacyParams(e, 0.0)
+    assert p_value_general_p(1, 1, 0, 1, params, 0.75) == pytest.approx(
         0.75 * math.exp(e) / (0.75 * math.exp(e) + 0.25), rel=1e-14)
-    assert gp.q_minus(e) == pytest.approx(
+    assert p_value_general_p(1, 0, 1, 1, params, 0.75) == pytest.approx(
         0.25 * math.exp(e) / (0.25 * math.exp(e) + 0.75), rel=1e-14)
-    with pytest.raises(ValueError):
-        GeneralPParams(p_incl=1.0)
+    with pytest.raises(ValueError, match="p_incl"):
+        p_value_general_p(1, 1, 0, 1, params, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -803,9 +800,9 @@ def test_secondary_bounds_exact_pins():
     # moved last bit in the survival fill or the spillover scan shows
     P = PrivacyParams
     assert p_value_general_p(300, 120, 80, 150, P(0.5, 1e-5),
-                             GeneralPParams(0.3)) == 0.0001215383893352483
+                             0.3) == 0.0001215383893352483
     assert p_value_general_p(100, 40, 30, 55, P(1.0, 0.0),
-                             GeneralPParams(0.8)) == 0.035511509776240846
+                             0.8) == 0.035511509776240846
     assert adaptive_bound(1000, 200, P(1.0, 1e-5), gamma=0.05,
                           tau=5.0) == (162.0, 0.054000000000000006)
     assert adaptive_bound(100, 100, P(LN3, 0.0), gamma=0.05,

@@ -1,9 +1,9 @@
-"""Every public name of dpaudit is used by the product, not only by tests.
+"""Every public definition of dpaudit is used by the product, not only by tests.
 
-A name exported from ``dpaudit/__init__.py`` must be loaded, as an AST
-``Name`` or ``Attribute``, somewhere in ``src/dpaudit`` or ``scripts/``
-outside its own definition.  Code that only tests call belongs in
-``tests/``.
+A public top-level function or class of ``src/dpaudit``, and a public
+method of such a class, must be loaded, as an AST ``Name`` or
+``Attribute``, somewhere in ``src/dpaudit`` or ``scripts/`` outside its
+own definition.  Code that only tests call belongs in ``tests/``.
 """
 
 import ast
@@ -18,39 +18,46 @@ SCRIPTS = PACKAGE.parent.parent / "scripts"
 PAPER_VARIANTS = {"hoeffding_p_value", "adaptive_bound", "p_value_general_p",
                   "replacement_selection", "rdp_membership_accuracy",
                   "generalization_bound"}
-# The benchmark's span table wraps it by name; it leaves once that table is
-# rebuilt on the survival fill (ROADMAP item 1).
-BENCHMARK_SPANS = {"dual_alpha"}
+# The benchmark's span table wraps them by name; they leave once that table
+# is rebuilt on the survival fill (ROADMAP item 1).
+BENCHMARK_SPANS = {"dual_alpha", "DominatingDistribution.from_binomial"}
 
 
-def exported_names() -> set[str]:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {alias.name for node in tree.body
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
-
-
-def loaded_names(tree: ast.Module) -> set[str]:
-    """Names loaded in a module; a top-level definition's own body does not
-    count as a use of its name."""
-    used = set()
+def public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public top-level function and class,
+    and of each public method of a public class."""
     for top in tree.body:
-        own = getattr(top, "name", None)
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                name = node.id
-            elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.ctx, ast.Load)):
-                name = node.attr
-            else:
-                continue
-            if name != own:
-                used.add(name)
-    return used
+        if (not isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                or top.name.startswith("_")):
+            continue
+        yield top.name, top
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_")):
+                    yield f"{top.name}.{node.name}", node
 
 
-def test_every_export_is_used_by_product_code():
+def loads(tree: ast.Module):
+    """(name, line) of each Name or Attribute that a module loads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            yield node.attr, node.lineno
+
+
+def test_every_public_definition_is_used_by_product_code():
     files = sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
-    used = set().union(*(loaded_names(ast.parse(f.read_text()))
-                         for f in files))
-    unused = exported_names() - used - PAPER_VARIANTS - BENCHMARK_SPANS
-    assert not unused, f"exported but used only by tests: {sorted(unused)}"
+    trees = {f: ast.parse(f.read_text()) for f in files}
+    uses = {f: list(loads(tree)) for f, tree in trees.items()}
+    unused = set()
+    for f in sorted(PACKAGE.glob("*.py")):
+        for qualname, node in public_definitions(trees[f]):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and (g != f or line not in own)
+                       for g, names in uses.items() for name, line in names):
+                unused.add(qualname)
+    unused -= PAPER_VARIANTS | BENCHMARK_SPANS
+    assert not unused, f"defined but used only by tests: {sorted(unused)}"

@@ -15,8 +15,8 @@ from dpaudit import dpsgd, estimator
 from test_contract import accepts_typical, faults, typical_entries, unprobed
 
 # The exported records, whose constructors only check their fields.
-RECORDS = ("PrivacyParams", "GeneralPParams", "ZcdpParams", "RdpParams",
-           "MechanismAdapter", "TrainerConfig")
+RECORDS = ("PrivacyParams", "ZcdpParams", "RdpParams", "MechanismAdapter",
+           "TrainerConfig")
 
 
 @pytest.mark.parametrize("entry", typical_entries(float))

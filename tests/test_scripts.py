@@ -13,8 +13,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 TABLES = ("pure_rr.csv", "gaussian_sweep.csv", "delta_sweep.csv")
 
 
-def run_script(name, *args, env=None):
-    env = dict(os.environ, **(env or {}))
+def run_script(name, *args):
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name),
@@ -23,13 +23,10 @@ def run_script(name, *args, env=None):
 
 
 def test_idealized_tables_are_the_cli_experiments(tmp_path):
-    out_dir, redirect = tmp_path / "tables", tmp_path / "redirect"
-    done = run_script("idealized_tables.py", "--out-dir", out_dir,
-                      env={cli.ENV_OUTDIR: str(redirect)})
+    out_dir = tmp_path / "tables"
+    done = run_script("idealized_tables.py", "--out-dir", out_dir)
     assert (done.returncode, done.stderr) == (0, "")
-    # the output directory wins over DPAUDIT_OUTDIR
     assert sorted(p.name for p in out_dir.iterdir()) == sorted(TABLES)
-    assert not redirect.exists() or not any(redirect.iterdir())
 
     pure = tmp_path / "pure.csv"
     guesses = sorted([10 * 2 ** k for k in range(11)] + [10000])
