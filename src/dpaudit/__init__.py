@@ -24,10 +24,7 @@ from .estimator import (
     rr_accuracy,
 )
 from .mechanisms import (
-    GaussianReportConfig,
     PathologicalConfig,
-    RdpParams,
-    ZcdpParams,
     expected_correct_gaussian,
     gaussian_dp_delta,
     gaussian_dp_eps,

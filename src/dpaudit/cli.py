@@ -29,9 +29,9 @@ import numpy as np
 
 from . import dpsgd as dpsgd_mod
 from . import mechanisms, pipeline
-from .estimator import (GuessSummary, PrivacyParams, check_counts,
-                        check_order, check_reals, eps_lower_bound,
-                        p_value_audit, rr_accuracy)
+from .estimator import (GuessSummary, check_counts, check_order,
+                        check_reals, eps_lower_bound, p_value_audit,
+                        rr_accuracy)
 
 
 @dataclasses.dataclass
@@ -130,8 +130,7 @@ _Record = tuple[str | None, dict[str, Any]]
 
 def cmd_pvalue(args) -> _Record:
     check_order(**{"--v": args.v, "--r": args.r, "--m": args.m})
-    summary = GuessSummary(m=args.m, k_plus=args.r, k_minus=0, v=args.v)
-    p = p_value_audit(summary, PrivacyParams(args.eps, args.delta))
+    p = p_value_audit(args.m, args.r, args.v, args.eps, args.delta)
     print(f"{p:.6g}")
     return args.out, {"outputs": {"p_value": p}, "confidence": None,
                       "seed": None}
@@ -155,14 +154,21 @@ def cmd_experiment_pure(args) -> None:
     _emit_csv(["r", "v", "eps_lb"], rows, args.out)
 
 
+def _sigma_rho(sigma: float, curve: bool) -> float:
+    """rho of the Gaussian release at --sigma, checked positive and finite,
+    and 2 rho too where the privacy curve is evaluated (curve)."""
+    rho = mechanisms.gaussian_rho(sigma)
+    check_reals("(0, inf)", **{f"rho at --sigma={sigma}": rho})
+    if curve:
+        check_reals("(0, inf)", **{f"2 * rho at --sigma={sigma}": 2.0 * rho})
+    return rho
+
+
 def cmd_experiment_gaussian(args) -> None:
     for r in args.r_grid:
         check_order(**{"--r-grid": r, "--m": args.m})
-    check_reals("(0, inf)", **{f"rho at --sigma={args.sigma}":
-                               mechanisms.gaussian_rho(args.sigma)})
-    cfg = mechanisms.GaussianReportConfig(sigma=args.sigma)
-    uppers = {d: mechanisms.gaussian_dp_eps(cfg.rho, d)
-              for d in args.delta_grid}
+    rho = _sigma_rho(args.sigma, curve=True)
+    uppers = {d: mechanisms.gaussian_dp_eps(rho, d) for d in args.delta_grid}
     rows = []
     for r in args.r_grid:
         _, v = mechanisms.expected_correct_gaussian(args.m, r, args.sigma)
@@ -189,12 +195,10 @@ def cmd_pathological_check(args) -> _Record:
         s = pipeline.sample_selection(args.m, rng)
         t = mechanisms.pathological(s, cfg, rng)
         w_samples[k] = pipeline.count_correct(s, t)
-    params = PrivacyParams(args.eps, args.delta)
     rows, worst_z = [], -math.inf
     for v in range(args.r + 1):
         phat = float(np.mean(w_samples >= v))
-        bound = p_value_audit(
-            GuessSummary(m=args.m, k_plus=args.r, k_minus=0, v=v), params)
+        bound = p_value_audit(args.m, args.r, v, args.eps, args.delta)
         se = math.sqrt(bound * (1.0 - bound) / args.trials)
         z = (phat - bound) / se if se > 0 else (math.inf if phat > bound else 0.0)
         worst_z = max(worst_z, z)
@@ -310,7 +314,7 @@ def run_dpsgd_audit(config: dict[str, Any]) -> pipeline.AuditReport:
     eps_lb = {conf: known_lb[conf] if conf in known_lb else
               eps_lower_bound(m, summary.r, v, delta, 1.0 - conf)
               for conf in confidences}
-    p_values = {e: p_value_audit(summary, PrivacyParams(e, delta))
+    p_values = {e: p_value_audit(m, summary.r, v, e, delta)
                 for e in pipeline.DEFAULT_EPS_GRID}
     cfg = dpsgd_mod.TrainerConfig.from_config(config)
     return pipeline.AuditReport(
@@ -322,7 +326,7 @@ def run_dpsgd_audit(config: dict[str, Any]) -> pipeline.AuditReport:
             "loss": config["loss"],
             "delta": delta,
             "theoretical_eps_upper": adapter.eps,
-            "accounting": dataclasses.asdict(dpsgd_mod.privacy_accounting(cfg)),
+            "accounting": dpsgd_mod.privacy_accounting(cfg),
         })
 
 
@@ -346,11 +350,8 @@ def cmd_simulate(args) -> _Record:
     elif args.mechanism == "gaussian":  # the one that reads the budget
         check_order(**{"--k-plus + --k-minus": args.k_plus + args.k_minus,
                        "--m": args.m})
-        check_reals("(0, inf)", **{f"rho at --sigma={args.sigma}":
-                                   mechanisms.gaussian_rho(args.sigma)})
-        adapter = pipeline.adapter_gaussian_report(
-            mechanisms.GaussianReportConfig(sigma=args.sigma),
-            delta=args.delta)
+        _sigma_rho(args.sigma, curve=0 < args.delta < 1)
+        adapter = pipeline.adapter_gaussian_report(args.sigma, args.delta)
     else:  # "pathological", the one that reads --r (argparse's choices)
         check_order(**{"1": 1, "--r": args.r, "--m": args.m})
         check_order(**{"--m * --mech-delta": args.m * args.mech_delta,

@@ -24,8 +24,7 @@ import numpy as np
 from scipy import special
 
 from .estimator import check_counts, check_order, check_reals
-from .mechanisms import (RdpParams, ZcdpParams, gaussian_dp_delta,
-                         gaussian_dp_eps)
+from .mechanisms import gaussian_dp_delta, gaussian_dp_eps
 from .pipeline import MechanismAdapter
 
 
@@ -284,12 +283,12 @@ def blackbox_scores(canaries: ExampleCanarySet, w0: np.ndarray,
             - model.example_losses(w_final, canaries.features, canaries.labels))
 
 
-def privacy_accounting(cfg: TrainerConfig) -> ZcdpParams | RdpParams:
+def privacy_accounting(cfg: TrainerConfig) -> dict[str, float]:
     """Closed-form accounting record for a training configuration.
 
     Full-batch runs (sample_prob = 1) compose Gaussian mechanisms, giving
-    rho = ell / (2 sigma^2) of concentrated DP; subsampled runs get the
-    order-2 Renyi bound of :func:`_rdp2_eps`.
+    {"rho": ell / (2 sigma^2)} of concentrated DP; subsampled runs get
+    {"order": 2.0, "eps_check": x}, x the Renyi bound of :func:`_rdp2_eps`.
     """
     sigma = cfg.noise_multiplier
     if not noise_rule_ok(sigma, cfg.ell):
@@ -299,9 +298,10 @@ def privacy_accounting(cfg: TrainerConfig) -> ZcdpParams | RdpParams:
         if cfg.sample_prob == 1:
             rho = cfg.ell / (2.0 * sigma * sigma)
             gaussian_dp_delta(rho, math.inf)  # the curve needs 2 rho finite
-            return ZcdpParams(rho=rho)
-        return RdpParams(order=2.0, eps_check=_rdp2_eps(
-            cfg.ell, cfg.sample_prob, sigma))
+            return {"rho": rho}
+        eps_check = _rdp2_eps(cfg.ell, cfg.sample_prob, sigma)
+        check_reals("[0, inf)", eps_check=eps_check)
+        return {"order": 2.0, "eps_check": eps_check}
     except ValueError as exc:
         raise ValueError(
             f"noise_multiplier {sigma!r} overflows: {exc}") from None
@@ -331,12 +331,12 @@ def theoretical_eps_upper(cfg: TrainerConfig, delta: float) -> float:
     """
     check_reals("(0, 1)", delta=delta)
     record = privacy_accounting(cfg)
-    if isinstance(record, ZcdpParams):
-        return gaussian_dp_eps(record.rho, delta)
+    if "rho" in record:
+        return gaussian_dp_eps(record["rho"], delta)
     # log(1/delta), read as -log(delta) where 1/delta overflows
     inverse = 1.0 / delta
-    return record.eps_check + (np.log(inverse) if inverse < math.inf
-                               else -np.log(delta))
+    return record["eps_check"] + (np.log(inverse) if inverse < math.inf
+                                  else -np.log(delta))
 
 
 def audit_adapter(model: LossModel, canaries: np.ndarray | ExampleCanarySet,

@@ -260,14 +260,18 @@ def _p_value_at(m: int, r: int, v: int, delta: float):
     is done here once.  Each call fills S(w) = Pr[Bin(r, q) >= w] only for
     w <= v, the entries the p-value reads, so it equals
     ``_tail_p_value(DominatingDistribution.from_binomial(r, q).survival_table,
-    v, m, delta)`` bit for bit, with q = rr_accuracy(eps).  The callers have
-    checked the counts.
+    v, m, delta)`` bit for bit, with q = rr_accuracy(eps).  The counts, their
+    order and delta are checked here, for both entry points alike.
     """
+    check_counts(1, m=m)
+    check_counts(0, r=r, v=v)
+    check_order(v=v, r=r, m=m)
+    check_reals("[0, 1]", delta=delta)
     fill = _survival_fill(r, v)
     return lambda eps: _tail_p_value(fill(rr_accuracy(eps)), v, m, delta)
 
 
-def p_value_audit(summary: GuessSummary, params: PrivacyParams) -> float:
+def p_value_audit(m: int, r: int, v: int, eps: float, delta: float) -> float:
     """p-value of observing >= v correct guesses under the (eps, delta)-DP null.
 
     Computes min(1, beta + alpha * 2 * m * delta) where beta is the
@@ -275,11 +279,10 @@ def p_value_audit(summary: GuessSummary, params: PrivacyParams) -> float:
     spillover coefficient of :func:`dual_alpha` for that binomial.
 
     Args:
-      summary: Counts (m, k_plus, k_minus, v) from one audit run.
-      params: The null hypothesis (eps, delta).
+      m, r, v: Counts of one audit run, as in :func:`eps_lower_bound`.
+      eps, delta: The null hypothesis, eps in [0, inf] and delta in [0, 1].
     """
-    return _p_value_at(summary.m, summary.r, summary.v,
-                       params.delta)(params.eps)
+    return _p_value_at(m, r, v, delta)(eps)
 
 
 def eps_lower_bound(m: int, r: int, v: int, delta: float, beta: float) -> float:
@@ -303,10 +306,6 @@ def eps_lower_bound(m: int, r: int, v: int, delta: float, beta: float) -> float:
     Returns:
       Lower bound on eps; 0.0 when v is consistent with eps = 0.
     """
-    check_counts(1, m=m)
-    check_counts(0, r=r, v=v)
-    check_order(v=v, r=r, m=m)
-    check_reals("[0, 1]", delta=delta)
     check_reals("(0, 1)", beta=beta)
     p_value = _p_value_at(m, r, v, delta)
     eps_min = 0.0  # maintain p_value(eps_min) < beta

@@ -23,21 +23,6 @@ from .estimator import (PrivacyParams, check_counts, check_order, check_reals,
                         rr_accuracy)
 
 
-@dataclasses.dataclass(frozen=True)
-class GaussianReportConfig:
-    """Release each +-1 selection bit plus N(0, sigma^2) noise."""
-
-    sigma: float
-
-    def __post_init__(self):
-        check_reals("(0, inf)", sigma=self.sigma)
-        check_reals("(0, inf)", **{f"rho at sigma={self.sigma}": self.rho})
-
-    @property
-    def rho(self) -> float:
-        return gaussian_rho(self.sigma)
-
-
 def gaussian_rho(sigma: float) -> float:
     """Concentrated-DP parameter 2^2 / (2 sigma^2) of the release at sigma:
     flipping one bit moves its score by 2, the release's sensitivity."""
@@ -82,28 +67,6 @@ class PathologicalConfig:
         return self.boost + (1.0 - self.boost) * q if x else q
 
 
-@dataclasses.dataclass(frozen=True)
-class ZcdpParams:
-    """Zero-concentrated DP parameter record, rho finite and nonnegative."""
-
-    rho: float
-
-    def __post_init__(self):
-        check_reals("[0, inf)", rho=self.rho)
-
-
-@dataclasses.dataclass(frozen=True)
-class RdpParams:
-    """Renyi DP parameter record: order in (1, inf], eps_check finite."""
-
-    order: float
-    eps_check: float
-
-    def __post_init__(self):
-        check_reals("(1, inf]", order=self.order)
-        check_reals("[0, inf)", eps_check=self.eps_check)
-
-
 def randomized_response(s: np.ndarray, eps: float,
                         rng: np.random.Generator) -> np.ndarray:
     """Guess each selection bit correctly with probability e^eps/(e^eps+1).
@@ -117,11 +80,14 @@ def randomized_response(s: np.ndarray, eps: float,
     return s * (2 * keep - 1)
 
 
-def gaussian_report(s: np.ndarray, cfg: GaussianReportConfig,
+def gaussian_report(s: np.ndarray, sigma: float,
                     rng: np.random.Generator) -> np.ndarray:
-    """Release s_i + N(0, sigma^2) per coordinate."""
+    """Release s_i + N(0, sigma^2) per coordinate, where sigma and its
+    rho are positive and finite, so that the release is finite."""
+    check_reals("(0, inf)", sigma=sigma,
+                **{f"rho at sigma={sigma}": gaussian_rho(sigma)})
     s = np.asarray(s, dtype=float)
-    return s + rng.normal(0.0, cfg.sigma, size=s.shape[0])
+    return s + rng.normal(0.0, sigma, size=s.shape[0])
 
 
 def pathological(s: np.ndarray, cfg: PathologicalConfig,

@@ -18,9 +18,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import mechanisms
-from .estimator import (GuessSummary, PrivacyParams, check_counts,
-                        check_order, check_reals, eps_lower_bound,
-                        p_value_audit)
+from .estimator import (GuessSummary, check_counts, check_order,
+                        check_reals, eps_lower_bound, p_value_audit)
 
 DEFAULT_EPS_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -114,12 +113,14 @@ def adapter_randomized_response(eps: float) -> MechanismAdapter:
         output="guesses", eps=eps, delta=0.0)
 
 
-def adapter_gaussian_report(cfg: mechanisms.GaussianReportConfig,
+def adapter_gaussian_report(sigma: float,
                             delta: float = 1e-5) -> MechanismAdapter:
-    declared = mechanisms.gaussian_dp_eps(cfg.rho, delta) if 0 < delta < 1 else None
+    rho = mechanisms.gaussian_rho(sigma)  # checked after sigma
+    check_reals("(0, inf)", sigma=sigma, **{f"rho at sigma={sigma}": rho})
+    declared = mechanisms.gaussian_dp_eps(rho, delta) if 0 < delta < 1 else None
     return MechanismAdapter(
         name="gaussian-report",
-        run=lambda s, rng: mechanisms.gaussian_report(s, cfg, rng),
+        run=lambda s, rng: mechanisms.gaussian_report(s, sigma, rng),
         output="scores", eps=declared, delta=delta)
 
 
@@ -204,7 +205,7 @@ def audit_run(adapter: MechanismAdapter, m: int, k_plus: int, k_minus: int,
         for conf in confidences
     }
     p_values = {
-        float(e): p_value_audit(summary, PrivacyParams(e, delta))
+        float(e): p_value_audit(m, summary.r, v, e, delta)
         for e in DEFAULT_EPS_GRID
     }
     config = {

@@ -13,7 +13,6 @@ import pytest
 from scipy import stats
 
 from dpaudit.estimator import (
-    GuessSummary,
     PrivacyParams,
     eps_lower_bound,
     mi_bound,
@@ -54,14 +53,9 @@ def criterion(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} failed: {detail}"
 
 
-def p_value(m, r, v, eps, delta):
-    return p_value_audit(GuessSummary(m=m, k_plus=r, k_minus=0, v=v),
-                         PrivacyParams(eps, delta))
-
-
 def test_criterion_1_worked_examples_exactness():
     t0 = time.perf_counter()
-    p = p_value(100, 100, 75, LN3, 0.0)
+    p = p_value_audit(100, 100, 75, LN3, 0.0)
     lb_a = eps_lower_bound(100, 100, 75, 0.0, 0.05)
     lb_b = eps_lower_bound(100, 100, 75, 1e-4, 0.05)
     lb_c = eps_lower_bound(1000, 100, 75, 1e-4, 0.05)
@@ -154,11 +148,10 @@ def test_criterion_5_tightness_and_pathological_bound():
     for k in range(trials_b):
         t = pathological(sb, cfg, rng)
         wb[k] = np.count_nonzero((t != 0) & (t == sb))
-    params = PrivacyParams(cfg.eps, cfg.delta)
     violations = 0
     for v in range(cfg.r + 1):
         phat = float(np.mean(wb >= v))
-        bound = p_value(cfg.m, cfg.r, v, cfg.eps, cfg.delta)
+        bound = p_value_audit(cfg.m, cfg.r, v, cfg.eps, cfg.delta)
         se = math.sqrt(bound * (1.0 - bound) / trials_b)
         if phat > bound + 3.0 * se:
             violations += 1

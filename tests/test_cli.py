@@ -325,6 +325,12 @@ _CONF = "must be in (0, 1) with 1 - it in (0, 1), got"
      "rho at --sigma=1e-300 must be positive and finite, got inf"),
     (["experiment-gaussian", "--sigma", "1e-300", "--r-grid", "2"],
      "rho at --sigma=1e-300 must be positive and finite, got inf"),
+    # rho = 1.02e308 is finite, but the privacy curve's 2 rho overflows
+    (["simulate", "--mechanism", "gaussian", "--m", "10", "--sigma",
+      "1.4e-154", "--delta", "1e-5"],
+     "2 * rho at --sigma=1.4e-154 must be positive and finite, got inf"),
+    (["experiment-gaussian", "--sigma", "1.4e-154", "--r-grid", "2"],
+     "2 * rho at --sigma=1.4e-154 must be positive and finite, got inf"),
     (["simulate", "--mechanism", "pathological", "--m", "10", "--r", "5",
       "--mech-delta", "0.5", "--beta", "0.01"],
      "need --m * --mech-delta <= --r * --beta, got --m * --mech-delta=5.0, "
@@ -343,12 +349,24 @@ _CONF = "must be in (0, 1) with 1 - it in (0, 1), got"
         "epslb-r-over-m", "epslb-delta", "pvalue-eps",
         "gaussian-delta-grid-word", "gaussian-r-grid-float", "simulate-seed",
         "simulate-pathological-r-over-m", "simulate-pathological-r-unset",
-        "simulate-gaussian-rho", "gaussian-rho",
+        "simulate-gaussian-rho", "gaussian-rho", "simulate-gaussian-two-rho",
+        "gaussian-two-rho",
         "simulate-pathological-budget", "pathological-budget"])
 def test_usage_error_names_the_option_as_typed(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == usage_error(argv[0], message)
+
+
+def test_simulate_gaussian_two_rho_is_read_only_by_the_curve(capsys):
+    # at --delta 0 or 1 no upper bound is declared, so the privacy curve,
+    # whose scale 2 rho overflows at this sigma, is never evaluated
+    for delta in ("0", "1"):
+        code, out, err = run_cli(capsys, "simulate", "--mechanism", "gaussian",
+                                 "--m", "10", "--sigma", "1.4e-154",
+                                 "--delta", delta)
+        assert (code, err) == (0, ""), delta
+        assert json.loads(out)["config"]["declared_eps"] is None
 
 
 def test_simulate_budget_over_m_is_read_only_by_gaussian(capsys):

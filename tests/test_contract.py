@@ -32,7 +32,7 @@ from dpaudit import estimator
 
 P = dpaudit.PrivacyParams(1.0, 1e-5)
 # a score-output adapter, so audit_run reads its guess budget
-SCORES = dpaudit.adapter_gaussian_report(dpaudit.GaussianReportConfig(1.0))
+SCORES = dpaudit.adapter_gaussian_report(1.0)
 MODEL = dpaudit.LossModel.synthetic("logistic", 5, 3,
                                     np.random.default_rng(0))
 Y = np.arange(20.0)
@@ -87,6 +87,8 @@ CASES = {
         lambda v, m: dpaudit.dual_alpha(
             dpaudit.DominatingDistribution.from_binomial(6, 0.7), v, m),
         dict(v=4, m=10), bound),
+    "p_value_audit": (dpaudit.p_value_audit,
+                      dict(m=10, r=6, v=4, eps=1.0, delta=1e-5), prob),
     "eps_lower_bound": (dpaudit.eps_lower_bound,
                         dict(m=10, r=6, v=4, delta=1e-5, beta=0.05), bound),
     "p_value_general_p": (
@@ -122,20 +124,16 @@ CASES = {
         dict(beta_acc=1e-5, target_failure=0.05), lambda out: finite(*out)),
     "mi_bound": (lambda n, p_incl: dpaudit.mi_bound(n, P, p_incl),
                  dict(n=10, p_incl=0.5), bound),
-    "GaussianReportConfig": (dpaudit.GaussianReportConfig, dict(sigma=1.0),
-                             lambda cfg: 0 < cfg.rho < math.inf),
     "PathologicalConfig": (
         dpaudit.PathologicalConfig,
         dict(m=100, r=10, eps=1.0, delta=1e-4, beta=0.05),
         lambda cfg: prob(cfg.branch_accuracy(True))),
-    "ZcdpParams": (dpaudit.ZcdpParams, dict(rho=1.0),
-                   lambda rec: bound(rec.rho)),
-    # order = inf is the max-divergence order
-    "RdpParams": (dpaudit.RdpParams, dict(order=2.0, eps_check=1.0),
-                  lambda rec: rec.order > 1 and bound(rec.eps_check)),
     "randomized_response": (
         lambda eps: dpaudit.randomized_response(S, eps, rng()),
         dict(eps=1.0), lambda t: np.all(np.abs(t) == 1)),
+    "gaussian_report": (
+        lambda sigma: dpaudit.gaussian_report(S, sigma, rng()),
+        dict(sigma=1.0), finite),
     "gaussian_dp_delta": (dpaudit.gaussian_dp_delta, dict(rho=1.0, eps=1.0),
                           prob),
     "gaussian_dp_eps": (dpaudit.gaussian_dp_eps, dict(rho=1.0, delta=1e-5),
@@ -158,9 +156,7 @@ CASES = {
     "adapter_randomized_response": (dpaudit.adapter_randomized_response,
                                     dict(eps=1.0), adapter_ok),
     "adapter_gaussian_report": (
-        lambda delta: dpaudit.adapter_gaussian_report(
-            dpaudit.GaussianReportConfig(1.0), delta),
-        dict(delta=1e-5),
+        dpaudit.adapter_gaussian_report, dict(sigma=1.0, delta=1e-5),
         lambda a: adapter_ok(a) and (a.eps is None or bound(a.eps))),
     "run_mechanism": (lambda m: dpaudit.run_mechanism(SCORES, m, 0),
                       dict(m=20), lambda out: finite(*out)),
@@ -223,6 +219,8 @@ PROBES = {
     "check_order": [
         ("GuessSummary", dict(k_plus=6, k_minus=5, m=10)),
         ("GuessSummary", dict(v=7, k_plus=3, k_minus=3)),
+        ("p_value_audit", dict(r=11, m=10)),
+        ("p_value_audit", dict(v=7, r=6)),
         ("eps_lower_bound", dict(r=11, m=10)),
         ("eps_lower_bound", dict(v=7, r=6)),
         ("adaptive_bound", dict(r_observed=11, m=10)),

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -35,11 +36,6 @@ from dpaudit.estimator import (
 from references import binomial_sf, hoeffding_p_value_full_scan
 
 LN3 = math.log(3.0)
-
-
-def p_value(m, r, v, eps, delta):
-    return p_value_audit(GuessSummary(m=m, k_plus=r, k_minus=0, v=v),
-                         PrivacyParams(eps, delta))
 
 
 def kernel_sf(n, q, v):
@@ -183,13 +179,12 @@ def test_binomial_sf_and_p_value_match_50_digit_oracle():
         sf = mp_survival(mp, r, e / (1 + e))
         for v in {0, r, math.floor(r * rr_accuracy(eps)) + 1,
                   first_below(sf, 1e-295)}:
-            summary = GuessSummary(m=m, k_plus=r, k_minus=0, v=v)
             for delta in (0.0, 1e-5):
                 tail = sf[v]
                 alpha = max([0] + [((sf[v - i] if i < v else 1) - tail) / i
                                    for i in range(1, m + 1)])
                 exact = min(1, tail + alpha * 2 * m * mp.mpf(delta))
-                got = p_value_audit(summary, PrivacyParams(eps, delta))
+                got = p_value_audit(m, r, v, eps, delta)
                 assert_rel_1e12(got, exact, (m, r, v, delta))
 
 
@@ -380,38 +375,39 @@ def test_dual_alpha_early_stop_equals_full_scan_any_pmf(weights, data):
 
 
 def test_p_value_worked_example():
-    assert p_value(100, 100, 75, LN3, 0.0) == pytest.approx(0.553, abs=1e-3)
+    assert p_value_audit(100, 100, 75, LN3, 0.0) == pytest.approx(
+        0.553, abs=1e-3)
     # pin the full-precision value computed by the pmf-accumulation oracle
-    assert p_value(100, 100, 75, LN3, 0.0) == pytest.approx(
+    assert p_value_audit(100, 100, 75, LN3, 0.0) == pytest.approx(
         0.5534708238482475, rel=1e-10)
 
 
 def test_p_value_zero_correct_is_one():
-    assert p_value(50, 30, 0, 1.0, 0.0) == 1.0
-    assert p_value(5, 5, 0, 0.0, 0.5) == 1.0
+    assert p_value_audit(50, 30, 0, 1.0, 0.0) == 1.0
+    assert p_value_audit(5, 5, 0, 0.0, 0.5) == 1.0
 
 
 def test_p_value_delta_term_two_coins():
     # beta = 0.25, alpha = 0.5, p = 0.25 + 0.5 * 2 * 2 * 0.1
-    assert p_value(2, 2, 2, 0.0, 0.1) == pytest.approx(0.45, abs=1e-14)
+    assert p_value_audit(2, 2, 2, 0.0, 0.1) == pytest.approx(0.45, abs=1e-14)
 
 
 def test_p_value_delta_zero_collapses_to_binomial_sf():
     for r, v, eps in [(10, 7, 0.5), (100, 75, LN3), (37, 36, 2.0), (5, 0, 1.0)]:
-        assert p_value(r, r, v, eps, 0.0) == pytest.approx(
+        assert p_value_audit(r, r, v, eps, 0.0) == pytest.approx(
             binomial_sf(r, rr_accuracy(eps), v), abs=1e-15)
 
 
 def test_p_value_monotonicity_grid():
-    base = p_value(200, 100, 80, 1.0, 1e-4)
+    base = p_value_audit(200, 100, 80, 1.0, 1e-4)
     for eps in [1.1, 1.5, 3.0]:
-        assert p_value(200, 100, 80, eps, 1e-4) >= base - 1e-15
+        assert p_value_audit(200, 100, 80, eps, 1e-4) >= base - 1e-15
     for delta in [2e-4, 1e-3, 1e-2]:
-        assert p_value(200, 100, 80, 1.0, delta) >= base - 1e-15
+        assert p_value_audit(200, 100, 80, 1.0, delta) >= base - 1e-15
     for m in [300, 1000]:
-        assert p_value(m, 100, 80, 1.0, 1e-4) >= base - 1e-15
+        assert p_value_audit(m, 100, 80, 1.0, 1e-4) >= base - 1e-15
     for v in [81, 90, 100]:
-        assert p_value(200, 100, v, 1.0, 1e-4) <= base + 1e-15
+        assert p_value_audit(200, 100, v, 1.0, 1e-4) <= base + 1e-15
 
 
 @given(m=st.integers(1, 400), data=st.data(),
@@ -420,7 +416,7 @@ def test_p_value_monotonicity_grid():
 def test_p_value_is_probability(m, data, eps, delta):
     r = data.draw(st.integers(0, m))
     v = data.draw(st.integers(0, r))
-    p = p_value(m, r, v, eps, delta)
+    p = p_value_audit(m, r, v, eps, delta)
     assert 0.0 <= p <= 1.0
 
 
@@ -482,8 +478,58 @@ def test_eps_lower_bound_bracket_contract():
                            (500, 500, 300, 1e-5)]:
         x = eps_lower_bound(m, r, v, delta, 0.05)
         if x > 0:
-            assert p_value(m, r, v, x, delta) < 0.05
-        assert p_value(m, r, v, x + 1e-8, delta) >= 0.05
+            assert p_value_audit(m, r, v, x, delta) < 0.05
+        assert p_value_audit(m, r, v, x + 1e-8, delta) >= 0.05
+
+
+def mp_p_value(mp, m, r, v, eps, delta):
+    """The p-value at the working mpmath precision, from mp_survival at the
+    float eps: min(1, S(v) + alpha * 2 m delta), with alpha the largest
+    (S(v - i) - S(v)) / i over i = 1..m.  Past i = v, S(v - i) = 1 and the
+    candidate only falls, so i stops at min(m, max(v, 1))."""
+    e = mp.exp(mp.mpf(eps))
+    sf = mp_survival(mp, r, e / (1 + e))
+    alpha = max([0] + [((sf[v - i] if i < v else 1) - sf[v]) / i
+                       for i in range(1, min(m, max(v, 1)) + 1)])
+    return min(1, sf[v] + alpha * 2 * m * mp.mpf(delta))
+
+
+def test_eps_lower_bound_is_valid_against_the_exact_p_value():
+    # the certificate p(eps_lb) < beta, with p the 50-digit p-value rather
+    # than the float one: seeded counts r <= 2000, m in [r, 3r] and v in
+    # [r/2, r] (v = r for half of them) at every (delta, beta) of the grid,
+    # plus the worked examples and the Gaussian ideal's point
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    rng = np.random.default_rng(14)
+    cases = [(100, 100, 75, 0.0), (100, 100, 75, 1e-4), (1000, 100, 75, 1e-4),
+             (10**5, 1510, 1439, 1e-5)]
+    for delta in (0.0, 1e-9, 1e-5, 1e-3):
+        for top in (False, True):
+            r = int(rng.integers(1, 2001))
+            m = int(rng.integers(r, 3 * r + 1))
+            v = r if top else int(rng.integers((r + 1) // 2, r + 1))
+            cases.append((m, r, v, delta))
+    rejected = 0
+    for (m, r, v, delta), beta in itertools.product(
+            cases, (1e-9, 1e-4, 0.05, 0.5, 0.9)):
+        eps_lb = eps_lower_bound(m, r, v, delta, beta)
+        if eps_lb > 0:  # 0.0 is the floor, not a rejected point
+            assert mp_p_value(mp, m, r, v, eps_lb, delta) < beta, \
+                (m, r, v, delta, beta, eps_lb)
+            rejected += 1
+    assert rejected >= 40  # of the 60 bounds; the rest are at the floor
+
+
+@pytest.mark.parametrize("m,r,delta,beta", [
+    (100, 100, 0.0, 0.05), (1000, 100, 1e-3, 0.2), (1000, 300, 1e-4, 0.05),
+    (300, 300, 1e-5, 0.5), (50, 20, 1e-5, 1e-4), (2000, 200, 1e-9, 0.9)])
+def test_eps_lower_bound_nondecreasing_in_v(m, r, delta, beta):
+    # the premise of test_validity_oracles' exact overshoot rate, which
+    # bisects over v: every count v = 0..r, not a sample
+    bounds = [eps_lower_bound(m, r, v, delta, beta) for v in range(r + 1)]
+    assert all(a <= b for a, b in zip(bounds, bounds[1:]))
+    assert bounds[0] == 0.0 and bounds[-1] > 0.0
 
 
 def eps_lower_bound_reference(m, r, v, delta, beta):
@@ -574,13 +620,32 @@ def test_p_value_upper_bounds_primal_lp():
             assert bound <= optimum + 1e-9
 
 
-def test_eps_lower_bound_rejects_bad_args():
-    with pytest.raises(ValueError):
-        eps_lower_bound(10, 20, 5, 0.0, 0.05)  # r > m
-    with pytest.raises(ValueError):
-        eps_lower_bound(10, 5, 6, 0.0, 0.05)  # v > r
-    with pytest.raises(ValueError):
-        eps_lower_bound(10, 5, 3, 0.0, 1.5)  # bad beta
+# bad (m, r, v, delta) -> the message of the rule both entry points check
+SHARED_BAD_ARGS = [
+    ((10, 20, 5, 0.0), "need v <= r <= m, got v=5, r=20, m=10"),
+    ((10, 5, 6, 0.0), "need v <= r <= m, got v=6, r=5, m=10"),
+    ((0, 0, 0, 0.0), "m must be >= 1, got 0"),
+    ((10, -1, 0, 0.0), "r must be >= 0, got -1"),
+    ((10, 5, 2.5, 0.0), "v must be an integer, got 2.5"),
+    ((10, 5, 3, 1.5), "delta must be in [0, 1], got 1.5"),
+    ((10, 5, 3, math.nan), "delta must be in [0, 1], got nan"),
+]
+
+
+@pytest.mark.parametrize("entry,own_bad,own_message", [
+    (lambda m, r, v, delta, eps=1.0: p_value_audit(m, r, v, eps, delta),
+     -1.0, "eps must be nonnegative, got -1.0"),
+    (lambda m, r, v, delta, beta=0.05: eps_lower_bound(m, r, v, delta, beta),
+     1.5, "beta must be in (0, 1), got 1.5"),
+], ids=["p_value_audit", "eps_lower_bound"])
+def test_entry_points_reject_bad_args_alike(entry, own_bad, own_message):
+    # the p-value and the bound that inverts it take the same counts and
+    # delta, and reject each bad one with the same message
+    for args, message in SHARED_BAD_ARGS:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            entry(*args)
+    with pytest.raises(ValueError, match=f"^{re.escape(own_message)}$"):
+        entry(10, 5, 3, 0.0, own_bad)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +666,7 @@ def test_general_p_collapses_to_audit_p_value():
         delta = float(rng.choice([0.0, 1e-5, 1e-3]))
         params = PrivacyParams(eps, delta)
         a = p_value_general_p(m, k_plus, k_minus, v, params, 0.5)
-        b = p_value(m, r, v, eps, delta)
+        b = p_value_audit(m, r, v, eps, delta)
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -650,7 +715,7 @@ def test_hoeffding_accepts_non_integer_threshold():
 def test_hoeffding_dominates_exact_binomial_tail():
     for r in [1, 2, 3, 5, 10, 17, 50, 100, 333, 1000]:
         for eps in [0.0, 0.3, LN3, 3.0]:
-            exact = np.array([p_value(r, r, v, eps, 0.0)
+            exact = np.array([p_value_audit(r, r, v, eps, 0.0)
                               for v in range(r + 1)])
             loose = np.array([
                 hoeffding_p_value(r, float(r), math.sqrt(r), float(v),

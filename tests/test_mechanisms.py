@@ -2,7 +2,6 @@
 
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,19 +10,18 @@ from scipy import optimize, stats
 from dpaudit.dpsgd import TrainerConfig, _rdp2_eps, privacy_accounting
 from dpaudit.estimator import rr_accuracy
 from dpaudit.mechanisms import (
-    GaussianReportConfig,
     PathologicalConfig,
-    RdpParams,
-    ZcdpParams,
     expected_correct_gaussian,
     gaussian_dp_delta,
     gaussian_dp_eps,
     gaussian_report,
+    gaussian_rho,
     pathological,
     randomized_response,
     rdp_membership_accuracy,
 )
-from dpaudit.pipeline import adapter_randomized_response
+from dpaudit.pipeline import (adapter_gaussian_report,
+                              adapter_randomized_response)
 
 LN3 = math.log(3.0)
 
@@ -96,27 +94,26 @@ def test_rr_config_validates():
 def test_gaussian_report_noiseless_limit_sorts_cleanly():
     rng = np.random.default_rng(4)
     s = fixed_selection(1000)
-    y = gaussian_report(s, GaussianReportConfig(sigma=1e-9), rng)
+    y = gaussian_report(s, 1e-9, rng)
     assert np.all(np.sign(y) == s)
 
 
 def test_gaussian_report_clt_mean():
     rng = np.random.default_rng(5)
     s = fixed_selection(100_000)
-    y = gaussian_report(s, GaussianReportConfig(sigma=2.0), rng)
+    y = gaussian_report(s, 2.0, rng)
     included = y[s == 1]
     assert included.mean() == pytest.approx(1.0, abs=0.02)
 
 
 def test_gaussian_report_rho_keeps_its_bits_at_sensitivity_two():
     # rho is s * s / (2 sigma^2) at s = 2, the +-1 release's sensitivity,
-    # and inf where 2 sigma^2 underflows to 0, for every sigma; the record
+    # and inf where 2 sigma^2 underflows to 0, for every sigma; the adapter
     # takes exactly the sigmas where that rho is positive and finite
     def rho_at_sensitivity_two(sigma):
         var2 = 2.0 * sigma * sigma
         return 2.0 * 2.0 / var2 if var2 else math.inf
 
-    rho = GaussianReportConfig.rho.fget
     rng = np.random.default_rng(0)
     sigmas = [5e-324, 1e-300, 1e-155, 1e-154, 1.4e-154, 2e-154, 0.5, 2.0,
               1e153, 1e154, 1e160, 1.7e308,
@@ -124,13 +121,14 @@ def test_gaussian_report_rho_keeps_its_bits_at_sensitivity_two():
     seen = set()
     for sigma in sigmas:
         expected = rho_at_sensitivity_two(sigma)
-        assert rho(SimpleNamespace(sigma=sigma)).hex() == expected.hex()
+        assert gaussian_rho(sigma).hex() == expected.hex()
         if 0 < expected < math.inf:
-            assert GaussianReportConfig(sigma).rho.hex() == expected.hex()
+            adapter_gaussian_report(sigma, delta=0.0)
             seen.add("finite")
         else:
-            with pytest.raises(ValueError, match=re.escape(f"sigma={sigma}")):
-                GaussianReportConfig(sigma)
+            with pytest.raises(ValueError,
+                               match=re.escape(f"rho at sigma={sigma}")):
+                adapter_gaussian_report(sigma, delta=0.0)
             seen.add(expected)
     assert seen == {"finite", 0.0, math.inf}
 
@@ -138,7 +136,7 @@ def test_gaussian_report_rho_keeps_its_bits_at_sensitivity_two():
 def test_gaussian_report_degenerate_selection():
     rng = np.random.default_rng(6)
     s = np.ones(50_000, dtype=int)
-    y = gaussian_report(s, GaussianReportConfig(sigma=0.5), rng)
+    y = gaussian_report(s, 0.5, rng)
     assert y.mean() == pytest.approx(1.0, abs=0.01)
     assert y.std() == pytest.approx(0.5, abs=0.01)
 
@@ -326,8 +324,8 @@ def test_gaussian_dp_eps_saturated_delta_returns_zero():
 # noisy-SGD accounting: the order-2 Renyi step of dpsgd.privacy_accounting
 
 
-def subsampled_config(sample_prob=0.5, sigma=1.0):
-    return TrainerConfig(ell=1, clip=1.0, noise_multiplier=sigma,
+def subsampled_config(sample_prob=0.5, sigma=1.0, ell=1):
+    return TrainerConfig(ell=ell, clip=1.0, noise_multiplier=sigma,
                          sample_prob=sample_prob, learning_rate=0.1, dim=4)
 
 
@@ -400,13 +398,6 @@ def test_rdp_membership_accuracy_values():
     assert 0.5 <= rdp_membership_accuracy(30.0) < 1.0
     # saturates to 1.0 only once the gap falls below double precision
     assert rdp_membership_accuracy(800.0) <= 1.0
-
-
-def test_accounting_records_validate():
-    with pytest.raises(ValueError):
-        ZcdpParams(rho=-0.1)
-    with pytest.raises(ValueError):
-        RdpParams(order=1.0, eps_check=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -505,17 +496,16 @@ def test_expected_correct_gaussian_validates():
     (lambda: rdp_membership_accuracy(math.nan), "eps_check"),
     (lambda: expected_correct_gaussian(10, 5, math.nan), "sigma"),
     (lambda: expected_correct_gaussian(10, 5, math.inf), "sigma"),
-    (lambda: ZcdpParams(math.nan), "rho"),
-    (lambda: RdpParams(math.nan, 1.0), "order"),
-    (lambda: RdpParams(2.0, math.nan), "eps_check"),
-    (lambda: ZcdpParams(math.inf), "rho must be nonnegative and finite"),
-    (lambda: RdpParams(2.0, math.inf),
+    # sigma = 1e-154 passes the noise rule at ell = 2, but 2 rho = 2e308
+    # and the order-2 Renyi eps of two steps at q = 1/2 overflow
+    (lambda: privacy_accounting(subsampled_config(1.0, 1e-154, ell=2)),
+     "2 \\* rho must be positive and finite"),
+    (lambda: privacy_accounting(subsampled_config(0.5, 1e-154, ell=2)),
      "eps_check must be nonnegative and finite"),
     (lambda: gaussian_dp_eps(1e308, 1e-5), "2 \\* rho must be"),
 ], ids=["dp-eps-inf-rho", "dp-eps-nan-rho", "dp-delta-nan-rho",
         "dp-delta-nan-eps", "rdp-accuracy-nan", "expected-nan-sigma",
-        "expected-inf-sigma", "zcdp-nan-rho", "rdp-nan-order",
-        "rdp-nan-eps-check", "zcdp-inf-rho", "rdp-inf-eps-check",
+        "expected-inf-sigma", "zcdp-inf-rho", "rdp-inf-eps-check",
         "dp-eps-overflowing-rho"])
 def test_accounting_rejects_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):

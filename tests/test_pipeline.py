@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpaudit.estimator import eps_lower_bound
-from dpaudit.mechanisms import GaussianReportConfig, PathologicalConfig
+from dpaudit.mechanisms import PathologicalConfig
 from dpaudit.pipeline import (
     AuditReport,
     CanaryPairSet,
@@ -169,8 +169,7 @@ def test_audit_run_rr_hits_expected_accuracy():
 
 
 def test_audit_run_gaussian_concentrates_near_expected():
-    cfg = GaussianReportConfig(sigma=2.0)
-    report = audit_run(adapter_gaussian_report(cfg), 100_000, 755, 755,
+    report = audit_run(adapter_gaussian_report(2.0), 100_000, 755, 755,
                        1e-5, [0.95], seed=11)
     # expected 1438.06 correct of 1510; 4 sigma is ~34
     assert abs(report.summary.v - 1439) < 35

@@ -15,8 +15,7 @@ from dpaudit import dpsgd, estimator
 from test_contract import accepts_typical, faults, typical_entries, unprobed
 
 # The exported records, whose constructors only check their fields.
-RECORDS = ("PrivacyParams", "ZcdpParams", "RdpParams", "MechanismAdapter",
-           "TrainerConfig")
+RECORDS = ("PrivacyParams", "MechanismAdapter", "TrainerConfig")
 
 
 @pytest.mark.parametrize("entry", typical_entries(float))

@@ -19,8 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dpaudit.estimator import (GuessSummary, PrivacyParams, eps_lower_bound,
-                               p_value_audit, rr_accuracy)
+from dpaudit.estimator import eps_lower_bound, p_value_audit, rr_accuracy
 from dpaudit.mechanisms import PathologicalConfig
 
 
@@ -117,8 +116,7 @@ def worst_case_tails(cfg: PathologicalConfig):
     plain = stats.binom.sf(v - 1, cfg.r, cfg.branch_accuracy(False))
     tail = (cfg.beta * stats.binom.sf(v - 1, cfg.r, cfg.branch_accuracy(True))
             + (1.0 - cfg.beta) * plain)
-    params = PrivacyParams(cfg.eps, cfg.delta)
-    p = np.array([p_value_audit(GuessSummary(cfg.m, cfg.r, 0, int(w)), params)
+    p = np.array([p_value_audit(cfg.m, cfg.r, int(w), cfg.eps, cfg.delta)
                   for w in v])
     return tail, plain, p
 
@@ -153,6 +151,5 @@ def test_p_value_nondecreasing_in_eps(data, m, spill, eps):
     r = data.draw(st.integers(1, min(m, 1000)), label="r")
     v = data.draw(st.integers(0, r), label="v")
     delta = min(1.0, spill / (2 * m))
-    summary = GuessSummary(m=m, k_plus=r, k_minus=0, v=v)
-    p = [p_value_audit(summary, PrivacyParams(e, delta)) for e in sorted(eps)]
+    p = [p_value_audit(m, r, v, e, delta) for e in sorted(eps)]
     assert all(a <= b for a, b in zip(p, p[1:])), (m, r, v, delta)
