@@ -31,7 +31,7 @@ from . import dpsgd as dpsgd_mod
 from . import mechanisms, pipeline
 from .estimator import (GuessSummary, check_counts, check_order,
                         check_reals, eps_lower_bound, p_value_audit,
-                        rr_accuracy)
+                        p_values_by_threshold, rr_accuracy)
 
 
 @dataclasses.dataclass
@@ -189,16 +189,17 @@ def cmd_pathological_check(args) -> _Record:
                    "--r * --beta": args.r * args.beta})
     cfg = mechanisms.PathologicalConfig(m=args.m, r=args.r, eps=args.eps,
                                         delta=args.delta, beta=args.beta)
+    bounds = p_values_by_threshold(args.m, args.r, args.eps, args.delta)
     rng = np.random.default_rng(args.seed)
-    w_samples = np.empty(args.trials, dtype=int)
-    for k in range(args.trials):
+    counts = np.zeros(args.r + 1, dtype=np.int64)  # trials with w correct
+    for _ in range(args.trials):
         s = pipeline.sample_selection(args.m, rng)
         t = mechanisms.pathological(s, cfg, rng)
-        w_samples[k] = pipeline.count_correct(s, t)
+        counts[pipeline.count_correct(s, t)] += 1
+    tails = np.cumsum(counts[::-1])[::-1]  # trials with at least v correct
     rows, worst_z = [], -math.inf
-    for v in range(args.r + 1):
-        phat = float(np.mean(w_samples >= v))
-        bound = p_value_audit(args.m, args.r, v, args.eps, args.delta)
+    for v, bound in enumerate(bounds):
+        phat = int(tails[v]) / args.trials
         se = math.sqrt(bound * (1.0 - bound) / args.trials)
         z = (phat - bound) / se if se > 0 else (math.inf if phat > bound else 0.0)
         worst_z = max(worst_z, z)

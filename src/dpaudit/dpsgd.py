@@ -103,6 +103,14 @@ def dirac_canaries(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return rng.permutation(d)[:m]
 
 
+def _normal_rows(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """rng.normal(0.0, 1 / sqrt(d), (n, d)) as standard_normal scaled in place:
+    equal but where a draw is -0.0 (chance 2**-53), which keeps its sign."""
+    rows = rng.standard_normal((n, d))
+    rows *= 1.0 / np.sqrt(d)
+    return rows
+
+
 @dataclasses.dataclass(frozen=True)
 class LossModel:
     """Per-example loss on a small synthetic dataset.
@@ -140,7 +148,7 @@ class LossModel:
         check_counts(0, n=n)
         check_counts(1, d=d)
         teacher = rng.normal(0.0, 1.0, d)
-        features = rng.normal(0.0, 1.0 / np.sqrt(d), (n, d))
+        features = _normal_rows(n, d, rng)
         with np.errstate(over="ignore"):
             margins = features @ teacher + label_noise * rng.normal(0.0, 1.0, n)
         if not np.all(np.isfinite(margins)):
@@ -162,14 +170,18 @@ class LossModel:
             return 0.5 * (X @ w - Y) ** 2
         raise ValueError("canary-only mode has no evaluable loss")
 
-    def example_coefs(self, w: np.ndarray, X: np.ndarray,
-                      Y: np.ndarray) -> np.ndarray:
-        """Scalars a_i such that the gradient of example i is a_i * X[i]."""
-        if self.kind == "logistic":
-            return -Y * special.expit(-Y * (X @ w))
+    def example_coefs(self, w: np.ndarray, X: np.ndarray, Y: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+        """Scalars a_i such that the gradient of example i is a_i * X[i],
+        written into out (shape (n,)) when it is given."""
+        if self.kind == "canary-only":
+            raise ValueError("canary-only mode has no data gradients")
+        a = np.matmul(X, w, out=out)
         if self.kind == "linear":
-            return X @ w - Y
-        raise ValueError("canary-only mode has no data gradients")
+            return np.subtract(a, Y, out=a)
+        # -Y * expit(-Y * Xw) in place: -(Y * x) is (-Y) * x to the bit
+        special.expit(np.negative(np.multiply(a, Y, out=a), out=a), out=a)
+        return np.negative(np.multiply(a, Y, out=a), out=a)
 
 
 def mislabeled_canaries(model: LossModel, m: int,
@@ -179,7 +191,7 @@ def mislabeled_canaries(model: LossModel, m: int,
         raise ValueError("model has no teacher to label fresh examples")
     check_counts(0, m=m)
     d = model.teacher.size
-    X = rng.normal(0.0, 1.0 / np.sqrt(d), (m, d))
+    X = _normal_rows(m, d, rng)
     truth = np.where(X @ model.teacher >= 0, 1.0, -1.0)
     return ExampleCanarySet(features=X, labels=-truth)
 
@@ -225,14 +237,16 @@ def dpsgd_train(data: LossModel, canaries: np.ndarray | ExampleCanarySet,
     # included example canaries.  Row i's gradient is a_i * x_i, so clipping
     # it to norm c clips a_i to +-c / ||x_i|| (no bound on a zero row), and a
     # block's clipped sum over its sampled rows is the mat-vec b @ X with
-    # b_i = 0 on rows not sampled this step.
+    # b_i = 0 on rows not sampled this step.  Each block keeps its bounds and
+    # the buffers of its step: b, the coins and the mask of rows left out.
     blocks = [(data.features, data.labels)]
     if dirac_idx is None and n_inc:
         blocks.append((canaries.features[included], canaries.labels[included]))
     # row norms without the n x d temporary of np.linalg.norm(X, axis=1)
     with np.errstate(divide="ignore", over="ignore"):
-        blocks = [(X, Y, c / np.sqrt(np.einsum("ij,ij->i", X, X)))
-                  for X, Y in blocks if len(X)]
+        blocks = [(X, Y, -high, high, np.empty(len(X)), np.empty(len(X)),
+                   np.empty(len(X), dtype=bool)) for X, Y in blocks if len(X)
+                  for high in [c / np.sqrt(np.einsum("ij,ij->i", X, X))]]
 
     # Full batch with no rows: the Dirac sum is the same every step.
     fixed_sum = None
@@ -241,25 +255,35 @@ def dpsgd_train(data: LossModel, canaries: np.ndarray | ExampleCanarySet,
         if dirac_idx is not None:
             np.add.at(fixed_sum, dirac_idx, c)
 
-    w = np.zeros(d)
+    w, gsum, row_sum = np.zeros(d), np.empty(d), np.empty(d)
+    noise, finite = np.empty(d), np.empty(d, dtype=bool)
     # non-finite values flow on to the iterate check, which names the step
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for step in range(1, cfg.ell + 1):
             if fixed_sum is not None:
                 gsum = fixed_sum
             else:  # sampling coins: data rows, then the included canaries
-                gsum = np.zeros(d)
-                for X, Y, bound in blocks:
-                    b = np.clip(data.example_coefs(w, X, Y), -bound, bound)
+                gsum.fill(0.0)  # 0 + b @ X turns a -0.0 sum into +0.0
+                for X, Y, low, high, b, coins, skip in blocks:
+                    data.example_coefs(w, X, Y, out=b)
+                    np.maximum(b, low, out=b)
+                    np.minimum(b, high, out=b)
                     if q < 1:
-                        b[rng.random(len(X)) >= q] = 0.0
-                    gsum += b @ X
+                        rng.random(out=coins)
+                        np.greater_equal(coins, q, out=skip)
+                        np.putmask(b, skip, 0.0)
+                    gsum += np.matmul(b, X, out=row_sum)
                 if dirac_idx is not None:
                     on = slice(None) if q == 1 else rng.random(n_inc) < q
                     np.add.at(gsum, dirac_idx[on], c)
-            noise = rng.normal(0.0, cfg.noise_multiplier * c, d)
-            w = w - lr * (noise + gsum)
-            if not np.all(np.isfinite(w)):
+            # rng.normal(0, sigma c, d) is 0.0 + sigma c z; the 0.0 changes
+            # only a -0.0, which adding gsum (never -0.0) turns into +0.0
+            rng.standard_normal(out=noise)
+            noise *= cfg.noise_multiplier * c
+            noise += gsum
+            noise *= lr
+            w -= noise  # w <- w - lr * (noise + gsum)
+            if not np.isfinite(w, out=finite).all():
                 raise RuntimeError(f"non-finite iterate at step {step}")
     return w
 

@@ -256,12 +256,10 @@ def _tail_p_value(table: np.ndarray, v: int, m: int, delta: float) -> float:
 def _p_value_at(m: int, r: int, v: int, delta: float):
     """The function eps -> p-value of v correct out of r guesses on m examples.
 
-    The eps-independent set-up (the survival fill's index arrays and table)
-    is done here once.  Each call fills S(w) = Pr[Bin(r, q) >= w] only for
-    w <= v, the entries the p-value reads, so it equals
-    ``_tail_p_value(DominatingDistribution.from_binomial(r, q).survival_table,
-    v, m, delta)`` bit for bit, with q = rr_accuracy(eps).  The counts, their
-    order and delta are checked here, for both entry points alike.
+    The counts, their order and delta are checked, and the survival fill set
+    up, once.  Each call fills S(w) = Pr[Bin(r, rr_accuracy(eps)) >= w] only
+    for w <= v, the entries the p-value reads, so it equals the p-value read
+    from the full table over 0..r bit for bit.
     """
     check_counts(1, m=m)
     check_counts(0, r=r, v=v)
@@ -283,6 +281,18 @@ def p_value_audit(m: int, r: int, v: int, eps: float, delta: float) -> float:
       eps, delta: The null hypothesis, eps in [0, inf] and delta in [0, 1].
     """
     return _p_value_at(m, r, v, delta)(eps)
+
+
+def p_values_by_threshold(m: int, r: int, eps: float,
+                          delta: float) -> list[float]:
+    """``p_value_audit(m, r, v, eps, delta)`` for v = 0..r, bit for bit, from
+    one survival table over 0..r (each p_value_audit call fills its own)."""
+    check_counts(1, m=m)
+    check_counts(0, r=r)
+    check_order(r=r, m=m)
+    check_reals("[0, 1]", delta=delta)
+    table = _survival_fill(r, r)(rr_accuracy(eps))
+    return [_tail_p_value(table, v, m, delta) for v in range(r + 1)]
 
 
 def eps_lower_bound(m: int, r: int, v: int, delta: float, beta: float) -> float:
@@ -381,7 +391,8 @@ def adaptive_bound(m: int, r_observed: int, params: PrivacyParams,
                    gamma: float, tau: float) -> tuple[float, float]:
     """Threshold and tail bound that adapt to the realized number of guesses.
 
-    Finds the smallest integer w with Pr[Binomial(r_observed, q) >= w] <=
+    Searches the full survival table over 0..r_observed, which it keeps,
+    for the smallest integer w with Pr[Binomial(r_observed, q) >= w] <=
     gamma, and guarantees Pr[W >= w + tau] <= gamma + 2 m delta / tau under
     the null.  Letting the threshold depend on the observed guess count
     r_observed is what makes the bound adaptive.

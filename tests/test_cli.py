@@ -3,10 +3,12 @@
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -235,6 +237,25 @@ def test_pathological_check_no_violations(tmp_path, capsys):
     with open(out_file, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 51
+
+
+def test_pathological_check_memory_flat_in_trials(capsys):
+    # the Monte Carlo tail is kept as counts per w, not one entry per trial;
+    # the collector is off so that argparse's cycles count the same each run
+    def peak(trials):
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            assert run_cli(capsys, "pathological-check", "--m", "20", "--r",
+                           "5", "--eps", "1.0", "--delta", "0", "--beta",
+                           "0.05", "--trials", str(trials))[0] == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+    assert peak(4000) < peak(40) + 4000 * 8 / 4
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

@@ -27,6 +27,7 @@ from dpaudit.estimator import (
     optimize_prior_width,
     p_value_audit,
     p_value_general_p,
+    p_values_by_threshold,
     prior_generalization_bound,
     rr_accuracy,
     _p_value_at,
@@ -444,6 +445,27 @@ def test_p_value_at_equals_full_table_reference(data, r, delta, eps_list):
         p_value_of = _p_value_at(m, r, v, delta)
         for eps in eps_list:
             assert p_value_of(eps) == reference_p_value(m, r, v, eps, delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), r=st.integers(0, 600),
+       delta=st.sampled_from([0.0, 1e-7, 1e-4, 1e-2]),
+       eps=st.floats(0.0, 3.0))
+def test_p_values_by_threshold_equal_p_value_audit(data, r, delta, eps):
+    # one table over 0..r gives the p-value of every threshold bit for bit
+    m = data.draw(st.integers(max(r, 1), 3 * max(r, 1)))
+    assert p_values_by_threshold(m, r, eps, delta) == [
+        p_value_audit(m, r, v, eps, delta) for v in range(r + 1)]
+
+
+@pytest.mark.parametrize("m, r, eps, delta, message", [
+    (5, 6, 1.0, 0.0, "need r <= m"), (0, 0, 1.0, 0.0, "m must be >= 1"),
+    (5, -1, 1.0, 0.0, "r must be >= 0"), (5, 3, 1.0, 1.5, "delta must be in"),
+    (5, 3, -1.0, 0.0, "eps must be nonnegative")])
+def test_p_values_by_threshold_checks_its_arguments(m, r, eps, delta,
+                                                     message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        p_values_by_threshold(m, r, eps, delta)
 
 
 def test_guess_summary_invariants():

@@ -128,15 +128,18 @@ class CanaryCoinsFirst:
     def __init__(self, rng, n_canaries):
         self.rng, self.n_canaries, self.kept = rng, n_canaries, None
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
         if self.kept is None:
             self.kept = self.rng.random(self.n_canaries)
-            return self.rng.random(size)
+            return self.rng.random(size, out=out)
         coins, self.kept = self.kept, None
-        return coins
+        if out is None:
+            return coins
+        out[...] = coins
+        return out
 
-    def normal(self, *args, **kwargs):
-        return self.rng.normal(*args, **kwargs)
+    def __getattr__(self, name):  # the noise draws pass through
+        return getattr(self.rng, name)
 
 
 def canary_coins_first(data, canaries, selection, cfg, rng):
