@@ -10,8 +10,8 @@ Subcommands:
   simulate           one audit run of a chosen simulated mechanism
 
 Tables are CSV; reports are line-delimited JSON records that echo their
-inputs and seed, so every row can be reproduced.  Exit codes: 0 success,
-1 usage error, 2 runtime failure.
+inputs and seed, so every row can be reproduced at a fixed BLAS thread
+count.  Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
 from __future__ import annotations

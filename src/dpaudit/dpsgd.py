@@ -248,34 +248,25 @@ def dpsgd_train(data: LossModel, canaries: np.ndarray | ExampleCanarySet,
                    np.empty(len(X), dtype=bool)) for X, Y in blocks if len(X)
                   for high in [c / np.sqrt(np.einsum("ij,ij->i", X, X))]]
 
-    # Full batch with no rows: the Dirac sum is the same every step.
-    fixed_sum = None
-    if q == 1 and not blocks:
-        fixed_sum = np.zeros(d)
-        if dirac_idx is not None:
-            np.add.at(fixed_sum, dirac_idx, c)
-
     w, gsum, row_sum = np.zeros(d), np.empty(d), np.empty(d)
     noise, finite = np.empty(d), np.empty(d, dtype=bool)
     # non-finite values flow on to the iterate check, which names the step
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for step in range(1, cfg.ell + 1):
-            if fixed_sum is not None:
-                gsum = fixed_sum
-            else:  # sampling coins: data rows, then the included canaries
-                gsum.fill(0.0)  # 0 + b @ X turns a -0.0 sum into +0.0
-                for X, Y, low, high, b, coins, skip in blocks:
-                    data.example_coefs(w, X, Y, out=b)
-                    np.maximum(b, low, out=b)
-                    np.minimum(b, high, out=b)
-                    if q < 1:
-                        rng.random(out=coins)
-                        np.greater_equal(coins, q, out=skip)
-                        np.putmask(b, skip, 0.0)
-                    gsum += np.matmul(b, X, out=row_sum)
-                if dirac_idx is not None:
-                    on = slice(None) if q == 1 else rng.random(n_inc) < q
-                    np.add.at(gsum, dirac_idx[on], c)
+            # sampling coins: data rows, then the included canaries
+            gsum.fill(0.0)  # 0 + b @ X turns a -0.0 sum into +0.0
+            for X, Y, low, high, b, coins, skip in blocks:
+                data.example_coefs(w, X, Y, out=b)
+                np.maximum(b, low, out=b)
+                np.minimum(b, high, out=b)
+                if q < 1:
+                    rng.random(out=coins)
+                    np.greater_equal(coins, q, out=skip)
+                    np.putmask(b, skip, 0.0)
+                gsum += np.matmul(b, X, out=row_sum)
+            if dirac_idx is not None:
+                on = slice(None) if q == 1 else rng.random(n_inc) < q
+                np.add.at(gsum, dirac_idx[on], c)
             # rng.normal(0, sigma c, d) is 0.0 + sigma c z; the 0.0 changes
             # only a -0.0, which adding gsum (never -0.0) turns into +0.0
             rng.standard_normal(out=noise)

@@ -99,7 +99,6 @@ REAL_INTERVALS = {
     "[0, inf]": (lambda x: x >= 0, "be nonnegative"),
     "[0, inf)": (lambda x: 0 <= x < math.inf, "be nonnegative and finite"),
     "(0, inf)": (lambda x: 0 < x < math.inf, "be positive and finite"),
-    "(1, inf]": (lambda x: x > 1, "exceed 1"),
     "[1, inf]": (lambda x: x >= 1, "be >= 1"),
     "finite": (lambda x: -math.inf < x < math.inf, "be finite"),
 }

@@ -397,6 +397,19 @@ def test_p_value_delta_zero_collapses_to_binomial_sf():
     for r, v, eps in [(10, 7, 0.5), (100, 75, LN3), (37, 36, 2.0), (5, 0, 1.0)]:
         assert p_value_audit(r, r, v, eps, 0.0) == pytest.approx(
             binomial_sf(r, rr_accuracy(eps), v), abs=1e-15)
+    # bit for bit, sign included, the tail at v alone: one incomplete beta,
+    # clamped; eps is 0, in (0, 10), >= 37 (the accuracy rounds to 1) or inf
+    rng = np.random.default_rng(28)
+    for _ in range(3000):
+        r = int(rng.integers(1, 3001))
+        m, v = int(rng.integers(r, 3 * r + 1)), int(rng.integers(1, r + 1))
+        eps = (0.0, rng.uniform(0.0, 10.0), rng.uniform(37.0, 1e3),
+               math.inf)[rng.integers(4)]
+        p = p_value_audit(m, r, v, eps, 0.0)
+        closed = min(1.0, max(0.0, special.betainc(
+            v, r - v + 1, rr_accuracy(eps))) + 0.0)
+        assert (p, math.copysign(1.0, p)) == (closed,
+                                              math.copysign(1.0, closed))
 
 
 def test_p_value_monotonicity_grid():
@@ -433,14 +446,23 @@ def reference_p_value(m, r, v, eps, delta):
        eps_list=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4))
 @example(data=None, r=3000, delta=1e-5, eps_list=[0.0, 40.0, 1.0])
 @example(data=None, r=0, delta=1.0, eps_list=[0.5])
+@example(data=(10**5, 73000), r=10**5, delta=0.0,
+         eps_list=[0.0, 0.99, 1.0, 40.0])
+@example(data=(10**5, 73000), r=10**5, delta=1e-5,
+         eps_list=[0.0, 0.99, 1.0, 40.0])
 def test_p_value_at_equals_full_table_reference(data, r, delta, eps_list):
     # one set-up evaluated at several eps in turn, so a stale table entry
-    # would show; v at both ends, next to 0 and drawn, m from r to 3r
+    # would show.  data None: m = 3r, v at both ends and next to 0; data
+    # (m, v): that one point, the paper-scale ones at 1e5 guesses; drawn:
+    # m from r to 3r, and v drawn too
     m_lo = max(r, 1)
-    m = data.draw(st.integers(m_lo, 3 * m_lo)) if data else 3 * m_lo
-    vs = {0, min(1, r), r}
-    if data is not None:
-        vs.add(data.draw(st.integers(0, r)))
+    if isinstance(data, tuple):
+        m, vs = data[0], {data[1]}
+    else:
+        m = data.draw(st.integers(m_lo, 3 * m_lo)) if data else 3 * m_lo
+        vs = {0, min(1, r), r}
+        if data is not None:
+            vs.add(data.draw(st.integers(0, r)))
     for v in vs:
         p_value_of = _p_value_at(m, r, v, delta)
         for eps in eps_list:

@@ -11,8 +11,10 @@ meant to change, regenerate both files with
 import contextlib
 import io
 import json
+import os
 import pathlib
 import runpy
+import subprocess
 import sys
 from unittest import mock
 
@@ -87,6 +89,25 @@ def command_stdout(line: str) -> str:
 def test_dpsgd_audit_report_is_byte_identical(name, tmp_path):
     golden = json.loads(GOLDEN.read_text())
     assert run_report(CONFIGS[name], tmp_path / "audit.cfg") == golden[name]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_dpsgd_audit_reports_hold_at_one_and_two_blas_threads(threads,
+                                                              tmp_path):
+    # the trainer's bits hold at a fixed BLAS thread count, which must be
+    # set before numpy loads: a fresh interpreter writes every report
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([str(src), str(GOLDEN.parent)]))
+    code = ("import json, pathlib, sys\n"
+            "from test_golden import CONFIGS, run_report\n"
+            "out = pathlib.Path(sys.argv[1])\n"
+            "print(json.dumps({name: run_report(cfg, out / f'{name}.cfg')\n"
+            "                  for name, cfg in CONFIGS.items()}))\n")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert json.loads(out) == json.loads(GOLDEN.read_text())
 
 
 @pytest.mark.parametrize("line", COMMANDS)

@@ -6,7 +6,8 @@ recorded one.  Unlike ``np.array_equal``, a digest also catches a flipped
 sign of zero.  The cases cover what the golden reports do not: linear
 loss with Dirac canaries and data under Poisson sampling, an all-zero
 feature row (its clip bound c / ||x|| is inf), label noise, full batches
-with data rows, no noise, and Dirac canaries alone under sampling.
+with data rows, no noise, and Dirac canaries alone, sampled and at full
+batch.
 
 When an output is meant to change, print the new digests with
 ``PYTHONPATH=src python tests/test_trainer_bits.py`` and say why in the
@@ -45,9 +46,15 @@ CASES = {
                                  (15, 0.5, 0.0, 0.8, 0.1)),
     "canary-only-dirac-sampled": ("canary-only", 0, "dirac", 0.0, False,
                                   (20, 1.0, 0.5, 0.4, 0.1)),
+    "canary-only-dirac-full-batch": ("canary-only", 0, "dirac", 0.0, False,
+                                     (20, 1.0, 0.5, 1.0, 0.1)),
 }
 
 DIGESTS = {
+    "canary-only-dirac-full-batch": {
+        "w":
+            "f9c1b575009cea7991695a37928c129b8f81666a53f1e707583d2e18067c63aa",
+    },
     "canary-only-dirac-sampled": {
         "w":
             "0b1df4e66e8322b01c64b5c32cca23a13cd4411d1dac43f7f13f9859cafc6ca9",
