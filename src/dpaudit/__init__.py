@@ -50,7 +50,6 @@ from .pipeline import (
     sample_selection,
 )
 from .dpsgd import (
-    ExampleCanarySet,
     LossModel,
     TrainerConfig,
     adapter_dpsgd_audit,

@@ -197,15 +197,15 @@ def cmd_pathological_check(args) -> _Record:
         t = mechanisms.pathological(s, cfg, rng)
         counts[pipeline.count_correct(s, t)] += 1
     tails = np.cumsum(counts[::-1])[::-1]  # trials with at least v correct
-    rows, worst_z = [], -math.inf
+    rows, worst_z, violations = [], -math.inf, 0
     for v, bound in enumerate(bounds):
         phat = int(tails[v]) / args.trials
         se = math.sqrt(bound * (1.0 - bound) / args.trials)
         z = (phat - bound) / se if se > 0 else (math.inf if phat > bound else 0.0)
         worst_z = max(worst_z, z)
+        violations += z > 3.0  # z itself, not its rounded text in rows
         rows.append({"v": v, "mc_tail": f"{phat:.6g}",
                      "bound": f"{bound:.6g}", "z": f"{z:.3f}"})
-    violations = sum(1 for row in rows if float(row["z"]) > 3.0)
     if args.out:
         _emit_csv(["v", "mc_tail", "bound", "z"], rows, args.out)
     print(f"trials={args.trials} max_z={worst_z:.3f} "
@@ -243,8 +243,9 @@ def parse_dpsgd_config(path: str) -> dict[str, Any]:
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"argument --config: cannot read {path!r}: "
                          f"{getattr(exc, 'strerror', None) or exc}") from None
-    config: dict[str, Any] = {key: default for key, (_, default)
-                              in _DPSGD_KEYS.items() if default is not None}
+    config: dict[str, Any] = {  # each parse gets its own default list
+        key: list(default) if isinstance(default, list) else default
+        for key, (_, default) in _DPSGD_KEYS.items() if default is not None}
     set_on = {}  # key -> the line that sets it
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()

@@ -79,23 +79,6 @@ class TrainerConfig:
                       for key, (field, *_) in TRAINER_KEYS.items()})
 
 
-@dataclasses.dataclass(frozen=True)
-class ExampleCanarySet:
-    """Input-space canaries: rows of (feature, label) scored via the loss."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, float))
-        object.__setattr__(self, "labels", np.asarray(self.labels, float))
-        if self.features.ndim != 2 or self.labels.shape != (len(self),):
-            raise ValueError("need features (m, d) and labels (m,)")
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
-
 def dirac_canaries(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """Coordinates of m Dirac canaries, distinct and uniformly random."""
     check_counts(0, m=m, d=d)
@@ -113,7 +96,8 @@ def _normal_rows(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class LossModel:
-    """Per-example loss on a small synthetic dataset.
+    """Labeled rows and their per-example loss: a small synthetic dataset,
+    or input-space canaries trained and scored under the data's loss.
 
     kind "logistic" uses labels in {-1, +1} with log-loss, "linear" squared
     loss, and "canary-only" has no data examples at all (zero data
@@ -130,6 +114,9 @@ class LossModel:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         object.__setattr__(self, "features", np.asarray(self.features, float))
         object.__setattr__(self, "labels", np.asarray(self.labels, float))
+        if self.features.ndim != 2 or self.labels.shape != (self.n_examples,):
+            raise ValueError(f"need features (n, d) and labels (n,), got "
+                             f"{self.features.shape} and {self.labels.shape}")
 
     @property
     def n_examples(self) -> int:
@@ -162,20 +149,20 @@ class LossModel:
         return cls(kind=kind, features=features, labels=labels,
                    teacher=teacher)
 
-    def example_losses(self, w: np.ndarray, X: np.ndarray,
-                       Y: np.ndarray) -> np.ndarray:
+    def example_losses(self, w: np.ndarray) -> np.ndarray:
         if self.kind == "logistic":
-            return np.logaddexp(0.0, -Y * (X @ w))
+            return np.logaddexp(0.0, -self.labels * (self.features @ w))
         if self.kind == "linear":
-            return 0.5 * (X @ w - Y) ** 2
+            return 0.5 * (self.features @ w - self.labels) ** 2
         raise ValueError("canary-only mode has no evaluable loss")
 
-    def example_coefs(self, w: np.ndarray, X: np.ndarray, Y: np.ndarray,
+    def example_coefs(self, w: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
-        """Scalars a_i such that the gradient of example i is a_i * X[i],
+        """Scalars a_i such that the gradient of row i is a_i * features[i],
         written into out (shape (n,)) when it is given."""
         if self.kind == "canary-only":
             raise ValueError("canary-only mode has no data gradients")
+        X, Y = self.features, self.labels
         a = np.matmul(X, w, out=out)
         if self.kind == "linear":
             return np.subtract(a, Y, out=a)
@@ -185,42 +172,47 @@ class LossModel:
 
 
 def mislabeled_canaries(model: LossModel, m: int,
-                        rng: np.random.Generator) -> ExampleCanarySet:
-    """Fresh in-distribution examples with deliberately flipped labels."""
+                        rng: np.random.Generator) -> LossModel:
+    """Fresh in-distribution rows of the model's loss, labels flipped."""
     if model.teacher is None:
         raise ValueError("model has no teacher to label fresh examples")
     check_counts(0, m=m)
     d = model.teacher.size
     X = _normal_rows(m, d, rng)
     truth = np.where(X @ model.teacher >= 0, 1.0, -1.0)
-    return ExampleCanarySet(features=X, labels=-truth)
+    return LossModel(model.kind, X, -truth)
 
 
-def dpsgd_train(data: LossModel, canaries: np.ndarray | ExampleCanarySet,
+def dpsgd_train(data: LossModel, canaries: np.ndarray | LossModel,
                 selection: np.ndarray, cfg: TrainerConfig,
                 rng: np.random.Generator) -> np.ndarray:
     """Train with per-example clipping and Gaussian noise; return the model.
 
     Data examples are always in the training set; canary i participates iff
     selection[i] == +1; a Dirac canary is its coordinate, and a repeated
-    coordinate adds c once per canary.  Every element of the training set
-    is resampled independently with probability sample_prob at each step
-    (at sample_prob = 1 no sampling coins are drawn).  The update is
+    coordinate adds c once per canary; example canaries are rows of the
+    data's loss kind.  Every element of the training set is resampled
+    independently with probability sample_prob at each step (at
+    sample_prob = 1 no sampling coins are drawn).  The update is
     w <- w - lr * (noise + sum of clipped per-example gradients) from w = 0,
     and the final iterate w^ell is returned; no other iterate is kept.
     """
     d = cfg.dim
-    if data.n_examples and data.features.shape[1] != d:
-        raise ValueError(
-            f"data dimension {data.features.shape[1]} != cfg.dim {d}")
     dirac_idx = None
-    if isinstance(canaries, ExampleCanarySet):
-        n_canaries = len(canaries)
+    if isinstance(canaries, LossModel):
+        if canaries.kind != data.kind:
+            raise ValueError(f"canary loss kind {canaries.kind!r} != data "
+                             f"loss kind {data.kind!r}")
+        n_canaries = canaries.n_examples
     else:
         dirac_idx = np.asarray(canaries, dtype=int)
         if dirac_idx.size and (dirac_idx.min() < 0 or dirac_idx.max() >= d):
-            raise ValueError("canary index out of range")
+            raise ValueError(f"canary index out of range for cfg.dim {d}")
         n_canaries = dirac_idx.size
+    for name, rows in (("data", data), ("canary", canaries)):
+        if isinstance(rows, LossModel) and rows.features.shape[1] != d:
+            raise ValueError(
+                f"{name} dimension {rows.features.shape[1]} != cfg.dim {d}")
     n_inc = 0
     if n_canaries:
         selection = np.asarray(selection)
@@ -239,13 +231,15 @@ def dpsgd_train(data: LossModel, canaries: np.ndarray | ExampleCanarySet,
     # block's clipped sum over its sampled rows is the mat-vec b @ X with
     # b_i = 0 on rows not sampled this step.  Each block keeps its bounds and
     # the buffers of its step: b, the coins and the mask of rows left out.
-    blocks = [(data.features, data.labels)]
+    blocks = [data]
     if dirac_idx is None and n_inc:
-        blocks.append((canaries.features[included], canaries.labels[included]))
+        blocks.append(LossModel(canaries.kind, canaries.features[included],
+                                canaries.labels[included]))
     # row norms without the n x d temporary of np.linalg.norm(X, axis=1)
     with np.errstate(divide="ignore", over="ignore"):
-        blocks = [(X, Y, -high, high, np.empty(len(X)), np.empty(len(X)),
-                   np.empty(len(X), dtype=bool)) for X, Y in blocks if len(X)
+        blocks = [(rows, -high, high, np.empty(len(X)), np.empty(len(X)),
+                   np.empty(len(X), dtype=bool))
+                  for rows in blocks if rows.n_examples for X in [rows.features]
                   for high in [c / np.sqrt(np.einsum("ij,ij->i", X, X))]]
 
     w, gsum, row_sum = np.zeros(d), np.empty(d), np.empty(d)
@@ -255,15 +249,15 @@ def dpsgd_train(data: LossModel, canaries: np.ndarray | ExampleCanarySet,
         for step in range(1, cfg.ell + 1):
             # sampling coins: data rows, then the included canaries
             gsum.fill(0.0)  # 0 + b @ X turns a -0.0 sum into +0.0
-            for X, Y, low, high, b, coins, skip in blocks:
-                data.example_coefs(w, X, Y, out=b)
+            for rows, low, high, b, coins, skip in blocks:
+                rows.example_coefs(w, out=b)
                 np.maximum(b, low, out=b)
                 np.minimum(b, high, out=b)
                 if q < 1:
                     rng.random(out=coins)
                     np.greater_equal(coins, q, out=skip)
                     np.putmask(b, skip, 0.0)
-                gsum += np.matmul(b, X, out=row_sum)
+                gsum += np.matmul(b, rows.features, out=row_sum)
             if dirac_idx is not None:
                 on = slice(None) if q == 1 else rng.random(n_inc) < q
                 np.add.at(gsum, dirac_idx[on], c)
@@ -279,23 +273,22 @@ def dpsgd_train(data: LossModel, canaries: np.ndarray | ExampleCanarySet,
     return w
 
 
-def whitebox_scores(canaries: np.ndarray, w0: np.ndarray, w_final: np.ndarray,
+def whitebox_scores(canaries: np.ndarray, w_final: np.ndarray,
                     cfg: TrainerConfig) -> np.ndarray:
     """White-box scores of Dirac canaries, given as their coordinates.
 
     A canary's score is the sum over steps of <w^(t-1) - w^t, its clipped
     gradient>.  That gradient is the clip norm c at its coordinate j at
-    every step, so the sum telescopes to c * (w0[j] - w_final[j]).
+    every step, so the sum telescopes from w^0 = 0 to c * (0 - w_final[j]).
     """
-    return cfg.clip * (w0[canaries] - w_final[canaries])
+    return cfg.clip * (0.0 - w_final[canaries])  # -clip * x gives -0.0 at +0.0
 
 
-def blackbox_scores(canaries: ExampleCanarySet, w0: np.ndarray,
-                    w_final: np.ndarray, model: LossModel) -> np.ndarray:
-    """Loss at w0 minus loss at the final model of each canary; a higher
-    reduction suggests the canary was trained on."""
-    return (model.example_losses(w0, canaries.features, canaries.labels)
-            - model.example_losses(w_final, canaries.features, canaries.labels))
+def blackbox_scores(canaries: LossModel, w_final: np.ndarray) -> np.ndarray:
+    """Each canary's loss at the initial model w^0 = 0 minus its loss at the
+    final model; a higher reduction suggests the canary was trained on."""
+    return (canaries.example_losses(np.zeros_like(w_final))
+            - canaries.example_losses(w_final))
 
 
 def privacy_accounting(cfg: TrainerConfig) -> dict[str, float]:
@@ -354,20 +347,20 @@ def theoretical_eps_upper(cfg: TrainerConfig, delta: float) -> float:
                                   else -np.log(delta))
 
 
-def audit_adapter(model: LossModel, canaries: np.ndarray | ExampleCanarySet,
+def audit_adapter(model: LossModel, canaries: np.ndarray | LossModel,
                   cfg: TrainerConfig, delta: float = 1e-5) -> MechanismAdapter:
     """Audit adapter: train gated on the selection, score the final model.
 
     The canaries' form picks the scorer: Dirac coordinates get white-box
-    scores, an ExampleCanarySet black-box loss reductions.
+    scores, example canaries (a LossModel) black-box loss reductions.
     """
-    blackbox = isinstance(canaries, ExampleCanarySet)
+    blackbox = isinstance(canaries, LossModel)
 
     def run(s, rng):
         w_final = dpsgd_train(model, canaries, s, cfg, rng)
         if blackbox:
-            return blackbox_scores(canaries, np.zeros(cfg.dim), w_final, model)
-        return whitebox_scores(canaries, np.zeros(cfg.dim), w_final, cfg)
+            return blackbox_scores(canaries, w_final)
+        return whitebox_scores(canaries, w_final, cfg)
 
     return MechanismAdapter(
         name="dpsgd-blackbox" if blackbox else "dpsgd-whitebox", run=run,

@@ -13,13 +13,15 @@ import math
 import numpy as np
 from scipy import special
 
+from dpaudit.dpsgd import LossModel
+
 
 def example_grads(model, w: np.ndarray, X: np.ndarray,
                   Y: np.ndarray) -> np.ndarray:
-    """Per-example gradients a_i * X[i] of a LossModel, one row each."""
+    """Per-example gradients a_i * X[i] of rows X, Y under model's loss."""
     if X.shape[0] == 0:
         return np.zeros((0, w.size))
-    return model.example_coefs(w, X, Y)[:, None] * X
+    return LossModel(model.kind, X, Y).example_coefs(w)[:, None] * X
 
 
 def clip_rows(grads: np.ndarray, c: float) -> np.ndarray:
@@ -32,12 +34,11 @@ def clip_rows(grads: np.ndarray, c: float) -> np.ndarray:
 
 def blackbox_score(example, w0: np.ndarray, w_final: np.ndarray,
                    model) -> float:
-    """Loss reduction of one (x, y) example between w0 and the final model."""
+    """Loss reduction of one (x, y) example between w0 and the final model,
+    under model's loss."""
     x, y = example
-    x = np.asarray(x, float)[None, :]
-    y = np.array([y], dtype=float)
-    return float(model.example_losses(w0, x, y)[0]
-                 - model.example_losses(w_final, x, y)[0])
+    row = LossModel(model.kind, np.asarray(x, float)[None, :], [y])
+    return float(row.example_losses(w0)[0] - row.example_losses(w_final)[0])
 
 
 def binomial_sf(n: int, q: float, v: int) -> float:

@@ -176,7 +176,7 @@ def test_criterion_6_dpsgd_whitebox_law_and_validity():
     cfg = TrainerConfig(ell=ell, clip=c, noise_multiplier=sigma,
                         sample_prob=1.0, learning_rate=lr, dim=d)
     w_final = dpsgd_train(LossModel.canary_only(d), canaries, s, cfg, rng)
-    scores = whitebox_scores(canaries, np.zeros(d), w_final, cfg)
+    scores = whitebox_scores(canaries, w_final, cfg)
     moments_ok = True
     for sample, mu in ((scores[s == 1], mean_in), (scores[s == -1], 0.0)):
         n = sample.size
@@ -202,7 +202,7 @@ def test_criterion_6_dpsgd_whitebox_law_and_validity():
         s = sample_selection(m_audit, rep_rng)
         w_final = dpsgd_train(LossModel.canary_only(d_audit), canaries, s,
                               cfg, rep_rng)
-        y = whitebox_scores(canaries, np.zeros(d_audit), w_final, cfg)
+        y = whitebox_scores(canaries, w_final, cfg)
         sweep = k_sweep(y, s, grid, delta, 0.95)
         sound += sweep.best.eps_lb <= upper
     elapsed = time.perf_counter() - t0

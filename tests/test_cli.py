@@ -239,6 +239,22 @@ def test_pathological_check_no_violations(tmp_path, capsys):
     assert len(rows) == 51
 
 
+def test_pathological_check_counts_violations_from_unrounded_z(
+        tmp_path, capsys, monkeypatch):
+    # one trial, bound 1 / 10.0012 at v = 0: z = sqrt(9.0012) = 3.0002 is
+    # printed as 3.000 but is beyond 3 sigma; bound 1 elsewhere gives z = 0
+    monkeypatch.setattr(cli, "p_values_by_threshold",
+                        lambda m, r, eps, delta: [1 / 10.0012] + [1.0] * r)
+    report = tmp_path / "row.jsonl"
+    code, out, _ = run_cli(capsys, "pathological-check", "--m", "20", "--r",
+                           "5", "--eps", "1.0", "--delta", "0", "--beta",
+                           "0.05", "--trials", "1", "--report", str(report))
+    assert code == 0
+    assert out == "trials=1 max_z=3.000 violations_beyond_3sigma=1\n"
+    outputs = json.loads(report.read_text())["outputs"]
+    assert outputs["violations"] == 1 and 3.0 < outputs["max_z"] < 3.0005
+
+
 def test_pathological_check_memory_flat_in_trials(capsys):
     # the Monte Carlo tail is kept as counts per w, not one entry per trial;
     # the collector is off so that argparse's cycles count the same each run
@@ -458,6 +474,14 @@ def write_config(path, **overrides):
     lines = [f"{key} = {value}" for key, value in base.items()]
     path.write_text("\n".join(lines) + "\n# trailing comment\n")
     return base
+
+
+def test_parsed_configs_do_not_share_the_confidence_default(tmp_path):
+    cfg_file = tmp_path / "audit.cfg"
+    write_config(cfg_file)  # no confidence key: the default [0.95]
+    first = cli.parse_dpsgd_config(str(cfg_file))
+    first["confidence"].append(0.99)
+    assert cli.parse_dpsgd_config(str(cfg_file))["confidence"] == [0.95]
 
 
 def test_dpsgd_audit_whitebox_report(tmp_path, capsys):

@@ -187,7 +187,7 @@ CASES = {
         lambda model: finite(model.features, model.labels)),
     "mislabeled_canaries": (
         lambda m: dpaudit.mislabeled_canaries(MODEL, m, rng()),
-        dict(m=4), lambda canaries: len(canaries) == 4),
+        dict(m=4), lambda canaries: canaries.n_examples == 4),
     "theoretical_eps_upper": (
         lambda delta: dpaudit.theoretical_eps_upper(
             dpaudit.TrainerConfig(**TRAINER), delta),

@@ -9,7 +9,6 @@ import pytest
 from scipy import special, stats
 
 from dpaudit.dpsgd import (
-    ExampleCanarySet,
     LossModel,
     TrainerConfig,
     blackbox_scores,
@@ -59,7 +58,7 @@ def reference_train(data, canaries, selection, cfg, rng):
     coins, then the noise.
     """
     q, c, d = cfg.sample_prob, cfg.clip, cfg.dim
-    dirac = not isinstance(canaries, ExampleCanarySet)
+    dirac = not isinstance(canaries, LossModel)
     included = np.asarray(selection) == 1
     if dirac:  # each included coordinate's gradient is c there
         idx = np.asarray(canaries)[included]
@@ -270,10 +269,10 @@ def test_dirac_canaries_distinct_and_reproducible():
 
 
 def test_whitebox_score_constant_trace_is_zero():
+    # a final model still at w^0 = 0 moved no canary coordinate
     cfg = TrainerConfig(ell=5, clip=1.0, noise_multiplier=1.0,
                         sample_prob=1.0, learning_rate=0.1, dim=4)
-    w = np.ones(4)
-    assert np.array_equal(whitebox_scores(np.array([2, 0]), w, w, cfg),
+    assert np.array_equal(whitebox_scores(np.array([2, 0]), np.zeros(4), cfg),
                           [0.0, 0.0])
 
 
@@ -288,7 +287,7 @@ def test_whitebox_score_law_in_canary_only_mode():
     cfg = TrainerConfig(ell=ell, clip=c, noise_multiplier=sigma,
                         sample_prob=1.0, learning_rate=lr, dim=d)
     w_final = dpsgd_train(LossModel.canary_only(d), canaries, s, cfg, rng)
-    scores = whitebox_scores(canaries, np.zeros(d), w_final, cfg)
+    scores = whitebox_scores(canaries, w_final, cfg)
     mean_in = lr * ell * c * c
     var = lr * lr * c ** 4 * sigma * sigma * ell
     inn, out = scores[s == 1], scores[s == -1]
@@ -311,7 +310,7 @@ def test_whitebox_scores_match_singular():
                         sample_prob=1.0, learning_rate=0.2, dim=d)
     model = LossModel.canary_only(d)
     w_final = dpsgd_train(model, canaries, s, cfg, np.random.default_rng(15))
-    batch = whitebox_scores(canaries, np.zeros(d), w_final, cfg)
+    batch = whitebox_scores(canaries, w_final, cfg)
     its = reference_train(model, canaries, s, cfg, np.random.default_rng(15))
     for k, score in zip(canaries, batch):
         grad = np.zeros(d)
@@ -365,7 +364,7 @@ def test_blackbox_excluded_mislabeled_scores_below_included():
         cfg = TrainerConfig(ell=40, clip=1.0, noise_multiplier=0.3,
                             sample_prob=1.0, learning_rate=0.4, dim=4)
         w_final = dpsgd_train(model, canaries, s, cfg, run_rng)
-        scores = blackbox_scores(canaries, np.zeros(4), w_final, model)
+        scores = blackbox_scores(canaries, w_final)
         if np.any(s == 1):
             in_means.append(scores[s == 1].mean())
         if np.any(s == -1):
@@ -379,13 +378,12 @@ def test_blackbox_excluded_mislabeled_scores_below_included():
 def test_blackbox_scores_match_singular():
     rng = np.random.default_rng(18)
     model = LossModel.synthetic("linear", n=12, d=3, rng=rng)
-    canaries = ExampleCanarySet(features=model.features[:4],
-                                labels=model.labels[:4] + 1.0)
-    w0, w_final = rng.normal(size=(2, 3))
-    batch = blackbox_scores(canaries, w0, w_final, model)
+    canaries = LossModel("linear", model.features[:4], model.labels[:4] + 1.0)
+    w_final = rng.normal(size=3)
+    batch = blackbox_scores(canaries, w_final)
     singles = [
         blackbox_score((canaries.features[i], canaries.labels[i]),
-                       w0, w_final, model)
+                       np.zeros(3), w_final, model)
         for i in range(4)]
     np.testing.assert_allclose(batch, singles, rtol=1e-12)
 

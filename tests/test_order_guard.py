@@ -21,8 +21,8 @@ RULE_HELPERS = {"estimator.check_counts", "estimator.check_reals",
 # whose errors name config keys as the config tests expect.
 ALLOWED = {
     "cli.parse_dpsgd_config",  # m <= dim in whitebox mode, budget <= m
-    "dpsgd.ExampleCanarySet.__post_init__",  # labels of length m
-    "dpsgd.dpsgd_train",  # data dimension, canary indices, selection length
+    "dpsgd.LossModel.__post_init__",  # labels of length n
+    "dpsgd.dpsgd_train",  # row widths, canary kind and indices, selection
     "estimator.DominatingDistribution.__post_init__",  # table length
     "mechanisms.pathological",  # selection length
     "pipeline.count_correct",  # guess and selection lengths

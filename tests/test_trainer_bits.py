@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from dpaudit.dpsgd import (
-    ExampleCanarySet,
     LossModel,
     TrainerConfig,
     dirac_canaries,
@@ -165,7 +164,7 @@ def run_case(name: str) -> dict[str, np.ndarray]:
         if canary_kind != "dirac":
             features = canaries.features.copy()
             features[3] = 0.0
-            canaries = ExampleCanarySet(features, canaries.labels)
+            canaries = LossModel(canaries.kind, features, canaries.labels)
     cfg = TrainerConfig(ell=ell, clip=clip, noise_multiplier=sigma,
                         sample_prob=q, learning_rate=lr, dim=d)
     out["w"] = dpsgd_train(model, canaries, sample_selection(m, rng), cfg,
