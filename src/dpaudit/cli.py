@@ -355,7 +355,8 @@ def cmd_simulate(args) -> _Record:
         _sigma_rho(args.sigma, curve=0 < args.delta < 1)
         adapter = pipeline.adapter_gaussian_report(args.sigma, args.delta)
     else:  # "pathological", the one that reads --r (argparse's choices)
-        check_order(**{"1": 1, "--r": args.r, "--m": args.m})
+        check_counts(1, **{"--r": args.r})
+        check_order(**{"--r": args.r, "--m": args.m})
         check_order(**{"--m * --mech-delta": args.m * args.mech_delta,
                        "--r * --beta": args.r * args.beta})
         adapter = pipeline.adapter_pathological(

@@ -147,18 +147,18 @@ def _survival_fill(n: int, w_max: int):
 class DominatingDistribution:
     """An integer-supported distribution that dominates the correct-guess count.
 
-    Stores the survival function Pr[W* >= w] for w = 0..support_max; the
-    implicit extension is survival 1 for w <= 0 and 0 for w > support_max.
+    Stores the survival function Pr[W* >= w] for w = 0..len - 1; the
+    implicit extension is survival 1 for w <= 0 and 0 past the table.
     """
 
-    support_max: int
     survival_table: np.ndarray  # survival_table[w] = Pr[W* >= w]
 
     def __post_init__(self):
         table = np.asarray(self.survival_table, dtype=float)
-        if table.shape != (self.support_max + 1,):
-            raise ValueError("survival table must cover w = 0..support_max")
-        if (table < -1e-12).any() or (table > 1 + 1e-12).any():
+        if table.ndim != 1 or table.size == 0:
+            raise ValueError("survival table must be a nonempty 1-d array")
+        # S(0) is stored as 1; the last rule holds it within 1e-9 of 1
+        if (table[1:] < -1e-12).any() or (table[1:] > 1 + 1e-12).any():
             raise ValueError("survival values must lie in [0, 1]")
         if (table[1:] - table[:-1] > 1e-12).any():
             raise ValueError("survival must be nonincreasing")
@@ -168,42 +168,31 @@ class DominatingDistribution:
         table[0] = 1.0
         object.__setattr__(self, "survival_table", table)
 
-    def survival(self, w):
-        """Pr[W* >= w] for scalar or array integer w, with tail extension."""
-        if isinstance(w, (int, np.integer)):
-            if w <= 0:
-                return 1.0
-            return float(self.survival_table[w]) if w <= self.support_max else 0.0
-        w = np.asarray(w)
-        idx = np.clip(w, 0, self.support_max)
-        out = np.where(
-            w <= 0, 1.0,
-            np.where(w > self.support_max, 0.0, self.survival_table[idx]))
-        return float(out) if out.ndim == 0 else out
-
     @classmethod
     def from_binomial(cls, n: int, q: float) -> "DominatingDistribution":
         """Survival of Binomial(n, q) over its full support."""
         check_counts(0, n=n)
         check_reals("[0, 1]", q=q)
-        return cls(support_max=n, survival_table=_survival_fill(n, n)(q))
+        return cls(survival_table=_survival_fill(n, n)(q))
 
     @classmethod
     def from_pmf(cls, pmf: np.ndarray) -> "DominatingDistribution":
         """Build from a pmf over {0, ..., len(pmf) - 1}.
 
         The survival is accumulated from the upper tail so the smallest
-        terms are summed first.
+        terms are summed first.  The entries and the sum are checked as the
+        tails hold them, by the table's rules, and the tails are clamped to
+        [0, 1], so a pmf is turned away only with a pmf message.
         """
         pmf = np.asarray(pmf, dtype=float)
         if pmf.ndim != 1 or pmf.size == 0:
             raise ValueError("pmf must be a nonempty 1-d array")
-        if np.any(pmf < -1e-12):
-            raise ValueError("pmf entries must be nonnegative")
-        if abs(pmf.sum() - 1.0) > 1e-9:
-            raise ValueError(f"pmf must sum to 1, got {pmf.sum()}")
         table = np.cumsum(pmf[::-1])[::-1]
-        return cls(support_max=pmf.size - 1, survival_table=table)
+        if (np.diff(table, append=0.0) > 1e-12).any():
+            raise ValueError("pmf entries must be nonnegative")
+        if abs(table[0] - 1.0) > 1e-9:
+            raise ValueError(f"pmf must sum to 1, got {table[0]}")
+        return cls(survival_table=np.clip(table, 0.0, 1.0))
 
 
 def dual_alpha(dist: DominatingDistribution, v: int, m: int) -> float:
@@ -223,7 +212,9 @@ def dual_alpha(dist: DominatingDistribution, v: int, m: int) -> float:
     """
     check_counts(1, m=m)
     check_counts(v=v)  # any integer: S(w) = 1 for w <= 0
-    return _spill_max(dist.survival_table, v, m, dist.survival(v))
+    table = dist.survival_table
+    beta = 1.0 if v <= 0 else float(table[v]) if v < table.size else 0.0
+    return _spill_max(table, v, m, beta)
 
 
 def _spill_max(table: np.ndarray, v: int, m: int, beta: float) -> float:

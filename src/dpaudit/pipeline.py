@@ -226,18 +226,24 @@ def audit_run(adapter: MechanismAdapter, m: int, k_plus: int, k_minus: int,
 class CanaryPairSet:
     """m pairs of examples; exactly one member of each pair is included.
 
-    pairs[i] = (chosen when s_i = +1, chosen when s_i = -1).  All 2m
-    examples must be distinct.
+    pairs[i] = (chosen when s_i = +1, chosen when s_i = -1), m >= 1.  Each
+    member is a hashable reference to an example (an index, id, string or
+    tuple), and all 2m members are distinct.
     """
 
     pairs: tuple[tuple[Any, Any], ...]
 
     def __post_init__(self):
+        if not self.pairs:
+            raise ValueError("need at least one pair, got 0")
+        if any(len(pair) != 2 for pair in self.pairs):
+            raise ValueError("each pair must have exactly two members")
         flat = [x for pair in self.pairs for x in pair]
         try:
             distinct = len(set(flat)) == len(flat)
-        except TypeError:  # unhashable example references
-            distinct = True
+        except TypeError:
+            raise ValueError("pair members must be hashable: an index, id, "
+                             "string or tuple") from None
         if not distinct:
             raise ValueError("pair members must be 2m distinct examples")
 

@@ -354,10 +354,12 @@ _CONF = "must be in (0, 1) with 1 - it in (0, 1), got"
     (["simulate", "--mechanism", "rr", "--m", "10", "--seed", "-3"],
      "argument --seed: must be >= 0, got -3"),
     (["simulate", "--mechanism", "pathological", "--m", "2", "--r", "10"],
-     "need 1 <= --r <= --m, got 1=1, --r=10, --m=2"),
+     "need --r <= --m, got --r=10, --m=2"),
     # --r defaults to 0, which rr and gaussian never read
     (["simulate", "--mechanism", "pathological", "--m", "2"],
-     "need 1 <= --r <= --m, got 1=1, --r=0, --m=2"),
+     "--r must be >= 1, got 0"),
+    (["simulate", "--mechanism", "pathological", "--m", "10"],
+     "--r must be >= 1, got 0"),
     (["simulate", "--mechanism", "gaussian", "--m", "10", "--sigma", "1e-300"],
      "rho at --sigma=1e-300 must be positive and finite, got inf"),
     (["experiment-gaussian", "--sigma", "1e-300", "--r-grid", "2"],
@@ -386,6 +388,7 @@ _CONF = "must be in (0, 1) with 1 - it in (0, 1), got"
         "epslb-r-over-m", "epslb-delta", "pvalue-eps",
         "gaussian-delta-grid-word", "gaussian-r-grid-float", "simulate-seed",
         "simulate-pathological-r-over-m", "simulate-pathological-r-unset",
+        "simulate-pathological-r-unset-m-10",
         "simulate-gaussian-rho", "gaussian-rho", "simulate-gaussian-two-rho",
         "gaussian-two-rho",
         "simulate-pathological-budget", "pathological-budget"])

@@ -314,9 +314,8 @@ def exported_signatures():
 
 
 # The int arguments no rule checks: a seed takes whatever numpy's
-# generator does, and support_max and best_index are fields of records the
-# library builds.
-UNCHECKED = {"seed", "support_max", "best_index"}
+# generator does, and best_index is a field of a record the library builds.
+UNCHECKED = {"seed", "best_index"}
 
 
 def unprobed(annotations: set[str]) -> list[tuple[str, str]]:

@@ -14,13 +14,13 @@ from dpaudit.dpsgd import (LossModel, TrainerConfig, dpsgd_train,
 from dpaudit.estimator import DominatingDistribution
 from dpaudit.mechanisms import PathologicalConfig, pathological
 from dpaudit.pipeline import (CanaryPairSet, MechanismAdapter, audit_run,
-                              count_correct, make_guesses,
-                              replacement_selection)
+                              count_correct, make_guesses)
 
 CFG = TrainerConfig(ell=1, clip=1.0, noise_multiplier=1.0, sample_prob=1.0,
                     learning_rate=0.1, dim=5)
 CANARY_ONLY = LossModel.canary_only(5)
 NO_CANARIES = np.zeros(0, dtype=int)
+ARRAY = np.arange(3)
 
 
 def rng():
@@ -89,14 +89,17 @@ CASES = {
         lambda tmp: dpsgd_train(CANARY_ONLY, np.array([0, 1]), np.ones(3),
                                 CFG, rng()),
         ValueError, r"^selection length \(3,\) != 2 canaries$"),
-    "survival-table-length": (
-        lambda tmp: DominatingDistribution(2, [1.0, 0.5]),
-        ValueError, "^survival table must cover w = 0..support_max$"),
+    "survival-table-empty": (
+        lambda tmp: DominatingDistribution([]),
+        ValueError, "^survival table must be a nonempty 1-d array$"),
+    "survival-table-2d": (
+        lambda tmp: DominatingDistribution([[1.0]]),
+        ValueError, "^survival table must be a nonempty 1-d array$"),
     "survival-values": (
-        lambda tmp: DominatingDistribution(1, [1.0, -0.5]),
+        lambda tmp: DominatingDistribution([1.0, -0.5]),
         ValueError, r"^survival values must lie in \[0, 1\]$"),
     "survival-at-zero": (
-        lambda tmp: DominatingDistribution(1, [0.5, 0.25]),
+        lambda tmp: DominatingDistribution([0.5, 0.25]),
         ValueError, "^survival at 0 must be 1"),
     "pmf-empty": (
         lambda tmp: DominatingDistribution.from_pmf([]),
@@ -107,6 +110,24 @@ CASES = {
     "pmf-negative": (
         lambda tmp: DominatingDistribution.from_pmf([1.5, -0.5]),
         ValueError, "^pmf entries must be nonnegative$"),
+    "pairs-none": (
+        lambda tmp: CanaryPairSet(pairs=()),
+        ValueError, "^need at least one pair, got 0$"),
+    "pair-of-one": (
+        lambda tmp: CanaryPairSet(pairs=((0,),)),
+        ValueError, "^each pair must have exactly two members$"),
+    "pair-of-three": (
+        lambda tmp: CanaryPairSet(pairs=((0, 1, 2),)),
+        ValueError, "^each pair must have exactly two members$"),
+    "pair-members-unhashable": (
+        lambda tmp: CanaryPairSet(pairs=(([0], [1]), ([2], [3]))),
+        ValueError, "^pair members must be hashable: an index, id, string"),
+    "pair-members-repeated-lists": (
+        lambda tmp: CanaryPairSet(pairs=(([0], [0]), ([0], [0]))),
+        ValueError, "^pair members must be hashable"),
+    "pair-members-one-array-twice": (
+        lambda tmp: CanaryPairSet(pairs=((ARRAY, ARRAY),)),
+        ValueError, "^pair members must be hashable"),
     "pathological-selection-length": (
         lambda tmp: pathological(np.ones(3), PathologicalConfig(
             m=4, r=2, eps=1.0, delta=0.0, beta=0.05), rng()),
@@ -136,11 +157,3 @@ def test_check_raises_naming_what_is_at_fault(name, tmp_path):
     call, error, pattern = CASES[name]
     with pytest.raises(error, match=pattern):
         call(tmp_path)
-
-
-def test_canary_pairs_of_unhashable_members_are_accepted():
-    # lists cannot be put in a set, so distinctness goes unchecked
-    pairs = CanaryPairSet(pairs=(([0], [1]), ([2], [3])))
-    _, chosen = replacement_selection(pairs, rng())
-    assert len(pairs) == 2
-    assert all(x in pair for x, pair in zip(chosen, pairs.pairs))

@@ -112,11 +112,7 @@ def test_binomial_sf_support_edges():
     assert _survival_fill(100, 100)(0.3)[0] == 1.0
     assert np.array_equal(_survival_fill(0, 0)(0.3), [1.0])
     dist = DominatingDistribution.from_binomial(100, 0.3)
-    assert dist.survival(-5) == 1.0
-    assert dist.survival(101) == 0.0
     # any Python int, also one past int64, as dual_alpha's v may be
-    assert dist.survival(-10**400) == 1.0
-    assert dist.survival(10**400) == 0.0
     assert dual_alpha(dist, -10**400, 10) == 0.0
     assert dual_alpha(dist, 10**300, 10) == 0.0
     # a count above the largest float is outside the count rule's domain
@@ -244,25 +240,64 @@ def test_binomial_sf_is_probability_and_monotone(n, q):
 def test_dominating_from_pmf_survival():
     dist = DominatingDistribution.from_pmf([0.25, 0.5, 0.25])
     np.testing.assert_allclose(dist.survival_table, [1.0, 0.75, 0.25])
-    assert dist.survival(-3) == 1.0
-    assert dist.survival(0) == 1.0
-    assert dist.survival(3) == 0.0
-    np.testing.assert_allclose(dist.survival(np.array([-1, 1, 2, 9])),
-                               [1.0, 0.75, 0.25, 0.0])
 
 
 def test_dominating_from_binomial_matches_sf():
-    dist = DominatingDistribution.from_binomial(20, 0.3)
-    for w in range(22):
-        assert dist.survival(w) == pytest.approx(binomial_sf(20, 0.3, w),
-                                                 abs=1e-15)
+    table = DominatingDistribution.from_binomial(20, 0.3).survival_table
+    assert table.shape == (21,)
+    for w in range(21):
+        assert table[w] == pytest.approx(binomial_sf(20, 0.3, w), abs=1e-15)
 
 
 def test_dominating_rejects_invalid():
     with pytest.raises(ValueError):
-        DominatingDistribution(support_max=1, survival_table=np.array([0.5, 1.0]))
+        DominatingDistribution(survival_table=np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
         DominatingDistribution.from_pmf([0.5, 0.4])  # sums to 0.9
+
+
+# (a pmf's total or a table's S(0), whether it is accepted) at both edges
+# of the sum tolerance 1e-9, read as |S(0) - 1| <= 1e-9 by both constructors
+SUM_EDGES = [(1.0 - 2 ** -30, True), (1.0 - 2 ** -29, False),
+             (1.0 + 2 ** -30, True), (1.0 + 2 ** -29, False)]
+
+
+@pytest.mark.parametrize("total,accepted", SUM_EDGES)
+def test_dominating_from_pmf_and_table_accept_the_same_sums(total, accepted):
+    # 2**-30 = 9.3e-10 and 2**-29 = 1.9e-9 lie on either side of 1e-9; the
+    # pmf's total sits in its first entry, its last, or is split over two
+    if accepted:
+        assert DominatingDistribution([total]).survival_table[0] == 1.0
+    else:
+        with pytest.raises(ValueError, match="^survival at 0 must be 1"):
+            DominatingDistribution([total])
+    for pmf in ([total], [0.0, total], [0.5, total - 0.5]):
+        if accepted:
+            expected = np.minimum(np.cumsum(pmf[::-1])[::-1], 1.0)
+            expected[0] = 1.0
+            assert np.array_equal(
+                DominatingDistribution.from_pmf(pmf).survival_table,
+                expected), pmf
+        else:
+            with pytest.raises(ValueError, match="^pmf must sum to 1, got"):
+                DominatingDistribution.from_pmf(pmf)
+
+
+def test_dominating_from_pmf_turns_pmfs_away_with_pmf_messages():
+    # entries at the -1e-12 tolerance and totals off 1 by up to 2e-9, in
+    # every order: each pmf is accepted, or refused by a pmf rule
+    rng = np.random.default_rng(30)
+    for _ in range(2000):
+        a = rng.uniform(0.0, 1.0)
+        tol = rng.choice([5e-13, 1e-12, 2e-12])
+        pmf = np.array([1.0 - a + tol, -tol * rng.uniform(0.0, 1.5), a,
+                        rng.choice([0.0, -1e-12, 1e-10])])
+        pmf = rng.permutation(pmf) * rng.choice(
+            [1.0, 1.0 + 5e-10, 1.0 - 5e-10, 1.0 + 2e-9, 1.0 - 2e-9])
+        try:
+            DominatingDistribution.from_pmf(pmf)
+        except ValueError as exc:
+            assert str(exc).startswith("pmf "), (pmf, str(exc))
 
 
 @given(weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
@@ -312,26 +347,72 @@ def test_dual_alpha_matches_pmf_accumulation_loop():
 
 
 def test_dual_alpha_is_feasible_dual_solution():
-    # alpha * i + beta >= survival(v - i) for every i in [m], m <= 12
+    # alpha * i + beta >= S(v - i) for every i in [m], m <= 12, with the
+    # tails S read from the reference binomial_sf
     rng = np.random.default_rng(1)
     for _ in range(40):
         m = int(rng.integers(1, 13))
         r = int(rng.integers(1, m + 1))
         v = int(rng.integers(0, r + 1))
         q = float(rng.uniform(0.0, 1.0))
-        dist = DominatingDistribution.from_binomial(r, q)
-        beta = dist.survival(v)
-        alpha = dual_alpha(dist, v, m)
+        beta = binomial_sf(r, q, v)
+        alpha = dual_alpha(DominatingDistribution.from_binomial(r, q), v, m)
         for i in range(1, m + 1):
-            assert alpha * i + beta >= dist.survival(v - i) - 1e-12
+            assert alpha * i + beta >= binomial_sf(r, q, v - i) - 1e-12
+
+
+def extended(table):
+    """w -> S(w): table[w] inside, 1.0 for w <= 0 and 0.0 past the table."""
+    def sf(w):
+        if w <= 0:
+            return 1.0
+        return float(table[w]) if w < len(table) else 0.0
+    return sf
+
+
+def brute_force_alphas(sf, v, m_max):
+    """[max(0, max over i = 1..m of (S(v - i) - S(v)) / i) for m = 1..m_max],
+    each candidate in one Python float subtraction and division."""
+    best, alphas = 0.0, []
+    for i in range(1, m_max + 1):
+        best = max(best, (sf(v - i) - sf(v)) / i)
+        alphas.append(best)
+    return alphas
+
+
+def dual_alpha_grid_cases():
+    """(name, dist, S, n) for seeded binomial tables with n <= 200, S from
+    the reference binomial_sf, and seeded pmf tables, S from the table."""
+    rng = np.random.default_rng(30)
+    for n in [1, 2, 3, 7, 64, 200] + [int(n) for n in rng.integers(1, 201, 4)]:
+        q = float(rng.choice([rng.uniform(0.0, 1.0), 0.5, 1e-30, 1.0 - 1e-9,
+                              0.0, 1.0]))
+        yield (f"binomial({n}, {q})", DominatingDistribution.from_binomial(
+            n, q), lambda w, n=n, q=q: binomial_sf(n, q, w), n)
+    for size in [1, 2, 5, 40, 150]:
+        w = rng.uniform(0.0, 1.0, size) * (rng.uniform(0.0, 1.0, size) < 0.7)
+        w[0] += w.sum() == 0
+        dist = DominatingDistribution.from_pmf(w / w.sum())
+        yield f"pmf({size})", dist, extended(dist.survival_table), size - 1
+
+
+def test_dual_alpha_equals_brute_force_over_the_grid():
+    # every v from -3 to n + 3 and +-1e300, every m from 1 to 2n (at least
+    # 1), bit for bit
+    for name, dist, sf, n in dual_alpha_grid_cases():
+        m_max = max(2 * n, 1)
+        for v in [*range(-3, n + 4), -10**300, 10**300]:
+            expected = brute_force_alphas(sf, v, m_max)
+            got = [dual_alpha(dist, v, m) for m in range(1, m_max + 1)]
+            assert got == expected, (name, v)
 
 
 def dual_alpha_full_scan(dist, v, m):
-    """Every candidate i = 1..min(m, max(v, 1)), through the array survival."""
-    beta = dist.survival(np.asarray(v))
+    """Every candidate i = 1..min(m, max(v, 1)), from the extended table."""
+    sf = extended(dist.survival_table)
     i = np.arange(1, min(m, max(v, 1)) + 1)
-    tails = dist.survival(v - i)
-    return float(max(0.0, np.max((tails - beta) / i)))
+    tails = np.array([sf(w) for w in v - i])
+    return float(max(0.0, np.max((tails - sf(v)) / i)))
 
 
 # q near 0 or 1 puts survival(v) and its neighbours deep in the tails
@@ -355,7 +436,6 @@ def test_dual_alpha_early_stop_equals_full_scan(data, r, q, m):
         vs.add(data.draw(st.integers(0, r)))
     for v in vs:
         assert dual_alpha(dist, v, m) == dual_alpha_full_scan(dist, v, m)
-        assert dist.survival(v) == float(dist.survival(np.asarray(v)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -366,7 +446,7 @@ def test_dual_alpha_early_stop_equals_full_scan_any_pmf(weights, data):
     if w.sum() == 0:
         w[0] = 1.0
     dist = DominatingDistribution.from_pmf(w / w.sum())
-    v = data.draw(st.integers(-2, dist.support_max + 3))
+    v = data.draw(st.integers(-2, dist.survival_table.size + 2))
     m = data.draw(st.integers(1, 400))
     assert dual_alpha(dist, v, m) == dual_alpha_full_scan(dist, v, m)
 
@@ -645,11 +725,12 @@ def test_p_value_upper_bounds_primal_lp():
         v = int(rng.integers(0, r + 1))
         eps = float(rng.uniform(0.0, 4.0))
         delta = float(rng.choice([1e-5, 1e-3, 0.01, 0.05, 0.2, 1.0]))
-        dist = DominatingDistribution.from_binomial(r, rr_accuracy(eps))
-        beta, alpha = dist.survival(v), dual_alpha(dist, v, m)
+        q = rr_accuracy(eps)
+        beta = binomial_sf(r, q, v)
+        alpha = dual_alpha(DominatingDistribution.from_binomial(r, q), v, m)
         budget = 2.0 * m * delta
         i = np.arange(m + 1)
-        gain = dist.survival(v - i)
+        gain = np.array([binomial_sf(r, q, v - k) for k in i])
         # gains differ by less than HiGHS's default 1e-7 tolerances
         lp = linprog(-gain, A_ub=[i], b_ub=[budget], A_eq=[np.ones(m + 1)],
                      b_eq=[1.0], bounds=(0, None), method="highs",

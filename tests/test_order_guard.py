@@ -23,7 +23,6 @@ ALLOWED = {
     "cli.parse_dpsgd_config",  # m <= dim in whitebox mode, budget <= m
     "dpsgd.LossModel.__post_init__",  # labels of length n
     "dpsgd.dpsgd_train",  # row widths, canary kind and indices, selection
-    "estimator.DominatingDistribution.__post_init__",  # table length
     "mechanisms.pathological",  # selection length
     "pipeline.count_correct",  # guess and selection lengths
 }
