@@ -11,8 +11,7 @@ Usage: python scripts/appendix_bounds.py [--n 2000] [--eps 0.3333]
 import argparse
 import math
 
-from dpaudit.estimator import (PrivacyParams, mi_bound,
-                               optimize_generalization_width,
+from dpaudit.estimator import (mi_bound, optimize_generalization_width,
                                optimize_prior_width)
 
 
@@ -25,12 +24,12 @@ def main():
     parser.add_argument("--target-failure", type=float, default=0.05)
     args = parser.parse_args()
 
-    params = PrivacyParams(args.eps, args.delta)
     gamma, eta, fail = optimize_generalization_width(
-        args.n, params, beta_acc=args.beta,
+        args.n, args.eps, args.delta, beta_acc=args.beta,
         target_failure=args.target_failure)
     width, c, d = optimize_prior_width(
-        params, beta_acc=args.beta, target_failure=args.target_failure)
+        args.eps, args.delta, beta_acc=args.beta,
+        target_failure=args.target_failure)
     print(f"n={args.n} eps={args.eps:.4f} delta={args.delta:g} "
           f"beta={args.beta:g} target failure {args.target_failure}")
     print(f"  three-term bound: width {gamma:.4f} "
@@ -41,7 +40,7 @@ def main():
     print(f"{'eps':>6} {'delta':>8} {'bound/n':>12} {'cap/n':>12}")
     for eps in (0.01, 0.1, 0.5, 1.0, 2.0):
         for delta in (0.0, 1e-3):
-            bound = mi_bound(1, PrivacyParams(eps, delta), 0.5)
+            bound = mi_bound(1, eps, delta, 0.5)
             cap = delta * math.log(2.0) + (1 - delta) * eps * eps / 8.0
             print(f"{eps:6.2f} {delta:8g} {bound:12.6g} {cap:12.6g}")
 

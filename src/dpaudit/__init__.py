@@ -9,7 +9,6 @@ trainer end to end.
 from .estimator import (
     DominatingDistribution,
     GuessSummary,
-    PrivacyParams,
     adaptive_bound,
     dual_alpha,
     eps_lower_bound,

@@ -38,18 +38,6 @@ def rr_accuracy(eps: float) -> float:
 
 
 @dataclasses.dataclass(frozen=True)
-class PrivacyParams:
-    """An (eps, delta) null: eps in [0, inf] nats, delta in [0, 1]."""
-
-    eps: float
-    delta: float = 0.0
-
-    def __post_init__(self):
-        check_reals("[0, inf]", eps=self.eps)
-        check_reals("[0, 1]", delta=self.delta)
-
-
-@dataclasses.dataclass(frozen=True)
 class GuessSummary:
     """Counts summarizing one audit run.
 
@@ -321,9 +309,9 @@ def eps_lower_bound(m: int, r: int, v: int, delta: float, beta: float) -> float:
     return eps_min
 
 
-def p_value_general_p(m: int, k_plus: int, k_minus: int, v: int,
-                      params: PrivacyParams, p_incl: float) -> float:
-    """p-value when each example is included with probability p != 1/2.
+def p_value_general_p(m: int, k_plus: int, k_minus: int, v: int, eps: float,
+                      delta: float, p_incl: float) -> float:
+    """p-value under the (eps, delta) null at inclusion probability p != 1/2.
 
     The dominating distribution is the exact integer-support convolution of
     Binomial(k_plus, q_plus), q_plus = p e^eps / (p e^eps + 1 - p), and
@@ -331,20 +319,24 @@ def p_value_general_p(m: int, k_plus: int, k_minus: int, v: int,
     p = p_incl.  Collapses to :func:`p_value_audit` when p = 1/2.  Each
     binomial's pmf is the difference of its exact survival table.
     """
-    GuessSummary(m, k_plus, k_minus, v)  # checks the counts
+    check_counts(1, m=m)
+    check_counts(0, k_plus=k_plus, k_minus=k_minus, v=v)
+    check_order(v=v, **{"k_plus + k_minus": k_plus + k_minus}, m=m)
+    check_reals("[0, inf]", eps=eps)
+    check_reals("[0, 1]", delta=delta)
     check_reals("(0, 1)", p_incl=p_incl)
-    eps, logit_p = params.eps, special.logit(p_incl)
+    logit_p = special.logit(p_incl)
     pmf_plus, pmf_minus = (
         -np.diff(_survival_fill(n, n)(q), append=0.0)
         for n, q in ((k_plus, float(special.expit(eps + logit_p))),
                      (k_minus, float(special.expit(eps - logit_p)))))
     dist = DominatingDistribution.from_pmf(np.convolve(pmf_plus, pmf_minus))
-    return _tail_p_value(dist.survival_table, v, m, params.delta)
+    return _tail_p_value(dist.survival_table, v, m, delta)
 
 
-def hoeffding_p_value(m: int, r1: float, r2: float, v: float,
-                      params: PrivacyParams) -> float:
-    """Analytic p-value from the Hoeffding dominating survival function.
+def hoeffding_p_value(m: int, r1: float, r2: float, v: float, eps: float,
+                      delta: float) -> float:
+    """Analytic p-value under the (eps, delta) null from a Hoeffding tail.
 
     Uses f(v) = exp(-2 (v - q r1)^2 / r2^2) for v above the mean q*r1 and
     1 below it, where q = e^eps/(e^eps+1), r1 bounds the guess weight
@@ -357,7 +349,8 @@ def hoeffding_p_value(m: int, r1: float, r2: float, v: float,
     check_counts(1, m=m)
     check_reals("(0, inf)", r1=r1, r2=r2)
     check_reals("finite", v=v)
-    mean = rr_accuracy(params.eps) * r1
+    check_reals("[0, 1]", delta=delta)
+    mean = rr_accuracy(eps) * r1
 
     def f(x):  # exp(coef gap^2) <= 1, and 1 where coef gap^2 is 0 * inf
         gap = np.maximum(np.asarray(x, dtype=float) - mean, 0.0)
@@ -367,43 +360,44 @@ def hoeffding_p_value(m: int, r1: float, r2: float, v: float,
     with np.errstate(all="ignore"):  # r2^2 and gap^2 may leave float range
         coef = -2.0 / np.float64(r2) ** 2
         fv = f(v)
-        if params.delta == 0:
+        if delta == 0:
             return min(1.0, fv)
         if v >= mean + 2:
             dterm = max(2.0 / (v - mean), f((v + mean) / 2.0))
         else:  # v < q r1 + 2: for i >= 2, f(v - i) = 1, (1 - f(v)) / i falls
             i = np.arange(1, min(m, 2) + 1)
             dterm = max(0.0, float(np.max((f(v - i) - fv) / i)))
-    return min(1.0, fv + 2.0 * m * params.delta * dterm)
+    return min(1.0, fv + 2.0 * m * delta * dterm)
 
 
-def adaptive_bound(m: int, r_observed: int, params: PrivacyParams,
+def adaptive_bound(m: int, r_observed: int, eps: float, delta: float,
                    gamma: float, tau: float) -> tuple[float, float]:
     """Threshold and tail bound that adapt to the realized number of guesses.
 
     Searches the full survival table over 0..r_observed, which it keeps,
     for the smallest integer w with Pr[Binomial(r_observed, q) >= w] <=
     gamma, and guarantees Pr[W >= w + tau] <= gamma + 2 m delta / tau under
-    the null.  Letting the threshold depend on the observed guess count
-    r_observed is what makes the bound adaptive.
+    the (eps, delta) null.  Letting the threshold depend on the observed
+    guess count r_observed is what makes the bound adaptive.
 
     Returns:
       (threshold, p) where threshold = w + tau and p is clamped to 1.
     """
-    check_counts(0, r_observed=r_observed, m=m)
+    check_counts(1, m=m)
+    check_counts(0, r_observed=r_observed)
     check_order(r_observed=r_observed, m=m)
-    check_reals("[0, 1]", gamma=gamma)
+    check_reals("[0, 1]", gamma=gamma, delta=delta)
     check_reals("(0, inf)", tau=tau)
-    table = _survival_fill(r_observed, r_observed)(rr_accuracy(params.eps))
+    table = _survival_fill(r_observed, r_observed)(rr_accuracy(eps))
     below = np.flatnonzero(table <= gamma)
     g = int(below[0]) if below.size else r_observed + 1
-    p = min(1.0, gamma + 2.0 * m * params.delta / tau)
+    p = min(1.0, gamma + 2.0 * m * delta / tau)
     return float(g) + tau, p
 
 
-def generalization_bound(n: int, params: PrivacyParams,
-                         gamma: float, eta: float) -> float:
-    """Tail bound on the empirical-vs-population gap of a DP algorithm's output.
+def generalization_bound(n: int, eps: float, delta: float, gamma: float,
+                         eta: float) -> float:
+    """Tail bound on the generalization gap of an (eps, delta)-DP algorithm.
 
     Three-term bound: S1 + 2 exp(-n eta^2 / 2) + max_i (2 n delta / i)
     (S2(i) - S1), where S1 is the Binomial(n, e^eps/(e^eps+1)) survival at
@@ -412,8 +406,9 @@ def generalization_bound(n: int, params: PrivacyParams,
     """
     check_reals("[0, inf)", gamma=gamma, eta=eta)
     check_order(**{"1.5 * eta": 1.5 * eta}, gamma=gamma)
+    check_reals("[0, 1]", delta=delta)
     return _generalization_bound_from_table(
-        _binomial_table(n, params.eps), n, params.delta, gamma, eta)
+        _binomial_table(n, eps), n, delta, gamma, eta)
 
 
 def _binomial_table(n: int, eps: float) -> np.ndarray:
@@ -436,22 +431,24 @@ def _generalization_bound_from_table(table, n, delta, gamma, eta):
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
-def prior_generalization_bound(alpha_acc: float, beta_acc: float,
-                               params: PrivacyParams, c: float,
+def prior_generalization_bound(alpha_acc: float, beta_acc: float, eps: float,
+                               delta: float, c: float,
                                d: float) -> tuple[float, float]:
     """Earlier generalization guarantee used as a comparison baseline.
 
     Returns (error, failure) = (alpha_acc + e^eps - 1 + c + 2 d,
-    beta_acc / c + delta / d) for free parameters c, d > 0, or arrays of them.
+    beta_acc / c + delta / d) under the (eps, delta) null, for free
+    parameters c, d > 0, or arrays of them.
     """
     check_reals("[0, inf)", alpha_acc=alpha_acc)
-    check_reals("[0, 1]", beta_acc=beta_acc)
+    check_reals("[0, inf]", eps=eps)
+    check_reals("[0, 1]", beta_acc=beta_acc, delta=delta)
     if not (np.all(c > 0) and np.all(d > 0)):
         raise ValueError(f"c and d must be positive, got {c}, {d}")
-    if params.eps > _LOG_MAX:  # no finite width
-        raise ValueError(f"eps must keep e^eps finite, got {params.eps}")
-    error = alpha_acc + math.exp(params.eps) - 1.0 + c + 2.0 * d
-    failure = beta_acc / c + params.delta / d
+    if eps > _LOG_MAX:  # no finite width
+        raise ValueError(f"eps must keep e^eps finite, got {eps}")
+    error = alpha_acc + math.exp(eps) - 1.0 + c + 2.0 * d
+    failure = beta_acc / c + delta / d
     if not np.all(failure < math.inf):
         raise ValueError(f"beta_acc / c + delta / d must be finite, "
                          f"got c={c}, d={d}")
@@ -463,45 +460,48 @@ _GRID_POINTS = 200
 
 
 def optimize_generalization_width(
-        n: int, params: PrivacyParams, beta_acc: float,
+        n: int, eps: float, delta: float, beta_acc: float,
         target_failure: float) -> tuple[float, float, float]:
     """Smallest width gamma with beta_acc + generalization_bound <= target.
 
-    Standardized search: a _GRID_POINTS x _GRID_POINTS log grid over
-    (gamma, eta), each from 1e-2 to 1.  Returns (gamma, eta,
-    achieved_failure).
+    Standardized search at the (eps, delta) null: a _GRID_POINTS x
+    _GRID_POINTS log grid over (gamma, eta), each from 1e-2 to 1.  Returns
+    (gamma, eta, achieved_failure).
     """
-    check_reals("[0, 1]", beta_acc=beta_acc, target_failure=target_failure)
-    table = _binomial_table(n, params.eps)
+    check_reals("[0, 1]", beta_acc=beta_acc, target_failure=target_failure,
+                delta=delta)
+    table = _binomial_table(n, eps)
     grid = np.geomspace(1e-2, 1.0, _GRID_POINTS)
     for g in grid:
         best = None
         for e in grid[grid <= g / 1.5]:
             fail = beta_acc + _generalization_bound_from_table(
-                table, n, params.delta, g, e)
+                table, n, delta, g, e)
             if fail <= target_failure and (best is None or fail < best[2]):
                 best = (float(g), float(e), fail)
         if best is not None:
             return best
-    raise ValueError(f"no grid point meets target_failure {target_failure}")
+    raise ValueError(f"no grid point meets target_failure {target_failure} at "
+                     f"n={n}, eps={eps}, delta={delta}, beta_acc={beta_acc}")
 
 
 def optimize_prior_width(
-        params: PrivacyParams, beta_acc: float, target_failure: float,
+        eps: float, delta: float, beta_acc: float, target_failure: float,
 ) -> tuple[float, float, float]:
     """Smallest baseline width, alpha_acc = 0, with failure <= target.
 
     Same standardized log-grid search as :func:`optimize_generalization_width`
-    over the c and d of :func:`prior_generalization_bound`, each from 1e-6
-    to 1.  Returns (width, c, d).
+    over the c and d of :func:`prior_generalization_bound` at the (eps,
+    delta) null, each from 1e-6 to 1.  Returns (width, c, d).
     """
     check_reals("[0, 1]", target_failure=target_failure)
     cs = ds = np.geomspace(1e-6, 1.0, _GRID_POINTS)
     width, fail = prior_generalization_bound(
-        0.0, beta_acc, params, cs[:, None], ds[None, :])
+        0.0, beta_acc, eps, delta, cs[:, None], ds[None, :])
     feasible = fail <= target_failure
     if not feasible.any():
-        raise ValueError(f"no grid point meets target_failure {target_failure}")
+        raise ValueError(f"no grid point meets target_failure {target_failure}"
+                         f" at beta_acc={beta_acc}, delta={delta}")
     width = np.where(feasible, width, np.inf)
     i, j = np.unravel_index(np.argmin(width), width.shape)
     return float(width[i, j]), float(cs[i]), float(ds[j])
@@ -513,7 +513,7 @@ def _binary_entropy(p: float) -> float:
     return -p * math.log(p) - (1.0 - p) * math.log1p(-p)
 
 
-def mi_bound(n: int, params: PrivacyParams, p_incl: float) -> float:
+def mi_bound(n: int, eps: float, delta: float, p_incl: float) -> float:
     """Upper bound (nats) on the mutual information between inclusion bits
     and the output of an (eps, delta)-DP mechanism.
 
@@ -524,7 +524,8 @@ def mi_bound(n: int, params: PrivacyParams, p_incl: float) -> float:
     """
     check_counts(0, n=n)
     check_reals("(0, 1)", p_incl=p_incl)
-    eps, delta = params.eps, params.delta
+    check_reals("[0, inf]", eps=eps)
+    check_reals("[0, 1]", delta=delta)
     if eps > _LOG_MAX:  # e^eps overflows: the eps -> inf limit n h(p)
         return n * _binary_entropy(p_incl)
     mid = (p_incl * math.exp(eps) + 1.0 - p_incl) / (math.exp(eps) + 1.0)

@@ -19,8 +19,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .estimator import (PrivacyParams, check_counts, check_order, check_reals,
-                        rr_accuracy)
+from .estimator import check_counts, check_order, check_reals, rr_accuracy
 
 
 def gaussian_rho(sigma: float) -> float:
@@ -49,8 +48,8 @@ class PathologicalConfig:
     def __post_init__(self):
         check_counts(1, m=self.m, r=self.r)
         check_order(r=self.r, m=self.m)
-        PrivacyParams(self.eps, self.delta)  # checks eps and delta
-        check_reals("[0, 1]", beta=self.beta)
+        check_reals("[0, inf]", eps=self.eps)
+        check_reals("[0, 1]", delta=self.delta, beta=self.beta)
         check_order(**{"m * delta": self.m * self.delta,
                        "r * beta": self.r * self.beta})
 

@@ -13,7 +13,6 @@ import pytest
 from scipy import stats
 
 from dpaudit.estimator import (
-    PrivacyParams,
     eps_lower_bound,
     mi_bound,
     optimize_generalization_width,
@@ -213,11 +212,10 @@ def test_criterion_6_dpsgd_whitebox_law_and_validity():
 
 
 def test_criterion_7_generalization_widths():
-    params = PrivacyParams(1.0 / 3.0, 1e-5)
     gamma, eta, fail = optimize_generalization_width(
-        2000, params, beta_acc=1e-5, target_failure=0.05)
+        2000, 1.0 / 3.0, 1e-5, beta_acc=1e-5, target_failure=0.05)
     width_prior, c, d = optimize_prior_width(
-        params, beta_acc=1e-5, target_failure=0.05)
+        1.0 / 3.0, 1e-5, beta_acc=1e-5, target_failure=0.05)
     ok = abs(gamma - 0.308) <= 0.02 and abs(width_prior - 0.397) <= 0.02
     criterion(7, ok, f"three-term width {gamma:.4f} (target 0.308 +- 0.02, "
                      f"eta={eta:.4f}, failure={fail:.4f}); baseline width "
@@ -230,12 +228,12 @@ def test_criterion_8_mutual_information_cap():
     for eps in np.linspace(0.0, 5.0, 26):
         for delta in (0.0, 1e-5, 1e-3):
             for n in (1, 100):
-                bound = mi_bound(n, PrivacyParams(float(eps), delta), 0.5)
+                bound = mi_bound(n, float(eps), delta, 0.5)
                 cap = (n * delta * math.log(2.0)
                        + n * (1.0 - delta) * eps * eps / 8.0)
                 ok &= bound <= cap + 1e-12
                 worst = max(worst, bound - cap)
-    gaps = [mi_bound(100, PrivacyParams(e, 1e-3), 0.5)
+    gaps = [mi_bound(100, e, 1e-3, 0.5)
             - (100 * 1e-3 * math.log(2.0) + 100 * (1 - 1e-3) * e * e / 8.0)
             for e in (1.0, 0.1, 0.01, 0.001)]
     shrink = all(abs(a) > abs(b) for a, b in zip(gaps, gaps[1:]))

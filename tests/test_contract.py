@@ -13,7 +13,8 @@ range of what it returns.  A probe sets one count to 2.5, nan, +-inf, -1,
 True, False or 10**400, one real to 0, -1, nan, +-inf, 1e-300, 1e300, the
 largest float or the smallest subnormal, or breaks one order rule.  The
 call must raise a ValueError that names every argument the probe set (a
-real probe may instead return a value in range), and emit no warning.
+real probe may instead return a value in range, unless it sets eps outside
+[0, inf] or delta outside [0, 1]), and emit no warning.
 Every probe runs on every run.  The order rule's tests are here;
 test_count_contract and test_real_contract hold those of the other two
 rules, each with its signature scan and switch-off check.
@@ -30,7 +31,6 @@ import numpy as np
 import dpaudit
 from dpaudit import estimator
 
-P = dpaudit.PrivacyParams(1.0, 1e-5)
 # a score-output adapter, so audit_run reads its guess budget
 SCORES = dpaudit.adapter_gaussian_report(1.0)
 MODEL = dpaudit.LossModel.synthetic("logistic", 5, 3,
@@ -77,9 +77,6 @@ CASES = {
                      lambda s: s.v <= s.r <= s.m),
     "rr_accuracy": (dpaudit.rr_accuracy, dict(eps=1.0),
                     lambda q: 0.5 <= q <= 1.0),
-    # eps = inf is the null with no privacy guarantee
-    "PrivacyParams": (dpaudit.PrivacyParams, dict(eps=1.0, delta=1e-5),
-                      lambda p: p.eps >= 0 and prob(p.delta)),
     "DominatingDistribution.from_binomial": (
         dpaudit.DominatingDistribution.from_binomial, dict(n=6, q=0.7),
         lambda dist: all(prob(s) for s in dist.survival_table)),
@@ -92,38 +89,35 @@ CASES = {
     "eps_lower_bound": (dpaudit.eps_lower_bound,
                         dict(m=10, r=6, v=4, delta=1e-5, beta=0.05), bound),
     "p_value_general_p": (
-        lambda m, k_plus, k_minus, v, p_incl: dpaudit.p_value_general_p(
-            m, k_plus, k_minus, v, P, p_incl),
-        dict(m=10, k_plus=3, k_minus=3, v=4, p_incl=0.3), prob),
+        dpaudit.p_value_general_p,
+        dict(m=10, k_plus=3, k_minus=3, v=4, eps=1.0, delta=1e-5,
+             p_incl=0.3), prob),
     "hoeffding_p_value": (
-        lambda m, r1, r2, v: dpaudit.hoeffding_p_value(m, r1, r2, v, P),
-        dict(m=10, r1=10.0, r2=3.0, v=5.0), prob),
+        dpaudit.hoeffding_p_value,
+        dict(m=10, r1=10.0, r2=3.0, v=5.0, eps=1.0, delta=1e-5), prob),
     "adaptive_bound": (
-        lambda m, r_observed, gamma, tau: dpaudit.adaptive_bound(
-            m, r_observed, P, gamma, tau),
-        dict(m=10, r_observed=5, gamma=0.05, tau=1.0),
+        dpaudit.adaptive_bound,
+        dict(m=10, r_observed=5, eps=1.0, delta=1e-5, gamma=0.05, tau=1.0),
         lambda out: finite(out[0]) and prob(out[1])),
     "generalization_bound": (
-        lambda n, gamma, eta: dpaudit.generalization_bound(n, P, gamma, eta),
-        dict(n=100, gamma=0.4, eta=0.1), prob),
+        dpaudit.generalization_bound,
+        dict(n=100, eps=1.0, delta=1e-5, gamma=0.4, eta=0.1), prob),
     # the error is infinite where c or d is
     "prior_generalization_bound": (
-        lambda alpha_acc, beta_acc, c, d: dpaudit.prior_generalization_bound(
-            alpha_acc, beta_acc, P, c, d),
-        dict(alpha_acc=0.0, beta_acc=0.01, c=0.1, d=0.1),
+        dpaudit.prior_generalization_bound,
+        dict(alpha_acc=0.0, beta_acc=0.01, eps=1.0, delta=1e-5, c=0.1,
+             d=0.1),
         lambda out: out[0] >= 0 and 0 <= out[1] < math.inf),
     "optimize_generalization_width": (
-        lambda n, beta_acc, target_failure:
-        dpaudit.optimize_generalization_width(
-            n, dpaudit.PrivacyParams(1.0, 1e-4), beta_acc, target_failure),
-        dict(n=50, beta_acc=1e-3, target_failure=0.5),
+        dpaudit.optimize_generalization_width,
+        dict(n=50, eps=1.0, delta=1e-4, beta_acc=1e-3, target_failure=0.5),
         lambda out: finite(*out) and prob(out[2])),
     "optimize_prior_width": (
-        lambda beta_acc, target_failure: dpaudit.optimize_prior_width(
-            P, beta_acc, target_failure),
-        dict(beta_acc=1e-5, target_failure=0.05), lambda out: finite(*out)),
-    "mi_bound": (lambda n, p_incl: dpaudit.mi_bound(n, P, p_incl),
-                 dict(n=10, p_incl=0.5), bound),
+        dpaudit.optimize_prior_width,
+        dict(eps=1.0, delta=1e-5, beta_acc=1e-5, target_failure=0.05),
+        lambda out: finite(*out)),
+    "mi_bound": (dpaudit.mi_bound,
+                 dict(n=10, eps=1.0, delta=1e-5, p_incl=0.5), bound),
     "PathologicalConfig": (
         dpaudit.PathologicalConfig,
         dict(m=100, r=10, eps=1.0, delta=1e-4, beta=0.05),
@@ -242,10 +236,21 @@ NAMING = {"check_counts": r"(?<![\w.]){}( must|=)",
           "check_order": r"(?<![\w.]){}(?!\w)"}
 
 
+# the intervals of the (eps, delta) null: every entry turns away a value
+# outside them, which no documented range can show
+NULL = {"eps": "[0, inf]", "delta": "[0, 1]"}
+
+
+def outside_null(bad: dict) -> bool:
+    return any(not estimator.REAL_INTERVALS[NULL[name]][0](value)
+               for name, value in bad.items() if name in NULL)
+
+
 def fault(rule: str, entry: str, bad: dict) -> str | None:
     """None if the call with the arguments in ``bad`` raises a ValueError
-    that names each of them, or for a real probe returns a value in its
-    documented range, with no warning; else what went wrong."""
+    that names each of them, or for a real probe inside the null's
+    intervals returns a value in its documented range, with no warning;
+    else what went wrong."""
     call, typical, in_range = CASES[entry]
     probe = f"{entry}({', '.join(f'{k}={v!r}' for k, v in bad.items())})"
     try:
@@ -259,10 +264,11 @@ def fault(rule: str, entry: str, bad: dict) -> str | None:
             if unnamed else None
     except Exception as exc:  # noqa: BLE001 - any other type breaks the rule
         return f"{probe} raised {type(exc).__name__}: {exc}"
-    if rule != "check_reals":
+    if rule == "check_reals" and not in_range(out):
+        return f"{probe} returned a value outside its range: {out!r}"
+    if rule != "check_reals" or outside_null(bad):
         return f"{probe} returned without an error"
-    return None if in_range(out) else \
-        f"{probe} returned a value outside its range: {out!r}"
+    return None
 
 
 def faults(rule: str, keep=lambda entry, bad: True) -> list[str | None]:

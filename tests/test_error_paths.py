@@ -11,7 +11,7 @@ import pytest
 from dpaudit import cli
 from dpaudit.dpsgd import (LossModel, TrainerConfig, dpsgd_train,
                            mislabeled_canaries)
-from dpaudit.estimator import DominatingDistribution
+from dpaudit.estimator import DominatingDistribution, adaptive_bound
 from dpaudit.mechanisms import PathologicalConfig, pathological
 from dpaudit.pipeline import (CanaryPairSet, MechanismAdapter, audit_run,
                               count_correct, make_guesses)
@@ -101,6 +101,9 @@ CASES = {
     "survival-at-zero": (
         lambda tmp: DominatingDistribution([0.5, 0.25]),
         ValueError, "^survival at 0 must be 1"),
+    "adaptive-zero-m": (
+        lambda tmp: adaptive_bound(0, 0, 1.0, 1e-5, 0.05, 1.0),
+        ValueError, "^m must be >= 1, got 0$"),
     "pmf-empty": (
         lambda tmp: DominatingDistribution.from_pmf([]),
         ValueError, "^pmf must be a nonempty 1-d array$"),

@@ -16,7 +16,6 @@ from dpaudit import estimator
 from dpaudit.estimator import (
     DominatingDistribution,
     GuessSummary,
-    PrivacyParams,
     adaptive_bound,
     dual_alpha,
     eps_lower_bound,
@@ -789,33 +788,31 @@ def test_general_p_collapses_to_audit_p_value():
         v = int(rng.integers(0, r + 1))
         eps = float(rng.uniform(0, 3))
         delta = float(rng.choice([0.0, 1e-5, 1e-3]))
-        params = PrivacyParams(eps, delta)
-        a = p_value_general_p(m, k_plus, k_minus, v, params, 0.5)
+        a = p_value_general_p(m, k_plus, k_minus, v, eps, delta, 0.5)
         b = p_value_audit(m, r, v, eps, delta)
         assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_general_p_single_positive_guess():
-    assert p_value_general_p(1, 1, 0, 1, PrivacyParams(0.0, 0.0), 0.5) == \
+    assert p_value_general_p(1, 1, 0, 1, 0.0, 0.0, 0.5) == \
         pytest.approx(0.5, abs=1e-14)
 
 
 def test_general_p_uneven_inclusion_product():
     # q_plus = 0.75, q_minus = 0.25 at eps = 0, p = 3/4; both must succeed
-    got = p_value_general_p(2, 1, 1, 2, PrivacyParams(0.0, 0.0), 0.75)
+    got = p_value_general_p(2, 1, 1, 2, 0.0, 0.0, 0.75)
     assert got == pytest.approx(0.1875, abs=1e-14)
 
 
 def test_general_p_accuracies():
     # one guess, correct, at delta = 0: the p-value is that guess's accuracy
     e = 1.3
-    params = PrivacyParams(e, 0.0)
-    assert p_value_general_p(1, 1, 0, 1, params, 0.75) == pytest.approx(
+    assert p_value_general_p(1, 1, 0, 1, e, 0.0, 0.75) == pytest.approx(
         0.75 * math.exp(e) / (0.75 * math.exp(e) + 0.25), rel=1e-14)
-    assert p_value_general_p(1, 0, 1, 1, params, 0.75) == pytest.approx(
+    assert p_value_general_p(1, 0, 1, 1, e, 0.0, 0.75) == pytest.approx(
         0.25 * math.exp(e) / (0.25 * math.exp(e) + 0.75), rel=1e-14)
     with pytest.raises(ValueError, match="p_incl"):
-        p_value_general_p(1, 1, 0, 1, params, 1.0)
+        p_value_general_p(1, 1, 0, 1, e, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -823,17 +820,16 @@ def test_general_p_accuracies():
 
 
 def test_hoeffding_below_mean_clamps_to_one():
-    assert hoeffding_p_value(100, 100.0, 10.0, 10.0,
-                             PrivacyParams(LN3, 0.0)) == 1.0
+    assert hoeffding_p_value(100, 100.0, 10.0, 10.0, LN3, 0.0) == 1.0
 
 
 def test_hoeffding_direct_formula():
-    got = hoeffding_p_value(100, 100.0, 10.0, 85.0, PrivacyParams(LN3, 0.0))
+    got = hoeffding_p_value(100, 100.0, 10.0, 85.0, LN3, 0.0)
     assert got == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
 def test_hoeffding_accepts_non_integer_threshold():
-    got = hoeffding_p_value(100, 100.0, 10.0, 80.5, PrivacyParams(LN3, 1e-5))
+    got = hoeffding_p_value(100, 100.0, 10.0, 80.5, LN3, 1e-5)
     assert 0.0 < got < 1.0
 
 
@@ -844,7 +840,7 @@ def test_hoeffding_dominates_exact_binomial_tail():
                               for v in range(r + 1)])
             loose = np.array([
                 hoeffding_p_value(r, float(r), math.sqrt(r), float(v),
-                                  PrivacyParams(eps, 0.0))
+                                  eps, 0.0)
                 for v in range(r + 1)])
             assert np.all(loose >= exact - 1e-12)
 
@@ -858,7 +854,7 @@ def test_hoeffding_dominates_exact_binomial_tail():
 def test_hoeffding_spill_window_equals_full_scan(m, r1, r2, below, eps, delta):
     # v = q r1 - below < q r1 + 2: the branch that scans integer offsets
     v = float(special.expit(eps)) * r1 - below
-    assert hoeffding_p_value(m, r1, r2, v, PrivacyParams(eps, delta)) == \
+    assert hoeffding_p_value(m, r1, r2, v, eps, delta) == \
         hoeffding_p_value_full_scan(m, r1, r2, v, eps, delta)
 
 
@@ -871,15 +867,14 @@ def test_hoeffding_past_float_range_is_one_without_warning(r1, r2, v):
     # each v lies below the mean q r1, where the survival bound is 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert hoeffding_p_value(10, r1, r2, v, PrivacyParams(1.0, 1e-5)) == 1.0
+        assert hoeffding_p_value(10, r1, r2, v, 1.0, 1e-5) == 1.0
 
 
 def test_hoeffding_spill_scan_memory_does_not_grow_with_m():
     # a bound on 100 guesses among 10^6 examples reads a few offsets only
-    params = PrivacyParams(1.0, 1e-9)
     tracemalloc.start()
     try:
-        got = hoeffding_p_value(10**6, 100.0, 10.0, 60.0, params)
+        got = hoeffding_p_value(10**6, 100.0, 10.0, 60.0, 1.0, 1e-9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -893,8 +888,7 @@ def test_hoeffding_spill_scan_memory_does_not_grow_with_m():
 
 
 def test_adaptive_bound_delta_zero():
-    thr, p = adaptive_bound(1000, 100, PrivacyParams(1.0, 0.0),
-                            gamma=0.07, tau=3.0)
+    thr, p = adaptive_bound(1000, 100, 1.0, 0.0, gamma=0.07, tau=3.0)
     assert p == 0.07
 
 
@@ -903,22 +897,20 @@ def test_adaptive_bound_quantile_is_83():
     sf = stats.binom.sf(np.arange(102) - 1, 100, 0.75)
     expected_g = int(np.argmax(sf <= 0.05))
     assert expected_g == 83
-    thr, _ = adaptive_bound(100, 100, PrivacyParams(LN3, 0.0),
-                            gamma=0.05, tau=2.0)
+    thr, _ = adaptive_bound(100, 100, LN3, 0.0, gamma=0.05, tau=2.0)
     assert thr == 83 + 2.0
 
 
 def test_adaptive_bound_failure_probability():
-    _, p = adaptive_bound(1000, 200, PrivacyParams(1.0, 1e-5),
-                          gamma=0.05, tau=5.0)
+    _, p = adaptive_bound(1000, 200, 1.0, 1e-5, gamma=0.05, tau=5.0)
     assert p == pytest.approx(0.05 + 2 * 1000 * 1e-5 / 5, rel=1e-12)
 
 
 def test_adaptive_bound_validates():
     with pytest.raises(ValueError):
-        adaptive_bound(10, 5, PrivacyParams(1.0, 0.0), gamma=1.5, tau=1.0)
+        adaptive_bound(10, 5, 1.0, 0.0, gamma=1.5, tau=1.0)
     with pytest.raises(ValueError):
-        adaptive_bound(10, 5, PrivacyParams(1.0, 0.0), gamma=0.5, tau=0.0)
+        adaptive_bound(10, 5, 1.0, 0.0, gamma=0.5, tau=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -928,33 +920,30 @@ def test_adaptive_bound_validates():
 def test_generalization_bound_hoeffding_regime():
     # threshold beyond the support: only the concentration term remains
     n, eta = 500, 0.2
-    got = generalization_bound(n, PrivacyParams(0.1, 0.0), gamma=1.2, eta=eta)
+    got = generalization_bound(n, 0.1, 0.0, gamma=1.2, eta=eta)
     assert got == pytest.approx(2.0 * math.exp(-n * eta * eta / 2.0), rel=1e-9)
 
 
 def test_generalization_bound_eta_zero_clamps():
-    assert generalization_bound(100, PrivacyParams(0.5, 0.0),
-                                gamma=0.5, eta=0.0) == 1.0
+    assert generalization_bound(100, 0.5, 0.0, gamma=0.5, eta=0.0) == 1.0
 
 
 def test_generalization_bound_rejects_violated_precondition():
     with pytest.raises(ValueError):
-        generalization_bound(100, PrivacyParams(0.5, 0.0), gamma=0.1, eta=0.2)
+        generalization_bound(100, 0.5, 0.0, gamma=0.1, eta=0.2)
 
 
 def test_generalization_bound_monotone_in_eps_delta():
-    base = generalization_bound(400, PrivacyParams(0.3, 1e-5),
-                                gamma=0.4, eta=0.1)
-    assert generalization_bound(400, PrivacyParams(0.5, 1e-5),
+    base = generalization_bound(400, 0.3, 1e-5, gamma=0.4, eta=0.1)
+    assert generalization_bound(400, 0.5, 1e-5,
                                 gamma=0.4, eta=0.1) >= base - 1e-15
-    assert generalization_bound(400, PrivacyParams(0.3, 1e-3),
+    assert generalization_bound(400, 0.3, 1e-3,
                                 gamma=0.4, eta=0.1) >= base - 1e-15
 
 
 def test_optimized_generalization_width():
     gamma, eta, fail = optimize_generalization_width(
-        2000, PrivacyParams(1.0 / 3.0, 1e-5), beta_acc=1e-5,
-        target_failure=0.05)
+        2000, 1.0 / 3.0, 1e-5, beta_acc=1e-5, target_failure=0.05)
     assert fail <= 0.05
     assert gamma == pytest.approx(0.3144, abs=2e-3)
     assert gamma >= 1.5 * eta
@@ -962,21 +951,21 @@ def test_optimized_generalization_width():
 
 def test_prior_generalization_bound_values():
     error, failure = prior_generalization_bound(
-        0.0, 0.01, PrivacyParams(math.log(2.0), 0.01), c=1.0, d=1.0)
+        0.0, 0.01, math.log(2.0), 0.01, c=1.0, d=1.0)
     assert error == pytest.approx(4.0, rel=1e-14)
     assert failure == pytest.approx(0.02, rel=1e-14)
 
 
 def test_prior_generalization_bound_is_formula_evaluation():
     error, failure = prior_generalization_bound(
-        0.0, 0.01, PrivacyParams(0.0, 0.01), c=1e-9, d=1e6)
+        0.0, 0.01, 0.0, 0.01, c=1e-9, d=1e6)
     assert failure == pytest.approx(0.01 / 1e-9 + 0.01 / 1e6, rel=1e-12)
     assert error == pytest.approx(1e-9 + 2e6, rel=1e-12)
 
 
 def test_optimized_prior_width():
     width, c, d = optimize_prior_width(
-        PrivacyParams(1.0 / 3.0, 1e-5), beta_acc=1e-5, target_failure=0.05)
+        1.0 / 3.0, 1e-5, beta_acc=1e-5, target_failure=0.05)
     assert width == pytest.approx(0.3968, abs=2e-3)
     assert 1e-5 / c + 1e-5 / d <= 0.05
 
@@ -988,76 +977,80 @@ def test_optimized_prior_width():
 def test_secondary_bounds_exact_pins():
     # values of the per-table implementation, compared bit for bit so a
     # moved last bit in the survival fill or the spillover scan shows
-    P = PrivacyParams
-    assert p_value_general_p(300, 120, 80, 150, P(0.5, 1e-5),
+    assert p_value_general_p(300, 120, 80, 150, 0.5, 1e-5,
                              0.3) == 0.0001215383893352483
-    assert p_value_general_p(100, 40, 30, 55, P(1.0, 0.0),
+    assert p_value_general_p(100, 40, 30, 55, 1.0, 0.0,
                              0.8) == 0.035511509776240846
-    assert adaptive_bound(1000, 200, P(1.0, 1e-5), gamma=0.05,
+    assert adaptive_bound(1000, 200, 1.0, 1e-5, gamma=0.05,
                           tau=5.0) == (162.0, 0.054000000000000006)
-    assert adaptive_bound(100, 100, P(LN3, 0.0), gamma=0.05,
+    assert adaptive_bound(100, 100, LN3, 0.0, gamma=0.05,
                           tau=2.0) == (85.0, 0.05)
-    assert generalization_bound(400, P(0.3, 1e-5), gamma=0.4,
+    assert generalization_bound(400, 0.3, 1e-5, gamma=0.4,
                                 eta=0.1) == 0.2934595080277333
-    assert generalization_bound(2000, P(1 / 3, 1e-5), gamma=0.3,
+    assert generalization_bound(2000, 1 / 3, 1e-5, gamma=0.3,
                                 eta=0.05) == 0.16804696350984255
     assert optimize_generalization_width(
-        2000, P(1 / 3, 1e-5), beta_acc=1e-5, target_failure=0.05) == (
+        2000, 1 / 3, 1e-5, beta_acc=1e-5, target_failure=0.05) == (
         0.31440354715915, 0.06826071834272389, 0.035113424301548055)
     assert optimize_generalization_width(
-        500, P(1.0, 1e-4), beta_acc=1e-3, target_failure=0.1) == (
+        500, 1.0, 1e-4, beta_acc=1e-3, target_failure=0.1) == (
         0.7232633896483537, 0.12458833642950082, 0.07154980063707136)
     assert optimize_prior_width(
-        P(1 / 3, 1e-5), beta_acc=1e-5, target_failure=0.05) == (
+        1 / 3, 1e-5, beta_acc=1e-5, target_failure=0.05) == (
         0.39679335746785105, 0.00045005576757004977, 0.0003654383070957254)
 
 
 
 
 @pytest.mark.parametrize("call,match", [
-    (lambda: adaptive_bound(-100, 10, PrivacyParams(1.0, 1e-3), 0.05, 1.0),
-     "m must be >= 0, got -100"),
-    (lambda: adaptive_bound(10, 11, PrivacyParams(1.0, 0.0), 0.05, 1.0),
+    (lambda: adaptive_bound(-100, 10, 1.0, 1e-3, 0.05, 1.0),
+     "m must be >= 1, got -100"),
+    (lambda: adaptive_bound(10, 11, 1.0, 0.0, 0.05, 1.0),
      "r_observed=11"),
-    (lambda: adaptive_bound(10, 5, PrivacyParams(1.0, 0.0), 0.05, math.nan),
+    (lambda: adaptive_bound(10, 5, 1.0, 0.0, 0.05, math.nan),
      "tau"),
-    (lambda: hoeffding_p_value(0, 10.0, 3.0, 5.0, PrivacyParams(1.0, 1e-5)),
+    (lambda: hoeffding_p_value(0, 10.0, 3.0, 5.0, 1.0, 1e-5),
      "m must be >= 1"),
-    (lambda: mi_bound(-3, PrivacyParams(1.0, 0.0), 0.5), "n must be"),
-    (lambda: prior_generalization_bound(0.0, 0.01, PrivacyParams(0.5, 0.01),
+    (lambda: mi_bound(-3, 1.0, 0.0, 0.5), "n must be"),
+    (lambda: prior_generalization_bound(0.0, 0.01, 0.5, 0.01,
                                         c=math.nan, d=1.0), "c and d"),
-    (lambda: generalization_bound(100, PrivacyParams(0.5, 0.0),
+    (lambda: generalization_bound(100, 0.5, 0.0,
                                   gamma=math.inf, eta=0.1), "gamma"),
-    (lambda: generalization_bound(0, PrivacyParams(0.5, 0.0),
+    (lambda: generalization_bound(0, 0.5, 0.0,
                                   gamma=0.5, eta=0.1), "n must be >= 1"),
     (lambda: hoeffding_p_value(10, 10.0, 3.0, math.nan,
-                               PrivacyParams(1.0, 1e-5)), "v must be finite"),
+                               1.0, 1e-5), "v must be finite"),
     (lambda: hoeffding_p_value(10, math.inf, 3.0, 5.0,
-                               PrivacyParams(1.0, 1e-5)),
+                               1.0, 1e-5),
      "r1 must be positive and finite"),
-    (lambda: prior_generalization_bound(0.0, 0.01, PrivacyParams(800.0, 0.0),
+    (lambda: prior_generalization_bound(0.0, 0.01, 800.0, 0.0,
                                         c=1.0, d=1.0), "eps must keep"),
-    (lambda: optimize_prior_width(PrivacyParams(math.inf, 0.0), 1e-5, 0.05),
+    (lambda: optimize_prior_width(math.inf, 0.0, 1e-5, 0.05),
      "eps must keep"),
     (lambda: GuessSummary(10.5, 2, 2, 1), "m must be an integer"),
     (lambda: eps_lower_bound(10.5, 4, 2, 0.0, 0.05), "m must be an integer"),
-    (lambda: optimize_prior_width(PrivacyParams(1.0, 1e-5), -1.0, 0.05),
+    (lambda: optimize_prior_width(1.0, 1e-5, -1.0, 0.05),
      "beta_acc must be in"),
-    (lambda: optimize_prior_width(PrivacyParams(1.0, 1e-5), 1e-5, math.nan),
+    (lambda: optimize_prior_width(1.0, 1e-5, 1e-5, math.nan),
      "target_failure must be in"),
     (lambda: optimize_generalization_width(
-        500, PrivacyParams(1.0, 1e-4), 1e-3, math.nan),
+        500, 1.0, 1e-4, 1e-3, math.nan),
      "target_failure must be in"),
     (lambda: prior_generalization_bound(math.nan, 0.01,
-                                        PrivacyParams(1.0, 1e-5), 0.1, 0.1),
+                                        1.0, 1e-5, 0.1, 0.1),
      "alpha_acc must be nonnegative and finite"),
+    (lambda: optimize_generalization_width(50, 1.0, 1e-4, 0.9, 0.5),
+     r"target_failure 0.5 at n=50, eps=1.0, delta=0.0001, beta_acc=0.9$"),
+    (lambda: optimize_prior_width(1.0, 1.0, 1e-5, 0.05),
+     r"target_failure 0.05 at beta_acc=1e-05, delta=1.0$"),
 ], ids=["adaptive-negative-m", "adaptive-r-above-m", "adaptive-nan-tau",
         "hoeffding-zero-m", "mi-negative-n", "prior-nan-c",
         "generalization-inf-gamma", "generalization-zero-n",
         "hoeffding-nan-v", "hoeffding-inf-r1", "prior-overflowing-eps",
         "prior-width-inf-eps", "summary-float-m", "lower-bound-float-m",
         "prior-width-negative-beta", "prior-width-nan-target",
-        "width-nan-target", "prior-nan-alpha"])
+        "width-nan-target", "prior-nan-alpha", "width-unreachable-target",
+        "prior-width-unreachable-target"])
 def test_secondary_bounds_reject_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -1068,14 +1061,13 @@ def test_secondary_bounds_reject_bad_arguments(call, match):
 
 
 def test_mi_bound_zero_at_no_privacy_loss():
-    assert mi_bound(7, PrivacyParams(0.0, 0.0), 0.5) == pytest.approx(0.0,
-                                                                      abs=1e-15)
+    assert mi_bound(7, 0.0, 0.0, 0.5) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_mi_bound_unit_example():
     expected = (math.log(2.0) - math.log(1.0 + math.exp(-1.0))
                 - 1.0 / (math.e + 1.0))
-    got = mi_bound(1, PrivacyParams(1.0, 0.0), 0.5)
+    got = mi_bound(1, 1.0, 0.0, 0.5)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(0.1109, abs=1e-4)
     assert got <= 1.0 / 8.0  # below the quadratic cap eps^2 / 8
@@ -1087,28 +1079,27 @@ def test_mi_bound_quadratic_cap_at_half():
             for n in [1, 100]:
                 cap = (n * delta * math.log(2.0)
                        + n * (1 - delta) * eps * eps / 8.0)
-                assert mi_bound(n, PrivacyParams(eps, delta), 0.5) <= cap + 1e-12
+                assert mi_bound(n, eps, delta, 0.5) <= cap + 1e-12
 
 
 def test_mi_bound_limit_where_exp_eps_overflows():
     # the mixing term tends to p and the loss term to 0: n h(p) remains
     h = -0.3 * math.log(0.3) - 0.7 * math.log(0.7)
     for eps in (709.0, 710.0, math.inf):
-        got = mi_bound(5, PrivacyParams(eps, 1e-3), 0.3)
+        got = mi_bound(5, eps, 1e-3, 0.3)
         assert got == pytest.approx(5 * h, rel=1e-12)
 
 
 def test_mi_bound_floors_cancellation_at_zero():
     # the entropy difference cancels to -1.8e-15 at p = 1e-300
-    assert mi_bound(10, PrivacyParams(1.0, 1e-5), 1e-300) == 0.0
+    assert mi_bound(10, 1.0, 1e-5, 1e-300) == 0.0
 
 
 def test_mi_bound_monotone_and_nonnegative():
     prev = -1.0
     for eps in np.linspace(0.0, 4.0, 17):
-        val = mi_bound(10, PrivacyParams(float(eps), 1e-4), 0.5)
+        val = mi_bound(10, float(eps), 1e-4, 0.5)
         assert val >= max(prev, 0.0) - 1e-12
         prev = val
-    assert mi_bound(10, PrivacyParams(1.0, 0.2), 0.5) >= \
-        mi_bound(10, PrivacyParams(1.0, 0.1), 0.5)
-    assert mi_bound(4, PrivacyParams(0.7, 1e-3), 0.2) >= 0.0
+    assert mi_bound(10, 1.0, 0.2, 0.5) >= mi_bound(10, 1.0, 0.1, 0.5)
+    assert mi_bound(4, 0.7, 1e-3, 0.2) >= 0.0

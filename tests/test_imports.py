@@ -15,8 +15,7 @@ def test_import_skips_scipy_stats_and_optimize():
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import json, sys\n"
             "import dpaudit, dpaudit.cli\n"
-            "dpaudit.p_value_general_p(40, 10, 5, 12, "
-            "dpaudit.PrivacyParams(0.5, 1e-3), 0.3)\n"
+            "dpaudit.p_value_general_p(40, 10, 5, 12, 0.5, 1e-3, 0.3)\n"
             "print(json.dumps(sorted(sys.modules)))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

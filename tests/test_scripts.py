@@ -11,6 +11,25 @@ from dpaudit import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TABLES = ("pure_rr.csv", "gaussian_sweep.csv", "delta_sweep.csv")
+# appendix_bounds.py's output at its defaults
+APPENDIX = """\
+n=2000 eps=0.3333 delta=1e-05 beta=1e-05 target failure 0.05
+  three-term bound: width 0.3144 (eta=0.0683, achieved failure 0.0351)
+  baseline bound:   width 0.3968 (c=4.50e-04, d=3.65e-04)
+
+mutual information bound vs quadratic cap (p = 1/2):
+   eps    delta      bound/n        cap/n
+  0.01        0  1.24998e-05     1.25e-05
+  0.01    0.001  0.000705635  0.000705635
+  0.10        0   0.00124844      0.00125
+  0.10    0.001   0.00194034    0.0019419
+  0.50        0    0.0302999      0.03125
+  0.50    0.001    0.0309627    0.0319119
+  1.00        0     0.110944        0.125
+  1.00    0.001     0.111526     0.125568
+  2.00        0     0.327813          0.5
+  2.00    0.001     0.328179     0.500193
+"""
 
 
 def run_script(name, *args):
@@ -49,3 +68,12 @@ def test_dpsgd_audit_demo_reports():
     report, end = json.JSONDecoder().raw_decode(done.stdout)
     assert report["m"] == 300 and report["seed"] == 1
     assert "eps lower bound (95%)" in done.stdout[end:]
+
+
+def test_appendix_bounds_prints_its_pinned_tables():
+    done = run_script("appendix_bounds.py")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == APPENDIX
+    bad = run_script("appendix_bounds.py", "--eps", -1)
+    assert bad.returncode != 0
+    assert "eps must be nonnegative, got -1.0" in bad.stderr
