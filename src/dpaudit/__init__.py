@@ -8,7 +8,6 @@ trainer end to end.
 
 from .estimator import (
     DominatingDistribution,
-    GuessSummary,
     adaptive_bound,
     dual_alpha,
     eps_lower_bound,
@@ -35,7 +34,6 @@ from .mechanisms import (
 from .pipeline import (
     AuditReport,
     CanaryPairSet,
-    KSweepResult,
     MechanismAdapter,
     adapter_gaussian_report,
     adapter_pathological,

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import dpsgd as dpsgd_mod
 from . import mechanisms, pipeline
-from .estimator import (GuessSummary, check_counts, check_order,
-                        check_reals, eps_lower_bound, p_value_audit,
+from .estimator import (check_counts, check_order, check_reals,
+                        eps_lower_bound, p_value_audit,
                         p_values_by_threshold, rr_accuracy)
 
 
@@ -286,9 +286,6 @@ def parse_dpsgd_config(path: str) -> dict[str, Any]:
     if k_plus + k_minus > m:
         raise ValueError(f"config keys 'k_plus' + 'k_minus' must be <= m, "
                          f"got {k_plus} + {k_minus} > {m}")
-    if "k_plus" not in config and "k_minus" not in config and m < 2:
-        raise ValueError(f"config key 'm' must be >= 2 to sweep guess budgets "
-                         f"(or set k_plus/k_minus), got {m}")
     return config
 
 
@@ -296,31 +293,36 @@ def run_dpsgd_audit(config: dict[str, Any]) -> pipeline.AuditReport:
     """Train once with selection-gated canaries, score, guess and estimate;
     dpsgd.adapter_dpsgd_audit builds the model, canaries and adapter."""
     seed, delta, m = config["seed"], config["delta"], config["m"]
+    # No guess budget given: sweep doublings and keep the best point, which
+    # is multiple testing; the caveat is recorded in the report.
+    sweep_caveat = "k_plus" not in config and "k_minus" not in config
+    if sweep_caveat and m < 2:
+        raise ValueError(f"config key 'm' must be >= 2 to sweep guess budgets "
+                         f"(or set k_plus/k_minus), got {m}")
     adapter = dpsgd_mod.adapter_dpsgd_audit(config)
     s, y = pipeline.run_mechanism(adapter, m, seed)
 
     confidences = config["confidence"]
-    # No guess budget given: sweep doublings and keep the best point, which
-    # is multiple testing; the caveat is recorded in the report.
-    sweep_caveat = "k_plus" not in config and "k_minus" not in config
-    known_lb = {}  # confidence -> bound already computed by the sweep
+    eps_lb = {}  # confidence -> bound; the sweep's row gives the first
     if sweep_caveat:
         grid = [(r // 2, r - r // 2) for r in _doubling_grid(2, m)]
-        sweep = pipeline.k_sweep(y, s, grid, delta, confidences[0])
-        k_plus, k_minus, v = sweep.best.k_plus, sweep.best.k_minus, sweep.best.v
-        known_lb[confidences[0]] = sweep.best.eps_lb
+        rows = pipeline.k_sweep(y, s, grid, delta, confidences[0])
+        best = max(rows, key=lambda row: row.eps_lb)  # the first of a tie
+        k_plus, k_minus, v = best.k_plus, best.k_minus, best.v
+        eps_lb[confidences[0]] = best.eps_lb
     else:
         k_plus, k_minus = config.get("k_plus", 0), config.get("k_minus", 0)
         v = pipeline.count_correct(s, pipeline.make_guesses(y, k_plus, k_minus))
-    summary = GuessSummary(m=m, k_plus=k_plus, k_minus=k_minus, v=v)
-    eps_lb = {conf: known_lb[conf] if conf in known_lb else
-              eps_lower_bound(m, summary.r, v, delta, 1.0 - conf)
-              for conf in confidences}
-    p_values = {e: p_value_audit(m, summary.r, v, e, delta)
+    for conf in confidences:
+        if conf not in eps_lb:
+            eps_lb[conf] = eps_lower_bound(m, k_plus + k_minus, v, delta,
+                                           1.0 - conf)
+    p_values = {e: p_value_audit(m, k_plus + k_minus, v, e, delta)
                 for e in pipeline.DEFAULT_EPS_GRID}
     cfg = dpsgd_mod.TrainerConfig.from_config(config)
     return pipeline.AuditReport(
-        summary=summary, eps_lb=eps_lb, p_values=p_values, seed=seed,
+        m=m, k_plus=k_plus, k_minus=k_minus, v=v, eps_lb=eps_lb,
+        p_values=p_values, seed=seed,
         config={
             "mechanism": adapter.name,
             "multiple_testing_caveat": sweep_caveat,

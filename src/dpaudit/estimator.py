@@ -37,33 +37,6 @@ def rr_accuracy(eps: float) -> float:
     return float(special.expit(eps))
 
 
-@dataclasses.dataclass(frozen=True)
-class GuessSummary:
-    """Counts summarizing one audit run.
-
-    Attributes:
-      m: Number of randomized examples.
-      k_plus: Number of positive (membership) guesses.
-      k_minus: Number of negative (non-membership) guesses.
-      v: Number of correct guesses.
-    """
-
-    m: int
-    k_plus: int
-    k_minus: int
-    v: int
-
-    def __post_init__(self):
-        check_counts(1, m=self.m)
-        check_counts(0, k_plus=self.k_plus, k_minus=self.k_minus, v=self.v)
-        check_order(v=self.v, **{"k_plus + k_minus": self.r}, m=self.m)
-
-    @property
-    def r(self) -> int:
-        """Total number of guesses (excluding abstentions)."""
-        return self.k_plus + self.k_minus
-
-
 def check_counts(low: float = -math.inf, **counts) -> None:
     """The one count rule: each count is an integer (numpy's too, not a
     bool) in [low, largest float]; the error names the count at fault."""

@@ -18,8 +18,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import mechanisms
-from .estimator import (GuessSummary, check_counts, check_order,
-                        check_reals, eps_lower_bound, p_value_audit)
+from .estimator import (check_counts, check_order, check_reals,
+                        eps_lower_bound, p_value_audit)
 
 DEFAULT_EPS_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -158,7 +158,10 @@ def run_mechanism(adapter: MechanismAdapter, m: int,
 class AuditReport:
     """Everything needed to reproduce and interpret one audit run."""
 
-    summary: GuessSummary
+    m: int                        # randomized examples
+    k_plus: int                   # membership guesses made
+    k_minus: int                  # non-membership guesses made
+    v: int                        # correct guesses
     eps_lb: dict[float, float]    # confidence -> epsilon lower bound
     p_values: dict[float, float]  # null epsilon -> p-value
     seed: int
@@ -166,10 +169,10 @@ class AuditReport:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "m": self.summary.m,
-            "k_plus": self.summary.k_plus,
-            "k_minus": self.summary.k_minus,
-            "v": self.summary.v,
+            "m": self.m,
+            "k_plus": self.k_plus,
+            "k_minus": self.k_minus,
+            "v": self.v,
             "eps_lb": {str(k): v for k, v in self.eps_lb.items()},
             "p_values": {str(k): v for k, v in self.p_values.items()},
             "seed": self.seed,
@@ -198,14 +201,15 @@ def audit_run(adapter: MechanismAdapter, m: int, k_plus: int, k_minus: int,
     else:
         t = make_guesses(out, k_plus, k_minus)
     v = count_correct(s, t)
-    summary = GuessSummary(m=m, k_plus=int(np.count_nonzero(t == 1)),
-                           k_minus=int(np.count_nonzero(t == -1)), v=v)
+    guessed_plus = int(np.count_nonzero(t == 1))
+    guessed_minus = int(np.count_nonzero(t == -1))
+    r = guessed_plus + guessed_minus
     eps_lb = {
-        float(conf): eps_lower_bound(m, summary.r, v, delta, 1.0 - conf)
+        float(conf): eps_lower_bound(m, r, v, delta, 1.0 - conf)
         for conf in confidences
     }
     p_values = {
-        float(e): p_value_audit(m, summary.r, v, e, delta)
+        float(e): p_value_audit(m, r, v, e, delta)
         for e in DEFAULT_EPS_GRID
     }
     config = {
@@ -218,8 +222,9 @@ def audit_run(adapter: MechanismAdapter, m: int, k_plus: int, k_minus: int,
         "delta": delta,
         "confidences": [float(c) for c in confidences],
     }
-    return AuditReport(summary=summary, eps_lb=eps_lb, p_values=p_values,
-                       seed=seed, config=config)
+    return AuditReport(m=m, k_plus=guessed_plus, k_minus=guessed_minus, v=v,
+                       eps_lb=eps_lb, p_values=p_values, seed=seed,
+                       config=config)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -273,30 +278,16 @@ class KSweepRow:
     eps_lb: float
 
 
-@dataclasses.dataclass
-class KSweepResult:
-    """Per-budget lower bounds with the best grid point flagged.
-
-    Selecting the best of several budgets on the same scores is multiple
-    hypothesis testing, so the flagged value is optimistic at the nominal
-    confidence.
-    """
-
-    rows: list[KSweepRow]
-    best_index: int
-
-    @property
-    def best(self) -> KSweepRow:
-        return self.rows[self.best_index]
-
-
 def k_sweep(y: np.ndarray, s: np.ndarray,
             grid: Sequence[tuple[int, int]], delta: float,
-            confidence: float) -> KSweepResult:
-    """Evaluate the epsilon lower bound across a grid of guess budgets.
+            confidence: float) -> list[KSweepRow]:
+    """Evaluate the epsilon lower bound across a grid of guess budgets,
+    one row per budget, in grid order.
 
     Each row's guesses are those of :func:`make_guesses`; the scores are
-    sorted once for the whole grid.
+    sorted once for the whole grid.  Selecting the best of several budgets
+    on the same scores is multiple hypothesis testing, so the largest
+    row's bound is optimistic at the nominal confidence.
     """
     s = _check_selection(s)
     check_reals("confidence", confidence=confidence)
@@ -310,5 +301,4 @@ def k_sweep(y: np.ndarray, s: np.ndarray,
         v = count_correct(s, t)
         lb = eps_lower_bound(m, k_plus + k_minus, v, delta, 1.0 - confidence)
         rows.append(KSweepRow(k_plus=k_plus, k_minus=k_minus, v=v, eps_lb=lb))
-    best = int(np.argmax([row.eps_lb for row in rows]))
-    return KSweepResult(rows=rows, best_index=best)
+    return rows

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from dpaudit import cli
 from dpaudit.dpsgd import TRAINER_KEYS, TrainerConfig, adapter_dpsgd_audit
 from dpaudit.mechanisms import gaussian_dp_eps
-from dpaudit.pipeline import audit_run
+from dpaudit.pipeline import audit_run, k_sweep, run_mechanism
 
 
 def run_cli(capsys, *argv):
@@ -529,8 +529,10 @@ def test_dpsgd_audit_matches_audit_run(tmp_path, overrides):
                          config["k_minus"], config["delta"],
                          config["confidence"], config["seed"])
     report = cli.run_dpsgd_audit(config)
-    assert expected.summary.r // 2 < expected.summary.v < expected.summary.r
-    assert report.summary == expected.summary
+    r = expected.k_plus + expected.k_minus
+    assert r // 2 < expected.v < r
+    assert (report.m, report.k_plus, report.k_minus, report.v) == (
+        expected.m, expected.k_plus, expected.k_minus, expected.v)
     assert report.eps_lb == expected.eps_lb
     assert report.p_values == expected.p_values
     assert report.config["theoretical_eps_upper"] == adapter.eps
@@ -764,6 +766,39 @@ def test_dpsgd_audit_sweep_needs_two_examples(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "'m'" in err and "argmax" not in err
+
+
+def sweep_config(path, **overrides):
+    """A parsed dpsgd-audit config with no guess budget, which sweeps."""
+    cfg = write_config(path, **overrides)
+    path.write_text("\n".join(f"{k} = {v}" for k, v in cfg.items()
+                              if k not in ("k_plus", "k_minus")))
+    return cli.parse_dpsgd_config(str(path))
+
+
+def test_dpsgd_audit_sweep_rule_is_checked_before_training(tmp_path,
+                                                          monkeypatch):
+    config = sweep_config(tmp_path / "audit.cfg", m=1)
+
+    def no_training(config):
+        raise AssertionError("the adapter was built")
+
+    monkeypatch.setattr(cli.dpsgd_mod, "adapter_dpsgd_audit", no_training)
+    with pytest.raises(ValueError, match="config key 'm' must be >= 2"):
+        cli.run_dpsgd_audit(config)
+
+
+def test_dpsgd_audit_sweep_tie_takes_the_first_budget(tmp_path):
+    # noise 1000 hides every canary, so every budget's bound is 0; the
+    # report names the first budget of the sweep
+    config = sweep_config(tmp_path / "audit.cfg", m=64, dim=64, iterations=1,
+                          noise_multiplier=1000.0)
+    s, y = run_mechanism(adapter_dpsgd_audit(config), 64, config["seed"])
+    grid = [(r // 2, r - r // 2) for r in (2, 4, 8, 16, 32, 64)]
+    assert all(row.eps_lb == 0.0 for row in k_sweep(y, s, grid, 1e-5, 0.95))
+    report = cli.run_dpsgd_audit(config)
+    assert (report.k_plus, report.k_minus) == (1, 1)
+    assert report.eps_lb == {0.95: 0.0}
 
 
 @pytest.mark.parametrize("case, reason", [

@@ -13,8 +13,8 @@ range of what it returns.  A probe sets one count to 2.5, nan, +-inf, -1,
 True, False or 10**400, one real to 0, -1, nan, +-inf, 1e-300, 1e300, the
 largest float or the smallest subnormal, or breaks one order rule.  The
 call must raise a ValueError that names every argument the probe set (a
-real probe may instead return a value in range, unless it sets eps outside
-[0, inf] or delta outside [0, 1]), and emit no warning.
+real probe may instead return a value in range, unless it sets nan, eps
+outside [0, inf] or delta outside [0, 1]), and emit no warning.
 Every probe runs on every run.  The order rule's tests are here;
 test_count_contract and test_real_contract hold those of the other two
 rules, each with its signature scan and switch-off check.
@@ -72,9 +72,6 @@ def report_ok(report) -> bool:
 # the documented range).  An int typical value is a count, a float a real;
 # audit_run's list of confidences is probed by its one element.
 CASES = {
-    "GuessSummary": (dpaudit.GuessSummary,
-                     dict(m=10, k_plus=3, k_minus=3, v=4),
-                     lambda s: s.v <= s.r <= s.m),
     "rr_accuracy": (dpaudit.rr_accuracy, dict(eps=1.0),
                     lambda q: 0.5 <= q <= 1.0),
     "DominatingDistribution.from_binomial": (
@@ -163,7 +160,7 @@ CASES = {
         lambda k_plus, k_minus, delta, confidence: dpaudit.k_sweep(
             Y, S, [(k_plus, k_minus)], delta, confidence),
         dict(k_plus=3, k_minus=3, delta=1e-5, confidence=0.95),
-        lambda sweep: all(bound(row.eps_lb) for row in sweep.rows)),
+        lambda rows: all(bound(row.eps_lb) for row in rows)),
     # noise_multiplier = inf is a configuration that privacy_accounting
     # rejects
     "TrainerConfig": (
@@ -211,8 +208,6 @@ PROBES = {
         for name, value in typical.items() if type(value) is float
         for bad in BAD_REALS],
     "check_order": [
-        ("GuessSummary", dict(k_plus=6, k_minus=5, m=10)),
-        ("GuessSummary", dict(v=7, k_plus=3, k_minus=3)),
         ("p_value_audit", dict(r=11, m=10)),
         ("p_value_audit", dict(v=7, r=6)),
         ("eps_lower_bound", dict(r=11, m=10)),
@@ -241,16 +236,20 @@ NAMING = {"check_counts": r"(?<![\w.]){}( must|=)",
 NULL = {"eps": "[0, inf]", "delta": "[0, 1]"}
 
 
-def outside_null(bad: dict) -> bool:
-    return any(not estimator.REAL_INTERVALS[NULL[name]][0](value)
-               for name, value in bad.items() if name in NULL)
+def must_raise(bad: dict) -> bool:
+    """Whether a real probe must raise: it sets nan, which lies in no
+    interval of REAL_INTERVALS, or eps or delta outside the null."""
+    return any(math.isnan(value)
+               or (name in NULL
+                   and not estimator.REAL_INTERVALS[NULL[name]][0](value))
+               for name, value in bad.items())
 
 
 def fault(rule: str, entry: str, bad: dict) -> str | None:
     """None if the call with the arguments in ``bad`` raises a ValueError
-    that names each of them, or for a real probe inside the null's
-    intervals returns a value in its documented range, with no warning;
-    else what went wrong."""
+    that names each of them, or for a real probe that need not raise
+    (:func:`must_raise`) returns a value in its documented range, with no
+    warning; else what went wrong."""
     call, typical, in_range = CASES[entry]
     probe = f"{entry}({', '.join(f'{k}={v!r}' for k, v in bad.items())})"
     try:
@@ -266,7 +265,7 @@ def fault(rule: str, entry: str, bad: dict) -> str | None:
         return f"{probe} raised {type(exc).__name__}: {exc}"
     if rule == "check_reals" and not in_range(out):
         return f"{probe} returned a value outside its range: {out!r}"
-    if rule != "check_reals" or outside_null(bad):
+    if rule != "check_reals" or must_raise(bad):
         return f"{probe} returned without an error"
     return None
 
@@ -320,14 +319,18 @@ def exported_signatures():
 
 
 # The int arguments no rule checks: a seed takes whatever numpy's
-# generator does, and best_index is a field of a record the library builds.
-UNCHECKED = {"seed", "best_index"}
+# generator does.
+UNCHECKED = {"seed"}
+# The exported record the library returns, built from counts it has
+# computed: its fields are results, not arguments a caller passes.
+RESULTS = {"AuditReport"}
 
 
 def unprobed(annotations: set[str]) -> list[tuple[str, str]]:
     """(export, argument) of each exported argument with one of the
     annotations that the table does not probe."""
     return [(qualname, param) for qualname, sig in exported_signatures()
+            if qualname not in RESULTS
             for param, spec in sig.parameters.items()
             if spec.annotation in annotations and param not in UNCHECKED
             and param not in CASES.get(qualname, (None, {}, None))[1]]

@@ -15,7 +15,6 @@ from scipy import special, stats
 from dpaudit import estimator
 from dpaudit.estimator import (
     DominatingDistribution,
-    GuessSummary,
     adaptive_bound,
     dual_alpha,
     eps_lower_bound,
@@ -569,15 +568,6 @@ def test_p_values_by_threshold_checks_its_arguments(m, r, eps, delta,
         p_values_by_threshold(m, r, eps, delta)
 
 
-def test_guess_summary_invariants():
-    with pytest.raises(ValueError):
-        GuessSummary(m=10, k_plus=6, k_minus=5, v=3)  # r > m
-    with pytest.raises(ValueError):
-        GuessSummary(m=10, k_plus=3, k_minus=2, v=6)  # v > r
-    with pytest.raises(ValueError):
-        GuessSummary(m=0, k_plus=0, k_minus=0, v=0)
-
-
 # ---------------------------------------------------------------------------
 # eps_lower_bound
 
@@ -1027,7 +1017,6 @@ def test_secondary_bounds_exact_pins():
                                         c=1.0, d=1.0), "eps must keep"),
     (lambda: optimize_prior_width(math.inf, 0.0, 1e-5, 0.05),
      "eps must keep"),
-    (lambda: GuessSummary(10.5, 2, 2, 1), "m must be an integer"),
     (lambda: eps_lower_bound(10.5, 4, 2, 0.0, 0.05), "m must be an integer"),
     (lambda: optimize_prior_width(1.0, 1e-5, -1.0, 0.05),
      "beta_acc must be in"),
@@ -1047,7 +1036,7 @@ def test_secondary_bounds_exact_pins():
         "hoeffding-zero-m", "mi-negative-n", "prior-nan-c",
         "generalization-inf-gamma", "generalization-zero-n",
         "hoeffding-nan-v", "hoeffding-inf-r1", "prior-overflowing-eps",
-        "prior-width-inf-eps", "summary-float-m", "lower-bound-float-m",
+        "prior-width-inf-eps", "lower-bound-float-m",
         "prior-width-negative-beta", "prior-width-nan-target",
         "width-nan-target", "prior-nan-alpha", "width-unreachable-target",
         "prior-width-unreachable-target"])

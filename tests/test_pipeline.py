@@ -162,8 +162,8 @@ def test_audit_run_rr_hits_expected_accuracy():
     for seed in range(40):
         report = audit_run(adapter_randomized_response(math.log(3.0)),
                            100, 0, 0, 0.0, [0.95], seed=seed)
-        assert report.summary.r == 100
-        counts.append(report.summary.v)
+        assert report.k_plus + report.k_minus == 100
+        counts.append(report.v)
     # E[v] = 75, sd of the 40-run mean is sqrt(100 * .75 * .25 / 40) ~ 0.68
     assert np.mean(counts) == pytest.approx(75.0, abs=3.0)
 
@@ -172,7 +172,7 @@ def test_audit_run_gaussian_concentrates_near_expected():
     report = audit_run(adapter_gaussian_report(2.0), 100_000, 755, 755,
                        1e-5, [0.95], seed=11)
     # expected 1438.06 correct of 1510; 4 sigma is ~34
-    assert abs(report.summary.v - 1439) < 35
+    assert abs(report.v - 1439) < 35
 
 
 def test_audit_run_reproducible():
@@ -205,7 +205,7 @@ def test_audit_run_report_round_trips_to_dict():
         200, 0, 0, 1e-4, [0.95], seed=3)
     payload = report.to_dict()
     assert payload["m"] == 200
-    assert payload["v"] == report.summary.v
+    assert payload["v"] == report.v
     assert str(0.95) in payload["eps_lb"]
 
 
@@ -257,13 +257,11 @@ def test_k_sweep_single_point_matches_audit_run():
     m = 2000
     s = sample_selection(m, rng)
     y = s + rng.normal(0.0, 2.0, m)
-    result = k_sweep(y, s, [(100, 100)], delta=1e-5, confidence=0.95)
-    row = result.rows[0]
+    [row] = k_sweep(y, s, [(100, 100)], delta=1e-5, confidence=0.95)
     t = make_guesses(y, 100, 100)
     v = count_correct(s, t)
     assert row.v == v
     assert row.eps_lb == eps_lower_bound(m, 200, v, 1e-5, 0.05)
-    assert result.best_index == 0
 
 
 def test_k_sweep_includes_zero_budget():
@@ -271,9 +269,9 @@ def test_k_sweep_includes_zero_budget():
     m = 500
     s = sample_selection(m, rng)
     y = s + rng.normal(0.0, 2.0, m)
-    result = k_sweep(y, s, [(0, 0), (50, 50)], delta=0.0, confidence=0.95)
-    assert result.rows[0].eps_lb == 0.0
-    assert result.best.eps_lb >= result.rows[0].eps_lb
+    rows = k_sweep(y, s, [(0, 0), (50, 50)], delta=0.0, confidence=0.95)
+    assert rows[0].eps_lb == 0.0
+    assert rows[1].eps_lb >= rows[0].eps_lb
 
 
 def test_end_to_end_validity_small():
@@ -300,8 +298,8 @@ def test_k_sweep_rows_equal_per_row_guesses(data, m):
         lambda r: st.tuples(st.integers(0, r), st.just(r)))
     grid = [(kp, r - kp) for kp, r in data.draw(
         st.lists(budget, min_size=1, max_size=6))]
-    result = k_sweep(y, s, grid, delta=1e-5, confidence=0.9)
-    for (k_plus, k_minus), row in zip(grid, result.rows, strict=True):
+    rows = k_sweep(y, s, grid, delta=1e-5, confidence=0.9)
+    for (k_plus, k_minus), row in zip(grid, rows, strict=True):
         v = count_correct(s, make_guesses(y, k_plus, k_minus))
         assert (row.k_plus, row.k_minus, row.v) == (k_plus, k_minus, v)
         assert row.eps_lb == eps_lower_bound(m, k_plus + k_minus, v, 1e-5, 0.1)
@@ -319,7 +317,7 @@ def test_guesses_break_score_ties_by_index():
     up = sorted(range(m), key=lambda i: (y[i], i))
     grid = [(k_plus, k_minus) for k_plus in (0, 1, 150, 333, 500)
             for k_minus in (0, 1, 250, 499)]
-    rows = k_sweep(y, s, grid, delta=0.0, confidence=0.95).rows
+    rows = k_sweep(y, s, grid, delta=0.0, confidence=0.95)
     for (k_plus, k_minus), row in zip(grid, rows, strict=True):
         expected = np.zeros(m, dtype=int)
         expected[down[:k_plus]] = 1

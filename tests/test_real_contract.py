@@ -3,9 +3,9 @@
 Each real of the table is set in turn to 0, -1, nan, +-inf, 1e-300 or
 1e300: the call must return a value in its documented range (finite unless
 its docstring says otherwise) or raise a ValueError that names that
-argument, and emit no warning.  An eps outside [0, inf] or a delta outside
-[0, 1] must raise.  The signature scan fails when an export's
-float argument is missing from the table.
+argument, and emit no warning.  A nan, an eps outside [0, inf] or a
+delta outside [0, 1] must raise.  The signature scan fails when an
+export's float argument is missing from the table.
 """
 
 import math
