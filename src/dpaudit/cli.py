@@ -34,6 +34,19 @@ from .estimator import (check_counts, check_order, check_reals,
                         p_values_by_threshold, rr_accuracy)
 
 
+def _json_line(record: dict[str, Any]) -> str:
+    """The one writer of a report's or a row's JSON line: sorted keys, and a
+    non-finite float as the repr text float() reads ("inf", "-inf", "nan")."""
+    def strict(value: Any) -> Any:
+        if isinstance(value, dict):
+            return {key: strict(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [strict(item) for item in value]
+        finite = not isinstance(value, float) or math.isfinite(value)
+        return value if finite else repr(float(value))
+    return json.dumps(strict(record), sort_keys=True, allow_nan=False)
+
+
 @dataclasses.dataclass
 class ResultRow:
     """One persisted result: echoed inputs, outputs, timing, seed."""
@@ -46,7 +59,7 @@ class ResultRow:
     seed: int | None
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
+        return _json_line(dataclasses.asdict(self))
 
 
 class _UsageError(Exception):
@@ -337,7 +350,7 @@ def run_dpsgd_audit(config: dict[str, Any]) -> pipeline.AuditReport:
 def cmd_dpsgd_audit(args) -> _Record:
     config = parse_dpsgd_config(args.config)
     payload = run_dpsgd_audit(config).to_dict()
-    print(json.dumps(payload, sort_keys=True))
+    print(_json_line(payload))
     return args.out, {
         "inputs": dict(config), "outputs": payload,
         "confidence": config["confidence"][0], "seed": config["seed"]}
@@ -368,7 +381,7 @@ def cmd_simulate(args) -> _Record:
     report = pipeline.audit_run(adapter, args.m, args.k_plus, args.k_minus,
                                 args.delta, [args.conf], args.seed)
     payload = report.to_dict()
-    print(json.dumps(payload, sort_keys=True))
+    print(_json_line(payload))
     return args.out, {
         "inputs": {name: getattr(args, name) for name in (
             "mechanism", "m", "k_plus", "k_minus", "delta", "conf",

@@ -168,16 +168,11 @@ class AuditReport:
     config: dict[str, Any]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "m": self.m,
-            "k_plus": self.k_plus,
-            "k_minus": self.k_minus,
-            "v": self.v,
-            "eps_lb": {str(k): v for k, v in self.eps_lb.items()},
-            "p_values": {str(k): v for k, v in self.p_values.items()},
-            "seed": self.seed,
-            "config": self.config,
-        }
+        """The fields in order; eps_lb's and p_values' float keys as text."""
+        report = dataclasses.asdict(self)
+        for name in ("eps_lb", "p_values"):
+            report[name] = {str(k): v for k, v in report[name].items()}
+        return report
 
 
 def audit_run(adapter: MechanismAdapter, m: int, k_plus: int, k_minus: int,

@@ -1019,6 +1019,35 @@ def test_simulate_row_reruns_from_its_inputs(tmp_path, capsys, case):
     assert again.to_json() == row.to_json()
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("argv,option,path", [
+    (["pvalue", "--m", "10", "--r", "5", "--v", "5"], "--out",
+     ("inputs", "eps")),
+    (["pathological-check", "--m", "100", "--r", "10", "--delta", "0",
+      "--beta", "0.05", "--trials", "50"], "--report", ("inputs", "eps")),
+    (["simulate", "--mechanism", "rr", "--m", "10"], "--out",
+     ("outputs", "config", "declared_eps"))],
+    ids=["pvalue", "pathological-check", "simulate"])
+def test_rows_and_reports_are_strict_json(tmp_path, capsys, argv, option,
+                                          path):
+    # eps = inf is written as the text "inf", which --eps and float() read
+    # back, never as Infinity, which a strict parser rejects
+    rows = tmp_path / "rows.jsonl"
+    code, out, _ = run_cli(capsys, *argv, "--eps", "inf", option, str(rows))
+    assert code == 0
+    lines = rows.read_text().splitlines()
+    if argv[0] == "simulate":  # the report on stdout is a JSON line too
+        lines += out.splitlines()
+    records = [json.loads(line, parse_constant=_not_json) for line in lines]
+    value = records[0]  # the row
+    for key in path:
+        value = value[key]
+    assert value == "inf" and float(value) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # argument-vector fuzz
 

@@ -3,9 +3,9 @@
 Each real of the table is set in turn to 0, -1, nan, +-inf, 1e-300 or
 1e300: the call must return a value in its documented range (finite unless
 its docstring says otherwise) or raise a ValueError that names that
-argument, and emit no warning.  A nan, an eps outside [0, inf] or a
-delta outside [0, 1] must raise.  The signature scan fails when an
-export's float argument is missing from the table.
+argument, and emit no warning.  A value outside the real's interval in
+the table (nan lies in none) must raise.  The signature scan fails when
+an export's float argument is missing from the table.
 """
 
 import math
@@ -13,7 +13,8 @@ import math
 import pytest
 
 from dpaudit import dpsgd, estimator
-from test_contract import accepts_typical, faults, typical_entries, unprobed
+from test_contract import (CASES, accepts_typical, faults, typical_entries,
+                           unprobed)
 
 # The exported records, whose constructors only check their fields.
 RECORDS = ("MechanismAdapter", "TrainerConfig")
@@ -38,6 +39,14 @@ def test_fuzz_needs_the_real_rule(rebind):
 
 def test_every_exported_real_is_probed():
     assert unprobed({"float", "float | None"}) == []
+
+
+def test_every_real_of_the_table_has_its_interval():
+    for entry, (_, typical, _, intervals) in CASES.items():
+        reals = {name for name, value in typical.items()
+                 if type(value) is float}
+        assert set(intervals) == reals, entry
+        assert set(intervals.values()) <= set(estimator.REAL_INTERVALS), entry
 
 
 def test_trainer_real_rows_name_real_intervals():
