@@ -122,6 +122,11 @@ class LossModel:
     def n_examples(self) -> int:
         return self.features.shape[0]
 
+    def __getitem__(self, index) -> "LossModel":
+        """The rows at index (integers or a boolean mask), same kind."""
+        return dataclasses.replace(self, features=self.features[index],
+                                   labels=self.labels[index])
+
     @classmethod
     def canary_only(cls, d: int) -> "LossModel":
         check_counts(0, d=d)
@@ -183,17 +188,24 @@ def mislabeled_canaries(model: LossModel, m: int,
     return LossModel(model.kind, X, -truth)
 
 
+def _coordinates(canaries: np.ndarray, d: int) -> np.ndarray:
+    """Dirac canaries as an int array, each a coordinate in [0, d)."""
+    idx = np.asarray(canaries, dtype=int)
+    if idx.size and (idx.min() < 0 or idx.max() >= d):
+        raise ValueError(f"canary index out of range for cfg.dim {d}")
+    return idx
+
+
 def dpsgd_train(data: LossModel, canaries: np.ndarray | LossModel,
-                selection: np.ndarray, cfg: TrainerConfig,
-                rng: np.random.Generator) -> np.ndarray:
+                cfg: TrainerConfig, rng: np.random.Generator) -> np.ndarray:
     """Train with per-example clipping and Gaussian noise; return the model.
 
-    Data examples are always in the training set; canary i participates iff
-    selection[i] == +1; a Dirac canary is its coordinate, and a repeated
-    coordinate adds c once per canary; example canaries are rows of the
-    data's loss kind.  Every element of the training set is resampled
-    independently with probability sample_prob at each step (at
-    sample_prob = 1 no sampling coins are drawn).  The update is
+    The training set is the data examples and every canary given: a Dirac
+    canary is its coordinate, and a repeated coordinate adds c once per
+    canary; example canaries are rows of the data's loss kind.  Every
+    element of the training set is resampled independently with
+    probability sample_prob at each step (at sample_prob = 1 no sampling
+    coins are drawn).  The update is
     w <- w - lr * (noise + sum of clipped per-example gradients) from w = 0,
     and the final iterate w^ell is returned; no other iterate is kept.
     """
@@ -203,38 +215,21 @@ def dpsgd_train(data: LossModel, canaries: np.ndarray | LossModel,
         if canaries.kind != data.kind:
             raise ValueError(f"canary loss kind {canaries.kind!r} != data "
                              f"loss kind {data.kind!r}")
-        n_canaries = canaries.n_examples
     else:
-        dirac_idx = np.asarray(canaries, dtype=int)
-        if dirac_idx.size and (dirac_idx.min() < 0 or dirac_idx.max() >= d):
-            raise ValueError(f"canary index out of range for cfg.dim {d}")
-        n_canaries = dirac_idx.size
+        dirac_idx = _coordinates(canaries, d)
     for name, rows in (("data", data), ("canary", canaries)):
         if isinstance(rows, LossModel) and rows.features.shape[1] != d:
             raise ValueError(
                 f"{name} dimension {rows.features.shape[1]} != cfg.dim {d}")
-    n_inc = 0
-    if n_canaries:
-        selection = np.asarray(selection)
-        if selection.shape != (n_canaries,):
-            raise ValueError(
-                f"selection length {selection.shape} != {n_canaries} canaries")
-        included = selection == 1
-        n_inc = int(included.sum())
-        if dirac_idx is not None:
-            dirac_idx = dirac_idx[included]
     q, c, lr = cfg.sample_prob, cfg.clip, cfg.learning_rate
 
     # Row blocks with clipped per-example gradients: the data rows, then the
-    # included example canaries.  Row i's gradient is a_i * x_i, so clipping
-    # it to norm c clips a_i to +-c / ||x_i|| (no bound on a zero row), and a
+    # example canaries.  Row i's gradient is a_i * x_i, so clipping it to
+    # norm c clips a_i to +-c / ||x_i|| (no bound on a zero row), and a
     # block's clipped sum over its sampled rows is the mat-vec b @ X with
     # b_i = 0 on rows not sampled this step.  Each block keeps its bounds and
     # the buffers of its step: b, the coins and the mask of rows left out.
-    blocks = [data]
-    if dirac_idx is None and n_inc:
-        blocks.append(LossModel(canaries.kind, canaries.features[included],
-                                canaries.labels[included]))
+    blocks = [data] if dirac_idx is not None else [data, canaries]
     # row norms without the n x d temporary of np.linalg.norm(X, axis=1)
     with np.errstate(divide="ignore", over="ignore"):
         blocks = [(rows, -high, high, np.empty(len(X)), np.empty(len(X)),
@@ -247,7 +242,7 @@ def dpsgd_train(data: LossModel, canaries: np.ndarray | LossModel,
     # non-finite values flow on to the iterate check, which names the step
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for step in range(1, cfg.ell + 1):
-            # sampling coins: data rows, then the included canaries
+            # sampling coins: data rows, then the canaries
             gsum.fill(0.0)  # 0 + b @ X turns a -0.0 sum into +0.0
             for rows, low, high, b, coins, skip in blocks:
                 rows.example_coefs(w, out=b)
@@ -259,7 +254,7 @@ def dpsgd_train(data: LossModel, canaries: np.ndarray | LossModel,
                     np.putmask(b, skip, 0.0)
                 gsum += np.matmul(b, rows.features, out=row_sum)
             if dirac_idx is not None:
-                on = slice(None) if q == 1 else rng.random(n_inc) < q
+                on = slice(None) if q == 1 else rng.random(dirac_idx.size) < q
                 np.add.at(gsum, dirac_idx[on], c)
             # rng.normal(0, sigma c, d) is 0.0 + sigma c z; the 0.0 changes
             # only a -0.0, which adding gsum (never -0.0) turns into +0.0
@@ -281,7 +276,8 @@ def whitebox_scores(canaries: np.ndarray, w_final: np.ndarray,
     gradient>.  That gradient is the clip norm c at its coordinate j at
     every step, so the sum telescopes from w^0 = 0 to c * (0 - w_final[j]).
     """
-    return cfg.clip * (0.0 - w_final[canaries])  # -clip * x gives -0.0 at +0.0
+    w_at = w_final[_coordinates(canaries, cfg.dim)]
+    return cfg.clip * (0.0 - w_at)  # -clip * x gives -0.0 at +0.0
 
 
 def blackbox_scores(canaries: LossModel, w_final: np.ndarray) -> np.ndarray:
@@ -349,7 +345,7 @@ def theoretical_eps_upper(cfg: TrainerConfig, delta: float) -> float:
 
 def audit_adapter(model: LossModel, canaries: np.ndarray | LossModel,
                   cfg: TrainerConfig, delta: float = 1e-5) -> MechanismAdapter:
-    """Audit adapter: train gated on the selection, score the final model.
+    """Audit adapter: train on canary i iff s_i = +1, score every canary.
 
     The canaries' form picks the scorer: Dirac coordinates get white-box
     scores, example canaries (a LossModel) black-box loss reductions.
@@ -357,7 +353,7 @@ def audit_adapter(model: LossModel, canaries: np.ndarray | LossModel,
     blackbox = isinstance(canaries, LossModel)
 
     def run(s, rng):
-        w_final = dpsgd_train(model, canaries, s, cfg, rng)
+        w_final = dpsgd_train(model, canaries[s == 1], cfg, rng)
         if blackbox:
             return blackbox_scores(canaries, w_final)
         return whitebox_scores(canaries, w_final, cfg)

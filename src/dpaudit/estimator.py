@@ -445,15 +445,13 @@ def optimize_generalization_width(
                 delta=delta)
     table = _binomial_table(n, eps)
     grid = np.geomspace(1e-2, 1.0, _GRID_POINTS)
-    for g in grid:
-        best = None
-        for e in grid[grid <= g / 1.5]:
-            fail = beta_acc + _generalization_bound_from_table(
-                table, n, delta, g, e)
-            if fail <= target_failure and (best is None or fail < best[2]):
-                best = (float(g), float(e), fail)
-        if best is not None:
-            return best
+    for g in grid:  # the row's least failure, and of a tie its least eta
+        fail, eta = min(
+            ((beta_acc + _generalization_bound_from_table(
+                table, n, delta, g, e), e) for e in grid[grid <= g / 1.5]),
+            default=(math.inf, 0.0))
+        if fail <= target_failure:
+            return float(g), float(eta), fail
     raise ValueError(f"no grid point meets target_failure {target_failure} at "
                      f"n={n}, eps={eps}, delta={delta}, beta_acc={beta_acc}")
 

@@ -81,7 +81,10 @@ def count_correct(s: np.ndarray, t: np.ndarray) -> int:
     t = np.asarray(t)
     if t.shape != s.shape:
         raise ValueError(f"length mismatch: {t.shape} vs {s.shape}")
-    return int(np.count_nonzero((t != 0) & (t == s)))
+    correct = t == s  # s is +-1, so an abstention never matches
+    if not np.all(correct | (t == 0) | (t == -s)):
+        raise ValueError("guess entries must be -1, 0 or +1")
+    return int(np.count_nonzero(correct))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -174,7 +174,8 @@ def test_criterion_6_dpsgd_whitebox_law_and_validity():
     s = sample_selection(m, rng)
     cfg = TrainerConfig(ell=ell, clip=c, noise_multiplier=sigma,
                         sample_prob=1.0, learning_rate=lr, dim=d)
-    w_final = dpsgd_train(LossModel.canary_only(d), canaries, s, cfg, rng)
+    w_final = dpsgd_train(LossModel.canary_only(d), canaries[s == 1], cfg,
+                          rng)
     scores = whitebox_scores(canaries, w_final, cfg)
     moments_ok = True
     for sample, mu in ((scores[s == 1], mean_in), (scores[s == -1], 0.0)):
@@ -199,8 +200,8 @@ def test_criterion_6_dpsgd_whitebox_law_and_validity():
         rep_rng = np.random.default_rng([555, rep])
         canaries = dirac_canaries(m_audit, d_audit, rep_rng)
         s = sample_selection(m_audit, rep_rng)
-        w_final = dpsgd_train(LossModel.canary_only(d_audit), canaries, s,
-                              cfg, rep_rng)
+        w_final = dpsgd_train(LossModel.canary_only(d_audit),
+                              canaries[s == 1], cfg, rep_rng)
         y = whitebox_scores(canaries, w_final, cfg)
         rows = k_sweep(y, s, grid, delta, 0.95)
         sound += max(row.eps_lb for row in rows) <= upper

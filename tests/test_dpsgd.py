@@ -23,7 +23,7 @@ from dpaudit.mechanisms import gaussian_dp_delta, gaussian_dp_eps
 from dpaudit.pipeline import sample_selection
 from references import blackbox_score, clip_rows, example_grads
 
-# no canaries: an empty coordinate array, and its empty selection
+# no canaries: an empty coordinate array
 NO_CANARIES = np.zeros(0, dtype=int)
 
 
@@ -52,7 +52,8 @@ def plain_clipped_gd(model, w0, ell, clip, lr):
 
 
 def reference_train(data, canaries, selection, cfg, rng):
-    """Per-step loop that clips each sampled row of the gradient matrix.
+    """Per-step loop that clips each sampled row of the gradient matrix,
+    training on canary i iff selection[i] == +1.
 
     Same RNG draws in the same order as the trainer: data coins, canary
     coins, then the noise.
@@ -89,7 +90,7 @@ def reference_train(data, canaries, selection, cfg, rng):
     return np.array(iterates)
 
 
-def trajectory(data, canaries, selection, cfg, seed):
+def trajectory(data, canaries, cfg, seed):
     """Iterates w^0..w^ell of one run: each prefix 1..ell trained from seed.
 
     The trainer returns only the final model; every prefix replays the same
@@ -97,7 +98,7 @@ def trajectory(data, canaries, selection, cfg, seed):
     """
     iterates = [np.zeros(cfg.dim)]
     for t in range(1, cfg.ell + 1):
-        iterates.append(dpsgd_train(data, canaries, selection,
+        iterates.append(dpsgd_train(data, canaries,
                                     dataclasses.replace(cfg, ell=t),
                                     np.random.default_rng(seed)))
     return np.array(iterates)
@@ -121,10 +122,11 @@ def test_trainer_matches_per_row_clipping_reference(kind, sample_prob):
     cfg = TrainerConfig(ell=25, clip=0.3, noise_multiplier=0.8,
                         sample_prob=sample_prob, learning_rate=0.1, dim=d)
     rng_new, rng_ref = np.random.default_rng(21), np.random.default_rng(21)
-    dpsgd_train(model, canaries, s, cfg, rng_new)
+    dpsgd_train(model, canaries[s == 1], cfg, rng_new)
     expected = reference_train(model, canaries, s, cfg, rng_ref)
     assert rng_new.random() == rng_ref.random()
-    assert_iterates_close(trajectory(model, canaries, s, cfg, 21), expected)
+    assert_iterates_close(trajectory(model, canaries[s == 1], cfg, 21),
+                          expected)
 
 
 @pytest.mark.parametrize("sample_prob", [1.0, 0.5])
@@ -141,10 +143,10 @@ def test_trainer_matches_reference_with_dirac_canaries(sample_prob, with_data):
     cfg = TrainerConfig(ell=20, clip=1.0, noise_multiplier=2.0,
                         sample_prob=sample_prob, learning_rate=0.2, dim=d)
     rng_new, rng_ref = np.random.default_rng(23), np.random.default_rng(23)
-    dpsgd_train(model, canaries, s, cfg, rng_new)
+    dpsgd_train(model, canaries[s == 1], cfg, rng_new)
     expected = reference_train(model, canaries, s, cfg, rng_ref)
     assert rng_new.random() == rng_ref.random()
-    iterates = trajectory(model, canaries, s, cfg, 23)
+    iterates = trajectory(model, canaries[s == 1], cfg, 23)
     if with_data:
         assert_iterates_close(iterates, expected)
     else:
@@ -157,7 +159,7 @@ def test_noiseless_full_batch_matches_plain_gd(kind):
     model = LossModel.synthetic(kind, n=25, d=6, rng=rng)
     cfg = TrainerConfig(ell=30, clip=0.5, noise_multiplier=0.0,
                         sample_prob=1.0, learning_rate=0.2, dim=6)
-    iterates = trajectory(model, NO_CANARIES, NO_CANARIES, cfg, 1)
+    iterates = trajectory(model, NO_CANARIES, cfg, 1)
     oracle = plain_clipped_gd(model, np.zeros(6), 30, 0.5, 0.2)
     np.testing.assert_allclose(iterates, oracle, atol=1e-10)
 
@@ -174,7 +176,7 @@ def test_clip_invariant_enforced():
     # the independent clipped gradient descent oracle
     cfg = TrainerConfig(ell=10, clip=0.05, noise_multiplier=0.0,
                         sample_prob=1.0, learning_rate=0.1, dim=5)
-    iterates = trajectory(model, NO_CANARIES, NO_CANARIES, cfg, 3)
+    iterates = trajectory(model, NO_CANARIES, cfg, 3)
     oracle = plain_clipped_gd(model, np.zeros(5), 10, 0.05, 0.1)
     np.testing.assert_allclose(iterates, oracle, atol=1e-10)
 
@@ -190,7 +192,8 @@ def test_canary_only_updates_unroll_exactly():
         s = sample_selection(m, rng)
         cfg = TrainerConfig(ell=5, clip=clip, noise_multiplier=0.0,
                             sample_prob=1.0, learning_rate=0.3, dim=d)
-        iterates = trajectory(LossModel.canary_only(d), canaries, s, cfg, 5)
+        iterates = trajectory(LossModel.canary_only(d), canaries[s == 1],
+                              cfg, 5)
         expected_step = np.zeros(d)
         for canary, si in zip(canaries, s):
             if si == 1:
@@ -206,10 +209,9 @@ def test_poisson_sampling_thins_gradient():
     d = m = 400
     rng = np.random.default_rng(6)
     canaries = dirac_canaries(m, d, rng)
-    s = np.ones(m, dtype=int)
     cfg = TrainerConfig(ell=200, clip=1.0, noise_multiplier=0.0,
                         sample_prob=0.25, learning_rate=1.0, dim=d)
-    iterates = trajectory(LossModel.canary_only(d), canaries, s, cfg, 7)
+    iterates = trajectory(LossModel.canary_only(d), canaries, cfg, 7)
     steps = iterates[:-1] - iterates[1:]
     per_step_mass = steps.sum(axis=1)
     assert per_step_mass.mean() == pytest.approx(0.25 * m, rel=0.05)
@@ -222,8 +224,7 @@ def test_training_error_reports_step():
     cfg = TrainerConfig(ell=4, clip=1.0, noise_multiplier=0.0,
                         sample_prob=1.0, learning_rate=1e308, dim=3)
     with pytest.raises(RuntimeError, match="step 1"):
-        dpsgd_train(model, NO_CANARIES, NO_CANARIES, cfg,
-                    np.random.default_rng(9))
+        dpsgd_train(model, NO_CANARIES, cfg, np.random.default_rng(9))
 
 
 def test_trainer_config_validates():
@@ -286,7 +287,8 @@ def test_whitebox_score_law_in_canary_only_mode():
     s = sample_selection(m, rng)
     cfg = TrainerConfig(ell=ell, clip=c, noise_multiplier=sigma,
                         sample_prob=1.0, learning_rate=lr, dim=d)
-    w_final = dpsgd_train(LossModel.canary_only(d), canaries, s, cfg, rng)
+    w_final = dpsgd_train(LossModel.canary_only(d), canaries[s == 1], cfg,
+                          rng)
     scores = whitebox_scores(canaries, w_final, cfg)
     mean_in = lr * ell * c * c
     var = lr * lr * c ** 4 * sigma * sigma * ell
@@ -309,7 +311,8 @@ def test_whitebox_scores_match_singular():
     cfg = TrainerConfig(ell=8, clip=0.5, noise_multiplier=0.5,
                         sample_prob=1.0, learning_rate=0.2, dim=d)
     model = LossModel.canary_only(d)
-    w_final = dpsgd_train(model, canaries, s, cfg, np.random.default_rng(15))
+    w_final = dpsgd_train(model, canaries[s == 1], cfg,
+                          np.random.default_rng(15))
     batch = whitebox_scores(canaries, w_final, cfg)
     its = reference_train(model, canaries, s, cfg, np.random.default_rng(15))
     for k, score in zip(canaries, batch):
@@ -346,7 +349,7 @@ def test_blackbox_trained_examples_score_positive():
         model = LossModel.synthetic("logistic", n=30, d=4, rng=run_rng)
         cfg = TrainerConfig(ell=40, clip=1.0, noise_multiplier=0.3,
                             sample_prob=1.0, learning_rate=0.4, dim=4)
-        w_final = dpsgd_train(model, NO_CANARIES, NO_CANARIES, cfg, run_rng)
+        w_final = dpsgd_train(model, NO_CANARIES, cfg, run_rng)
         scores = [blackbox_score((x, y), np.zeros(4), w_final, model)
                   for x, y in zip(model.features, model.labels)]
         data_means.append(np.mean(scores))
@@ -363,7 +366,7 @@ def test_blackbox_excluded_mislabeled_scores_below_included():
         s = sample_selection(10, run_rng)
         cfg = TrainerConfig(ell=40, clip=1.0, noise_multiplier=0.3,
                             sample_prob=1.0, learning_rate=0.4, dim=4)
-        w_final = dpsgd_train(model, canaries, s, cfg, run_rng)
+        w_final = dpsgd_train(model, canaries[s == 1], cfg, run_rng)
         scores = blackbox_scores(canaries, w_final)
         if np.any(s == 1):
             in_means.append(scores[s == 1].mean())
@@ -412,6 +415,37 @@ def test_blackbox_audit_weaker_than_whitebox_paired():
     assert np.mean(bb) <= np.mean(wb)
 
 
+@pytest.mark.parametrize("sample_prob", [1.0, 0.5])
+@pytest.mark.parametrize("kind", ["dirac", "examples"])
+def test_adapter_trains_on_the_canaries_with_s_plus_one(kind, sample_prob):
+    # run(s, rng) is the trainer given only the canaries with s_i = +1,
+    # then the scores of every canary, all from the same generator
+    from dpaudit.dpsgd import audit_adapter
+
+    d, m = 20, 16
+    setup = np.random.default_rng(40)
+    model = LossModel.synthetic("logistic", n=30, d=d, rng=setup)
+    canaries = (dirac_canaries(m, d, setup) if kind == "dirac"
+                else mislabeled_canaries(model, m, setup))
+    s = sample_selection(m, setup)
+    cfg = TrainerConfig(ell=10, clip=0.5, noise_multiplier=1.0,
+                        sample_prob=sample_prob, learning_rate=0.2, dim=d)
+    scores = audit_adapter(model, canaries, cfg).run(
+        s, np.random.default_rng(41))
+    on = [i for i in range(m) if s[i] == 1]
+    rng = np.random.default_rng(41)
+    if kind == "dirac":
+        w_final = dpsgd_train(model, canaries[on], cfg, rng)
+        expected = whitebox_scores(canaries, w_final, cfg)
+    else:
+        trained = LossModel(canaries.kind, canaries.features[on],
+                            canaries.labels[on])
+        expected = blackbox_scores(canaries,
+                                   dpsgd_train(model, trained, cfg, rng))
+    assert 0 < len(on) < m
+    assert np.array_equal(scores, expected)
+
+
 def test_mislabeled_canaries_flip_teacher_labels():
     model = LossModel.synthetic("logistic", n=10, d=6,
                                 rng=np.random.default_rng(19))
@@ -457,7 +491,7 @@ def test_trainer_allocates_no_row_block_temporary():
     s = sample_selection(1000, setup)
     cfg = TrainerConfig(ell=5, clip=1.0, noise_multiplier=1.0,
                         sample_prob=0.5, learning_rate=0.1, dim=d)
-    peak = traced_peak(lambda: dpsgd_train(model, canaries, s, cfg,
+    peak = traced_peak(lambda: dpsgd_train(model, canaries[s == 1], cfg,
                                            np.random.default_rng(31)))
     assert peak < n * d * 8 / 2
 

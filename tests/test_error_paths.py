@@ -10,7 +10,7 @@ import pytest
 
 from dpaudit import cli
 from dpaudit.dpsgd import (LossModel, TrainerConfig, dpsgd_train,
-                           mislabeled_canaries)
+                           mislabeled_canaries, whitebox_scores)
 from dpaudit.estimator import DominatingDistribution, adaptive_bound
 from dpaudit.mechanisms import PathologicalConfig, pathological
 from dpaudit.pipeline import (CanaryPairSet, MechanismAdapter, audit_run,
@@ -70,25 +70,23 @@ CASES = {
         lambda tmp: mislabeled_canaries(rows("logistic", 2, 5), 3, rng()),
         ValueError, "^model has no teacher"),
     "train-data-width": (
-        lambda tmp: dpsgd_train(rows("logistic", 2, 7), NO_CANARIES,
-                                NO_CANARIES, CFG, rng()),
+        lambda tmp: dpsgd_train(rows("logistic", 2, 7), NO_CANARIES, CFG,
+                                rng()),
         ValueError, r"^data dimension 7 != cfg\.dim 5$"),
     "train-canary-width": (
         lambda tmp: dpsgd_train(rows("logistic", 2, 5), rows("logistic", 3, 7),
-                                np.ones(3), CFG, rng()),
+                                CFG, rng()),
         ValueError, r"^canary dimension 7 != cfg\.dim 5$"),
     "train-canary-kind": (
         lambda tmp: dpsgd_train(rows("logistic", 2, 5), rows("linear", 3, 5),
-                                np.ones(3), CFG, rng()),
+                                CFG, rng()),
         ValueError, "^canary loss kind 'linear' != data loss kind 'logistic'$"),
     "train-dirac-index": (
-        lambda tmp: dpsgd_train(CANARY_ONLY, np.array([0, 5]), np.ones(2),
-                                CFG, rng()),
+        lambda tmp: dpsgd_train(CANARY_ONLY, np.array([0, 5]), CFG, rng()),
         ValueError, r"^canary index out of range for cfg\.dim 5$"),
-    "train-selection-length": (
-        lambda tmp: dpsgd_train(CANARY_ONLY, np.array([0, 1]), np.ones(3),
-                                CFG, rng()),
-        ValueError, r"^selection length \(3,\) != 2 canaries$"),
+    "whitebox-dirac-index": (
+        lambda tmp: whitebox_scores(np.array([-1, 0]), np.zeros(5), CFG),
+        ValueError, r"^canary index out of range for cfg\.dim 5$"),
     "survival-table-empty": (
         lambda tmp: DominatingDistribution([]),
         ValueError, "^survival table must be a nonempty 1-d array$"),

@@ -142,10 +142,9 @@ class CanaryCoinsFirst:
         return getattr(self.rng, name)
 
 
-def canary_coins_first(data, canaries, selection, cfg, rng):
-    n_canaries = int((np.asarray(selection) == 1).sum())
-    return DPSGD_TRAIN(data, canaries, selection, cfg,
-                       CanaryCoinsFirst(rng, n_canaries))
+def canary_coins_first(data, canaries, cfg, rng):
+    return DPSGD_TRAIN(data, canaries, cfg,
+                       CanaryCoinsFirst(rng, canaries.n_examples))
 
 
 @pytest.mark.parametrize("kind", ["logistic", "linear"])

@@ -22,7 +22,8 @@ RULE_HELPERS = {"estimator.check_counts", "estimator.check_reals",
 ALLOWED = {
     "cli.parse_dpsgd_config",  # m <= dim in whitebox mode, budget <= m
     "dpsgd.LossModel.__post_init__",  # labels of length n
-    "dpsgd.dpsgd_train",  # row widths, canary kind and indices, selection
+    "dpsgd._coordinates",  # Dirac canary indices in [0, dim)
+    "dpsgd.dpsgd_train",  # row widths, canary kind
     "mechanisms.pathological",  # selection length
     "pipeline.count_correct",  # guess and selection lengths
 }

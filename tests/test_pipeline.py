@@ -128,6 +128,8 @@ def test_count_correct_validates():
         count_correct(np.array([1, -1]), np.array([1, 0, -1]))
     with pytest.raises(ValueError, match="-1 or \\+1"):
         count_correct(np.array([1, 0, -1]), np.zeros(3, dtype=int))
+    with pytest.raises(ValueError, match="^guess entries must be -1, 0 or"):
+        count_correct(np.array([1, -1, 1]), np.array([2, 7, 1]))
 
 
 @given(data=st.data())

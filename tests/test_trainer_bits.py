@@ -167,8 +167,8 @@ def run_case(name: str) -> dict[str, np.ndarray]:
             canaries = LossModel(canaries.kind, features, canaries.labels)
     cfg = TrainerConfig(ell=ell, clip=clip, noise_multiplier=sigma,
                         sample_prob=q, learning_rate=lr, dim=d)
-    out["w"] = dpsgd_train(model, canaries, sample_selection(m, rng), cfg,
-                           rng)
+    out["w"] = dpsgd_train(model, canaries[sample_selection(m, rng) == 1],
+                           cfg, rng)
     return out
 
 
